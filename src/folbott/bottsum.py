@@ -14,10 +14,13 @@ power 13, the component degree.  ``display_sum`` is its negative, the
 orientation in which the reference coefficient freezes (the constant
 49642909/3974400 and the d1 coefficient -729/320 on the identity flag
 at weights (0, 1, 5, 25)) are stated.
+
+The degree functions accept a ``jobs`` argument and ignore it: the 24
+flag sums are pure-Python arithmetic, which threads do not speed up
+under the interpreter lock, so they always run serially.
 """
 
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 from .torus import (DualClass, DivByZeroWeight, enumerate_fixed_flags,
                     flag_tangent_product, validate_weights)
@@ -219,10 +222,8 @@ def fiber_degree(w, power=7, relations=None, jobs=1):
     w = tuple(validate_weights(w))
     if relations is None:
         return display_sum((0, 1, 2, 3), w, power)
-    flags = enumerate_fixed_flags()
-    values = _map_flags(lambda f: contribution_sum(f, w, power),
-                        flags, jobs)
-    substituted = [relations.substitute(s) for s in values]
+    substituted = [relations.substitute(contribution_sum(f, w, power))
+                   for f in enumerate_fixed_flags()]
     first = substituted[0]
     for val in substituted[1:]:
         if val != first:
@@ -235,12 +236,9 @@ def component_degree(w, power=13, relations=None, jobs=1):
     """Global residue sum: flag sums over their six flag-tangent
     weights, added across all 24 flags."""
     w = tuple(validate_weights(w))
-    flags = enumerate_fixed_flags()
-    values = _map_flags(lambda f: _global_summand(f, w, power),
-                        flags, jobs)
     total = TwistLinear()
-    for s in values:
-        total = total + s
+    for flag in enumerate_fixed_flags():
+        total = total + _global_summand(flag, w, power)
     if relations is None:
         return total
     return relations.substitute(total)
@@ -259,18 +257,8 @@ def total_degree(w, power, relations=None, jobs=1):
 def per_flag_degrees(w, relations, jobs=1, power=13):
     """The 24 flag summands of the global degree, substituted."""
     w = tuple(validate_weights(w))
-    flags = enumerate_fixed_flags()
-    values = _map_flags(lambda f: _global_summand(f, w, power),
-                        flags, jobs)
-    return [(flag, relations.substitute(s))
-            for flag, s in zip(flags, values)]
-
-
-def _map_flags(func, flags, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(func, flags))
-    return [func(f) for f in flags]
+    return [(flag, relations.substitute(_global_summand(flag, w, power)))
+            for flag in enumerate_fixed_flags()]
 
 
 def three_planes_demo():

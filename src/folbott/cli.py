@@ -54,7 +54,7 @@ def _output_option(func):
 def _jobs_option(func):
     return click.option(
         "--jobs", type=int, default=1, show_default=True,
-        help="Worker threads for the flag-wise sums.")(func)
+        help="Accepted for compatibility; has no effect.")(func)
 
 
 def _emit(document, output):

@@ -14,13 +14,14 @@ catalog has three layers:
   * the five fixed lines with their six-eigenweight normal decomposition
     and the twist-unknown slots attached to each normal direction.
 
-The child tangent frame after blowing up is produced by one split rule
-throughout, so the printed decompositions act as assertions over this
-module's fixtures rather than as inputs.
+The rows themselves live in ``tables``.  The child tangent frame after
+blowing up is produced by one split rule throughout, so the printed
+decompositions act as assertions over those rows rather than as inputs.
 """
 
+from .tables import (A_BASE, A_EXTRA, B_MONOS, BASE_CELLS, EVENT_ORDER,
+                     EXCEPTIONAL, LINE_SLOTS)
 from .torus import EigenWeight, parse_weight
-from . import resolve
 
 
 class DirectionNotInNormal(ValueError):
@@ -69,21 +70,18 @@ def _line_normals(center, tangent, direction):
 # Base layer
 # ---------------------------------------------------------------------------
 
-B_MONOS = ("x0^2", "x0*x1", "x0*x2", "x1^2")
-A_BASE = ("x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3")
-A_EXTRA = {1: "x0*x1^2", 2: "x0*x1*x2", 3: "x1^3"}
-
-# Anchors excluded from the point catalog because an event replaces
-# them: the cube pair and the three degenerate-quadric cubes.
-EVENT_ANCHORS = ((3, 4), (0, 1, 0), (0, 2, 0), (0, 3, 0))
-
-
 def _w(text):
     return parse_weight(text)
 
 
 def _cubics_for(k):
     return list(A_BASE) + [A_EXTRA[k]]
+
+
+def base_anchor(row):
+    """Anchor of base table row ``row`` (see tables.BASE_CELLS)."""
+    j, i = divmod(row, 5)
+    return (j + 1, i) if j < 3 else (0, j - 2, i)
 
 
 def base_anchor_frame(anchor):
@@ -113,164 +111,9 @@ def base_anchor_frame(anchor):
     return tb + ta, nu
 
 
-def _base_table_row(anchor):
-    if len(anchor) == 2:
-        k, i = anchor
-        return (k - 1) * 5 + i
-    _, k, i = anchor
-    return (k + 2) * 5 + i
-
-
-def base_anchors():
-    """The 26 cataloged base anchors in table order."""
-    out = []
-    for k in (1, 2, 3):
-        for i in range(5):
-            if (k, i) not in EVENT_ANCHORS:
-                out.append((k, i))
-    for k in (1, 2, 3):
-        for i in range(5):
-            if (0, k, i) not in EVENT_ANCHORS:
-                out.append((0, k, i))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
-
-# Rows appear in published-table order; kinds mirror the table fixtures
-# in resolve.  The extra field points to the follow-up table for an
-# "nd" row and to the spawned line for a "family" row.
-
-EVENTS = {
-    "cube": {
-        "parent": ("base", (3, 4)),
-        "center": ["x0/x1"],
-        "rows": [("iso", "x0^3/x1^3", None),
-                 ("iso", "x0^2*x2/x1^3", None),
-                 ("nd", "x0*x2/x1^2", "cube-res"),
-                 ("iso", "x0^2*x3/x1^3", None),
-                 ("family", "x0^2/x1^2", "line1")],
-    },
-    "cube-res": {
-        "parent": ("nd", ("cube", 2)),
-        "center": ["x0/x1", "x0/x2"],
-        "rows": [("iso", "x0/x2", None),
-                 ("iso", "x0*x3/x1*x2", None),
-                 ("iso", "x0^2/x1*x2", None),
-                 ("iso", "x0/x1", None),
-                 ("iso", "x0*x2/x1^2", None)],
-    },
-    "cube-end": {
-        "parent": ("line", "line1"),
-        "center": ["x0/x1", "x2/x0"],
-        "rows": [("marker", "1", None),
-                 ("iso", "x3/x1", None),
-                 ("iso", "x0/x1", None),
-                 ("iso", "x2/x1", None),
-                 ("iso", "x0^2/x1^2", None)],
-    },
-    "axis1": {
-        "parent": ("base", (0, 1, 0)),
-        "center": ["x1/x0"],
-        "rows": [("family", "x1/x0", "line2"),
-                 ("iso", "x2/x0", None),
-                 ("iso", "x3/x0", None),
-                 ("iso", "x1^2/x0^2", None),
-                 ("nd", "x2/x1", "axis1-res")],
-    },
-    "axis1-res": {
-        "parent": ("nd", ("axis1", 4)),
-        "center": ["x2/x1", "x1^2/x0*x2"],
-        "rows": [("iso", "x1*x3/x0*x2", None),
-                 ("iso", "x1^2/x0*x2", None),
-                 ("iso", "x1^3/x0^2*x2", None),
-                 ("family", "x1/x0", "line3")],
-    },
-    "axis1-res-end": {
-        "parent": ("line", "line3"),
-        "center": ["x1^2/x0*x2", "x1/x0"],
-        "rows": [("nd", "x2/x1", "axis1-res-end-res"),
-                 ("marker", "1", None),
-                 ("iso", "x1/x2", None),
-                 ("iso", "x3/x2", None),
-                 ("iso", "x1^2/x0*x2", None)],
-    },
-    "axis1-res-end-res": {
-        "parent": ("nd", ("axis1-res-end", 0)),
-        "center": ["x2/x1"],
-        "rows": [("iso", "x1/x0", None),
-                 ("iso", "x1/x2", None),
-                 ("iso", "x1^2/x2^2", None),
-                 ("iso", "x1*x3/x2^2", None),
-                 ("iso", "x1^3/x0*x2^2", None),
-                 ("iso", "x1^2/x0*x2", None)],
-    },
-    "axis1-end": {
-        "parent": ("line", "line2"),
-        "center": ["x1/x0", "x0*x2/x1^2"],
-        "rows": [("family", "x1/x0", "line4"),
-                 ("iso", "x3/x1", None),
-                 ("iso", "x2/x1", None),
-                 ("marker", "1", None)],
-    },
-    "axis1-end-end": {
-        "parent": ("line", "line4"),
-        "center": ["x0*x2/x1^2", "x1/x0"],
-        "rows": [("marker", "1", None),
-                 ("iso", "x0/x1", None),
-                 ("iso", "x0*x3/x1^2", None),
-                 ("iso", "x0*x2/x1^2", None),
-                 ("iso", "x1/x0", None)],
-    },
-    "axis2": {
-        "parent": ("base", (0, 2, 0)),
-        "center": ["x1/x2", "x1^2/x0*x2"],
-        "rows": [("iso", "x1/x0", None),
-                 ("iso", "x3/x0", None),
-                 ("iso", "x1*x2/x0^2", None),
-                 ("family", "x2/x0", "line5")],
-    },
-    "axis2-end": {
-        "parent": ("line", "line5"),
-        "center": ["x1/x2"],
-        "rows": [("iso", "x1^2/x0*x2", None),
-                 ("iso", "x1/x0", None),
-                 ("iso", "x3/x2", None),
-                 ("marker", "1", None),
-                 ("iso", "x1/x2", None),
-                 ("iso", "x2/x0", None)],
-    },
-    "tangent": {
-        "parent": ("base", (0, 3, 0)),
-        "center": ["x0/x1", "x0*x2/x1^2"],
-        "rows": [("iso", "x1^2/x0^2", None),
-                 ("iso", "x1/x0", None),
-                 ("iso", "x2/x0", None),
-                 ("iso", "x3/x0", None),
-                 ("iso", "x1^3/x0^3", None)],
-    },
-}
-
-LINE_SOURCE = {
-    "line1": ("cube", 4),
-    "line2": ("axis1", 0),
-    "line3": ("axis1-res", 3),
-    "line4": ("axis1-end", 0),
-    "line5": ("axis2", 3),
-}
-
-LINE_SLOTS = {
-    "line1": (1, 2, 3, 4, 5, 6),
-    "line2": (13, 14, 15, 16, 17, 18),
-    "line3": (7, 8, 9, 10, 11, 12),
-    "line4": (19, 20, 21, 22, 23, 24),
-    "line5": (25, 26, 27, 28, 29, 30),
-}
-
-LINE_IDS = tuple(sorted(LINE_SLOTS))
-
 
 class _EventFrame:
     def __init__(self, center, tangent, nu):
@@ -286,40 +129,31 @@ class _EventFrame:
 
 
 def _event_frame(key, memo):
+    """Frame of an event's center, from the row its parent names.
+
+    A not-defined base cell gives the anchor frame; an "nd" row gives
+    the split frame over its direction; a "family" row gives the fixed
+    line's normals plus the zero weight along the line.
+    """
     if key in memo:
         return memo[key]
-    ev = EVENTS[key]
-    kind, ref = ev["parent"]
-    if kind == "base":
-        tangent, nu = base_anchor_frame(ref)
-    elif kind == "nd":
-        ptable, prow = ref
-        pframe = _event_frame(ptable, memo)
-        d = _w(EVENTS[ptable]["rows"][prow][1])
-        tangent = tangent_split_blowup(pframe.center, pframe.tangent, d)
-        nu = pframe.nu + d
+    ev = EXCEPTIONAL[key]
+    ptable, prow = ev["parent"]
+    if ptable == "base":
+        tangent, nu = base_anchor_frame(base_anchor(prow))
     else:
-        normals, wfiber = _line_frame(ref, memo)
-        tangent = list(normals) + [EigenWeight.zero()]
-        nu = wfiber
+        pframe = _event_frame(ptable, memo)
+        row = EXCEPTIONAL[ptable]["rows"][prow]
+        d = _w(row["eig"])
+        if row["kind"] == "family":
+            tangent = _line_normals(pframe.center, pframe.tangent, d)
+            tangent.append(EigenWeight.zero())
+        else:
+            tangent = tangent_split_blowup(pframe.center, pframe.tangent, d)
+        nu = pframe.nu + d
     frame = _EventFrame([_w(c) for c in ev["center"]], tangent, nu)
     memo[key] = frame
     return frame
-
-
-def _line_frame(line_id, memo):
-    key, row = LINE_SOURCE[line_id]
-    frame = _event_frame(key, memo)
-    d = _w(EVENTS[key]["rows"][row][1])
-    normals = _line_normals(frame.center, frame.tangent, d)
-    return normals, frame.nu + d
-
-
-# Build order: every event after its parent event or line source.
-EVENT_ORDER = ("cube", "axis1", "axis2", "tangent",
-               "cube-res", "axis1-res",
-               "cube-end", "axis1-end", "axis1-res-end", "axis2-end",
-               "axis1-end-end", "axis1-res-end-res")
 
 
 def validate_events():
@@ -335,10 +169,10 @@ def validate_events():
         frame = _event_frame(key, memo)
         normal = frame.normal()
         claimed = []
-        for kind, d, _ in EVENTS[key]["rows"]:
-            w = _w(d)
+        for row in EXCEPTIONAL[key]["rows"]:
+            w = _w(row["eig"])
             claimed.append(w)
-            if kind == "family":
+            if row["kind"] == "family":
                 claimed.append(w)
         def _multiset(ws):
             out = {}
@@ -413,49 +247,37 @@ def build_catalog(flag):
     flag = tuple(flag)
     memo = {}
     points = []
-    for anchor in base_anchors():
-        tangent, nu = base_anchor_frame(anchor)
-        row = _base_table_row(anchor)
+    for row, cell in enumerate(BASE_CELLS):
+        if cell is None:
+            continue  # an event anchor, replaced by its event's rows
+        tangent, nu = base_anchor_frame(base_anchor(row))
         points.append(FixedPointRecord(
             "base/r%02d" % row, "base", row, nu, tangent, flag))
     markers = []
     lines = []
     for key in EVENT_ORDER:
         frame = _event_frame(key, memo)
-        parent_kind, parent_ref = EVENTS[key]["parent"]
-        for ri, (kind, d, extra) in enumerate(EVENTS[key]["rows"]):
+        ptable, prow = EXCEPTIONAL[key]["parent"]
+        line_end = None if ptable == "base" \
+            else EXCEPTIONAL[ptable]["rows"][prow].get("line")
+        for ri, row in enumerate(EXCEPTIONAL[key]["rows"]):
+            kind = row["kind"]
+            dw = _w(row["eig"])
             if kind == "iso":
-                dw = _w(d)
                 tangent = tangent_split_blowup(
                     frame.center, frame.tangent, dw)
                 points.append(FixedPointRecord(
                     "%s/r%d" % (key, ri), key, ri,
                     frame.nu + dw, tangent, flag))
             elif kind == "family":
-                normals, wfiber = _line_frame(extra, memo)
+                normals = _line_normals(frame.center, frame.tangent, dw)
                 lines.append(FixedLineRecord(
-                    extra, key, ri, wfiber, normals,
-                    LINE_SLOTS[extra], flag))
+                    row["line"], key, ri, frame.nu + dw, normals,
+                    LINE_SLOTS[row["line"]], flag))
             elif kind == "marker":
-                if parent_kind != "line":
+                if line_end is None:
                     raise AssertionError(
                         "marker outside a line-end event in %s" % key)
-                markers.append((key, ri, parent_ref))
+                markers.append((key, ri, line_end))
     lines.sort(key=lambda rec: rec.id)
     return Catalog(flag, points, lines, markers)
-
-
-def cross_check_generators():
-    """Join the pipeline table check with the catalog row structure.
-
-    Returns {record id or (table, row): status} using the cell statuses
-    from the staged pipelines; base rows use their anchor ids.
-    """
-    reports = resolve.check_tables()
-    out = {}
-    for rep in reports:
-        if rep.table == "base":
-            out["base/r%02d" % rep.row] = rep.status
-        else:
-            out["%s/r%d" % (rep.table, rep.row)] = rep.status
-    return out

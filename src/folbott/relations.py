@@ -47,14 +47,16 @@ def _to_linear(row):
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    Pivots are searched only in the 30 unknown columns; a surviving
-    row of the shape (0, ..., 0, c) with c nonzero raises
+    Pivots are searched in every column but the last, which holds the
+    constant (for the 31-wide relation rows: the 30 unknown columns); a
+    surviving row of the shape (0, ..., 0, c) with c nonzero raises
     InconsistentSystem.  Returns a tuple of tuples, zero rows dropped.
     """
     mat = [list(r) for r in rows]
+    width = len(mat[0]) - 1 if mat else 0
     pivot_rows = []
     r = 0
-    for col in range(NUM_SLOTS):
+    for col in range(width):
         pivot = None
         for i in range(r, len(mat)):
             if mat[i][col] != 0:
@@ -72,11 +74,11 @@ def rref(rows):
         pivot_rows.append(r)
         r += 1
     for i in range(r, len(mat)):
-        if any(c != 0 for c in mat[i][:NUM_SLOTS]):
+        if any(c != 0 for c in mat[i][:width]):
             raise AssertionError("row reduction missed a pivot")
-        if mat[i][NUM_SLOTS] != 0:
+        if mat[i][width] != 0:
             raise InconsistentSystem(
-                "equations force %s = 0" % mat[i][NUM_SLOTS])
+                "equations force %s = 0" % mat[i][width])
     return tuple(tuple(mat[i]) for i in pivot_rows)
 
 
@@ -167,21 +169,26 @@ def substitute_relations(expr, rels):
     return rels.substitute(expr)
 
 
+def _integer_row(row):
+    """Rational row rescaled to integers with gcd one and a positive
+    leading entry (already positive for an echelon row)."""
+    denom = 1
+    for c in row:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in row]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    if g > 1:
+        ints = [c // g for c in ints]
+    if next((c for c in ints if c), 1) < 0:
+        ints = [-c for c in ints]
+    return ints
+
+
 def integer_rows(solved):
     """Echelon rows rescaled to integer entries with gcd one."""
-    out = []
-    for row in solved.rows:
-        denom = 1
-        for c in row:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in row]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        if g > 1:
-            ints = [c // g for c in ints]
-        out.append(tuple(ints))
-    return out
+    return [tuple(_integer_row(row)) for row in solved.rows]
 
 
 def relation_strings(solved):
@@ -254,22 +261,6 @@ def _twist_equation_row(n, m, v):
     return cof, rhs
 
 
-def _normalize_row(cof, rhs):
-    denom = 1
-    for c in list(cof) + [rhs]:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in cof] + [int(rhs * denom)]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    lead = next((c for c in ints if c), 1)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return ints[:-1], ints[-1]
-
-
 def _format_twist_equation(cof, rhs):
     def side(letter):
         parts = []
@@ -300,30 +291,10 @@ def normal_twist_check(n, m):
     printed = []
     for v in range(2, n + 1):
         cof, rhs = _twist_equation_row(n, m, v)
-        icof, irhs = _normalize_row(cof, rhs)
-        printed.append(_format_twist_equation(icof, irhs))
-        rows.append([Fraction(c) for c in icof] + [Fraction(irhs)])
-    size = n - 1
-    mat = [row[:] for row in rows]
-    rank = 0
-    col_of_row = []
-    for col in range(size):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        col_of_row.append(col)
-        rank += 1
-    unique = rank == size
-    deltas = tuple(mat[r][size] for r in range(rank)) if unique else ()
+        row = _integer_row(cof + [rhs])
+        printed.append(_format_twist_equation(row[:-1], row[-1]))
+        rows.append(row)
+    solved = rref(rows)
+    unique = len(solved) == n - 1
+    deltas = tuple(row[-1] for row in solved) if unique else ()
     return NormalTwistReport(n, m, printed, deltas, unique)

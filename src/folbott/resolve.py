@@ -20,14 +20,17 @@ Fixed-point rows of the exceptional tables are evaluated by a single
 recipe: every stage-new variable is set to zero (except a family
 partner kept symbolic), surviving older variables keep their propagated
 anchor values, and the chart coordinate var_c anchors to its own
-template offset evaluated at the current anchors.  All published-table
-comparisons are up to a nonzero rational scalar.
+template offset evaluated at the current anchors.  The rows and their
+printed cells are read from ``tables``; all comparisons with a printed
+cell are up to a nonzero rational scalar.
 """
 
 from fractions import Fraction
 
-from .ratpoly import Polynomial, parse_poly, NotDivisible
+from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, NotDivisible
 from .extforms import OneForm, build_omega, parse_form
+from .tables import (A_BASE, A_EXTRA, B_MONOS, BASE_CELLS,
+                     DOCUMENTED_MISMATCHES, EXCEPTIONAL)
 
 COORDS = ("x0", "x1", "x2", "x3")
 
@@ -284,223 +287,6 @@ CERTIFICATE_VARIANTS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Published table cells
-# ---------------------------------------------------------------------------
-
-# Rows carry the printed eigenweight label, the printed generator cell
-# (None marks a cell printed as not defined), the row kind, and the
-# chart index (or index pair for a fixed curve) inside the producing
-# stage.  Cells are stored exactly as printed; the one known misprint
-# is listed in DOCUMENTED_MISMATCHES together with its correction.
-
-PUBLISHED = {
-    "cube": [
-        {"eig": "x0^3/x1^3", "kind": "iso", "chart": 0,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x0^2*x2/x1^3", "kind": "iso", "chart": 1,
-         "cell": "2*x1^2*x2*dx0 - 3*x0*x1*x2*dx1 + x0*x1^2*dx2"},
-        {"eig": "x0*x2/x1^2", "kind": "nd", "chart": 2, "cell": None},
-        {"eig": "x0^2*x3/x1^3", "kind": "iso", "chart": 3,
-         "cell": "2*x1^2*x3*dx0 - 3*x0*x1*x3*dx1 + x0*x1^2*dx3"},
-        {"eig": "x0^2/x1^2", "kind": "family", "chart": (4, 5),
-         "cell": "(2*s5 - 3*s4)*x1^3*dx0 - (2*s5 - 3*s4)*x0*x1^2*dx1"},
-    ],
-    "cube-res": [
-        {"eig": "x0/x2", "kind": "iso", "chart": 0,
-         "cell": "x1^3*dx0 - x0*x1^2*dx1"},
-        {"eig": "x0*x3/x1*x2", "kind": "iso", "chart": 1,
-         "cell": "2*x1^2*x3*dx0 - 3*x0*x1*x3*dx1 + x0*x1^2*dx3"},
-        {"eig": "x0^2/x1*x2", "kind": "iso", "chart": 2,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x0/x1", "kind": "iso", "chart": 3,
-         "cell": "2*x1^2*x2*dx0 - 3*x0*x1*x2*dx1 + x0*x1^2*dx2"},
-        {"eig": "x0*x2/x1^2", "kind": "iso", "chart": 4,
-         "cell": "x1*x2^2*dx0 - 2*x0*x2^2*dx1 + x0*x1*x2*dx0"},
-    ],
-    "cube-end": [
-        {"eig": "1", "kind": "marker", "chart": 0,
-         "cell": "x1^3*dx0 - x0*x1^2*dx1"},
-        {"eig": "x3/x1", "kind": "iso", "chart": 1,
-         "cell": "2*x1^2*x3*dx0 - 3*x0*x1*x3*dx1 + x0*x1^2*dx3"},
-        {"eig": "x0/x1", "kind": "iso", "chart": 2,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x2/x1", "kind": "iso", "chart": 3,
-         "cell": "2*x1^2*x2*dx0 - 3*x0*x1*x2*dx1 + x0*x1^2*dx2"},
-        {"eig": "x0^2/x1^2", "kind": "iso", "chart": 4,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-    ],
-    "axis1": [
-        {"eig": "x1/x0", "kind": "family", "chart": (0, 1),
-         "cell": "(3*s0 - 2*s1)*x0^2*x1*dx0 - (3*s0 - 2*s1)*x0^3*dx1"},
-        {"eig": "x2/x0", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x3/x0", "kind": "iso", "chart": 3,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1^2/x0^2", "kind": "iso", "chart": 4,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x2/x1", "kind": "nd", "chart": 5, "cell": None},
-    ],
-    "axis1-res": [
-        {"eig": "x1*x3/x0*x2", "kind": "iso", "chart": 0,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1^2/x0*x2", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x1^3/x0^2*x2", "kind": "iso", "chart": 4,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x1/x0", "kind": "family", "chart": (1, 3),
-         "cell": "(t3 - t1)*x0^2*x2*dx0 - (t3 - t1)*x0^3*dx2"},
-    ],
-    "axis1-res-end": [
-        {"eig": "x2/x1", "kind": "nd", "chart": 0, "cell": None},
-        {"eig": "1", "kind": "marker", "chart": 1,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x1/x2", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x3/x2", "kind": "iso", "chart": 3,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1^2/x0*x2", "kind": "iso", "chart": 4,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-    ],
-    "axis1-res-end-res": [
-        {"eig": "x1/x0", "kind": "iso", "chart": 0,
-         "cell": "x0*x2^2*dx0 - x0^2*x2*dx2"},
-        {"eig": "x1/x2", "kind": "iso", "chart": 1,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x1^2/x2^2", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x1*x3/x2^2", "kind": "iso", "chart": 3,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1^3/x0*x2^2", "kind": "iso", "chart": 4,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x1^2/x0*x2", "kind": "iso", "chart": 5,
-         "cell": "2*x0*x1*x2*dx0 - x0^2*x2*dx1 - x0^2*x1*dx2"},
-    ],
-    "axis1-end": [
-        {"eig": "x1/x0", "kind": "family", "chart": (0, 4),
-         "cell": "(3*t4 - 8*t0)*x0*x1^2*dx0 - (3*t4 - 8*t0)*x0^2*x1*dx1"},
-        {"eig": "x3/x1", "kind": "iso", "chart": 1,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x2/x1", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "1", "kind": "marker", "chart": 3,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-    ],
-    "axis1-end-end": [
-        {"eig": "1", "kind": "marker", "chart": 0,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x0/x1", "kind": "iso", "chart": 1,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x0*x3/x1^2", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x0*x2/x1^2", "kind": "iso", "chart": 3,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x1/x0", "kind": "iso", "chart": 4,
-         "cell": "x1^3*dx0 - x0*x1^2*dx1"},
-    ],
-    "axis2": [
-        {"eig": "x1/x0", "kind": "iso", "chart": 0,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x3/x0", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1*x2/x0^2", "kind": "iso", "chart": 3,
-         "cell": "2*x0*x1*x2*dx0 - x0^2*x2*dx1 - x0^2*x1*dx2"},
-        {"eig": "x2/x0", "kind": "family", "chart": (1, 4),
-         "cell": "(3*t4 - 2*t1)*x0^2*x2*dx0 - (3*t4 - 2*t1)*x0^3*dx2"},
-    ],
-    "axis2-end": [
-        {"eig": "x1^2/x0*x2", "kind": "iso", "chart": 0,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x1/x0", "kind": "iso", "chart": 1,
-         "cell": "2*x0*x1*x2*dx0 - x0^2*x2*dx1 - x0^2*x1*dx2"},
-        {"eig": "x3/x2", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "1", "kind": "marker", "chart": 3,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x1/x2", "kind": "iso", "chart": 4,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x2/x0", "kind": "iso", "chart": 5,
-         "cell": "x0*x2^2*dx0 - x0^2*x2*dx2"},
-    ],
-    "tangent": [
-        {"eig": "x1^2/x0^2", "kind": "iso", "chart": 0,
-         "cell": "x0*x1^2*dx0 - x0^2*x1*dx1"},
-        {"eig": "x1/x0", "kind": "iso", "chart": 1,
-         "cell": "x0^2*x1*dx0 - x0^3*dx1"},
-        {"eig": "x2/x0", "kind": "iso", "chart": 2,
-         "cell": "x0^2*x2*dx0 - x0^3*dx2"},
-        {"eig": "x3/x0", "kind": "iso", "chart": 3,
-         "cell": "x0^2*x3*dx0 - x0^3*dx3"},
-        {"eig": "x1^3/x0^3", "kind": "iso", "chart": 4,
-         "cell": "x1^3*dx0 - x0*x1^2*dx1"},
-    ],
-}
-
-# The one known misprint: cube-res row 4 repeats dx0 where the last
-# summand must close with dx2 to be an eigenvector at all.  The cell is
-# stored verbatim above; cross checks compare against the correction
-# and report the row as a documented mismatch rather than a failure.
-DOCUMENTED_MISMATCHES = {
-    ("cube-res", 4): "x1*x2^2*dx0 - 2*x0*x2^2*dx1 + x0*x1*x2*dx2",
-}
-
-
-# Base pairs table: six groups of five rows.  Groups 1-3 take g itself
-# as the quadric; groups 4-6 sit over the degenerate quadric x0^2 and
-# are labeled by the partner monomial.  A None cell is printed as not
-# defined and must come out as the zero form.
-
-BASE_GROUPS = [
-    {"g": "x0*x1", "partner": None,
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x0*x1^2"],
-     "cells": ["x0^2*x1*dx0 - x0^3*dx1",
-               "x0*x1^2*dx0 - x0^2*x1*dx1",
-               "x0*x1*x2*dx0 - 3*x0^2*x2*dx1 + 2*x0^2*x1*dx2",
-               "x0*x1*x3*dx0 - 3*x0^2*x3*dx1 + 2*x0^2*x1*dx3",
-               "x1^3*dx0 - x0*x1^2*dx1"]},
-    {"g": "x0*x2", "partner": None,
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x0*x1*x2"],
-     "cells": ["x0^2*x2*dx0 - x0^3*dx2",
-               "x0*x1*x2*dx0 + 2*x0^2*x2*dx1 - 3*x0^2*x1*dx2",
-               "x0*x2^2*dx0 - x0^2*x2*dx2",
-               "x0*x2*x3*dx0 - 3*x0^2*x3*dx2 + 2*x0^2*x2*dx3",
-               "-x1*x2^2*dx0 + 2*x0*x2^2*dx1 - x0*x1*x2*dx2"]},
-    {"g": "x1^2", "partner": None,
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x1^3"],
-     "cells": ["x0*x1^2*dx0 - x0^2*x1*dx1",
-               "x1^3*dx0 - x0*x1^2*dx1",
-               "2*x1^2*x2*dx0 - 3*x0*x1*x2*dx1 + x0*x1^2*dx2",
-               "2*x1^2*x3*dx0 - 3*x0*x1*x3*dx1 + x0*x1^2*dx3",
-               None]},
-    {"g": "x0^2", "partner": "x0*x1",
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x0*x1^2"],
-     "cells": [None,
-               "x0^2*x1*dx0 - x0^3*dx1",
-               "x0^2*x2*dx0 - x0^3*dx2",
-               "x0^2*x3*dx0 - x0^3*dx3",
-               "x0*x1^2*dx0 - x0^2*x1*dx1"]},
-    {"g": "x0^2", "partner": "x0*x2",
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x0*x1*x2"],
-     "cells": [None,
-               "x0^2*x1*dx0 - x0^3*dx1",
-               "x0^2*x2*dx0 - x0^3*dx2",
-               "x0^2*x3*dx0 - x0^3*dx3",
-               "2*x0*x1*x2*dx0 - x0^2*x2*dx1 - x0^2*x1*dx2"]},
-    {"g": "x0^2", "partner": "x1^2",
-     "fs": ["x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3", "x1^3"],
-     "cells": [None,
-               "x0^2*x1*dx0 - x0^3*dx1",
-               "x0^2*x2*dx0 - x0^3*dx2",
-               "x0^2*x3*dx0 - x0^3*dx3",
-               "x1^3*dx0 - x0*x1^2*dx1"]},
-]
-
-TABLE_KEYS = ("base", "cube", "cube-res", "cube-end", "axis1",
-              "axis1-res", "axis1-res-end", "axis1-res-end-res",
-              "axis1-end", "axis1-end-end", "axis2", "axis2-end",
-              "tangent")
-
-
 def _table_to_stage():
     out = {}
     for cid, chart in CHARTS.items():
@@ -656,7 +442,7 @@ def evaluate_fixed(table_key, row_index):
     chart_id, stage_index = TABLE_STAGE[table_key]
     run = get_run(chart_id)
     stage = CHARTS[chart_id]["stages"][stage_index - 1]
-    row = PUBLISHED[table_key][row_index]
+    row = EXCEPTIONAL[table_key]["rows"][row_index]
     chart = row["chart"]
     if row["kind"] == "family":
         c1, c2 = chart
@@ -681,10 +467,12 @@ class CellReport:
 
 def _check_base_rows():
     out = []
-    row_index = 0
-    for group in BASE_GROUPS:
-        g = parse_poly(group["g"])
-        for f_text, cell in zip(group["fs"], group["cells"]):
+    for j in range(6):
+        k = j % 3 + 1
+        g = parse_poly(B_MONOS[k] if j < 3 else B_MONOS[0])
+        for i, f_text in enumerate(A_BASE + (A_EXTRA[k],)):
+            row_index = 5 * j + i
+            cell = BASE_CELLS[row_index]
             form = build_omega(parse_poly(f_text), g, "x0")
             if cell is None:
                 status = "nd_zero" if form.is_zero() else "mismatch"
@@ -693,7 +481,6 @@ def _check_base_rows():
                 ratio = form.proportional(parse_form(cell))
                 status = "ok" if ratio is not None else "mismatch"
                 out.append(CellReport("base", row_index, status, ratio))
-            row_index += 1
     return out
 
 
@@ -701,7 +488,7 @@ def _check_staged_table(table_key):
     out = []
     chart_id, stage_index = TABLE_STAGE[table_key]
     stage = CHARTS[chart_id]["stages"][stage_index - 1]
-    for ri, row in enumerate(PUBLISHED[table_key]):
+    for ri, row in enumerate(EXCEPTIONAL[table_key]["rows"]):
         computed = evaluate_fixed(table_key, ri)
         if row["kind"] == "nd":
             status = "nd_zero" if computed.is_zero() else "mismatch"
@@ -748,9 +535,7 @@ def check_tables():
     (anything else; should never happen).
     """
     reports = _check_base_rows()
-    for key in TABLE_KEYS:
-        if key == "base":
-            continue
+    for key in EXCEPTIONAL:
         reports.extend(_check_staged_table(key))
     return reports
 
@@ -806,7 +591,6 @@ def no_indeterminacy_certificate(variant, locus=None):
             mono, _ = reduced.leading()
             if len(mono) != 1 or mono[0][1] != 1:
                 continue
-            from .ratpoly import VARIABLE_NAMES
             name = VARIABLE_NAMES[mono[0][0]]
             if name in fibers and name not in eliminated:
                 eliminated.append(name)

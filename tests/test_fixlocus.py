@@ -3,10 +3,11 @@ from functools import reduce
 
 import pytest
 
+from folbott import resolve
 from folbott.bottsum import point_contribution
-from folbott.fixlocus import (DirectionNotInNormal, LINE_SLOTS, build_catalog,
-                              cross_check_generators, tangent_split_blowup,
-                              validate_events)
+from folbott.fixlocus import (DirectionNotInNormal, build_catalog,
+                              tangent_split_blowup, validate_events)
+from folbott.tables import LINE_SLOTS
 from folbott.torus import enumerate_fixed_flags, flag_tangent_product, \
     parse_weight
 
@@ -136,9 +137,10 @@ def test_global_localization_term_closed_form():
 
 
 def test_catalog_rows_match_the_pipeline_tables():
-    statuses = cross_check_generators()
+    statuses = {(rep.table, rep.row): rep.status
+                for rep in resolve.check_tables()}
     cat = build_catalog(REF_FLAG)
     for rec in cat.points:
         expected = "documented_mismatch" \
             if (rec.table, rec.row) == ("cube-res", 4) else "ok"
-        assert statuses[rec.id] == expected, rec.id
+        assert statuses[(rec.table, rec.row)] == expected, rec.id

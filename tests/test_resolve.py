@@ -1,8 +1,27 @@
 import pytest
 
-from folbott import resolve
+from folbott import resolve, tables
 from folbott.extforms import build_omega, parse_form
-from folbott.ratpoly import parse_poly
+from folbott.fixlocus import build_catalog
+from folbott.ratpoly import VARIABLE_INDEX, parse_poly
+
+COORD_IDX = [VARIABLE_INDEX["x%d" % i] for i in range(4)]
+
+
+def _cell_weights(cell):
+    """Torus weights of a printed cell's terms: coordinate exponents
+    plus the dx index; non-coordinate variables carry no weight."""
+    form = parse_form(cell)
+    vecs = set()
+    for i, comp in enumerate(form.comps):
+        for mono, _ in comp.terms.items():
+            vec = [0, 0, 0, 0]
+            for var, exp in mono:
+                if var in COORD_IDX:
+                    vec[COORD_IDX.index(var)] += exp
+            vec[i] += 1
+            vecs.add(tuple(vec))
+    return vecs
 
 
 def test_every_stage_division_succeeds():
@@ -13,9 +32,7 @@ def test_every_stage_division_succeeds():
 
 
 def test_anchor_bookkeeping_reaches_every_staged_table():
-    for key in resolve.TABLE_KEYS:
-        if key == "base":
-            continue
+    for key in tables.EXCEPTIONAL:
         chart_id, stage_index = resolve.TABLE_STAGE[key]
         run = resolve.get_run(chart_id)
         assert any(si == stage_index for si, _ in run.states)
@@ -40,34 +57,34 @@ def test_published_cells_are_eigenvectors_except_the_misprint():
     """Every printed cell must be homogeneous for the coordinate torus:
     all terms (coordinate exponents plus the dx index) share one weight
     vector.  Exactly one cell fails, the known misprint."""
-    from folbott.ratpoly import VARIABLE_INDEX
-    coord_idx = [VARIABLE_INDEX["x%d" % i] for i in range(4)]
-
     def homogeneous(cell):
-        form = parse_form(cell)
-        vecs = set()
-        for i, comp in enumerate(form.comps):
-            for mono, _ in comp.terms.items():
-                vec = [0, 0, 0, 0]
-                for var, exp in mono:
-                    if var in coord_idx:
-                        vec[coord_idx.index(var)] += exp
-                vec[i] += 1
-                vecs.add(tuple(vec))
-        return len(vecs) == 1
+        return len(_cell_weights(cell)) == 1
 
     bad = []
-    for key in resolve.TABLE_KEYS:
-        if key == "base":
-            continue
-        for ri, row in enumerate(resolve.PUBLISHED[key]):
+    for key, table in tables.EXCEPTIONAL.items():
+        for ri, row in enumerate(table["rows"]):
             if row["cell"] is not None and not homogeneous(row["cell"]):
                 bad.append((key, ri))
-    for group in resolve.BASE_GROUPS:
-        for cell in group["cells"]:
-            assert cell is None or homogeneous(cell)
+    for cell in tables.BASE_CELLS:
+        assert cell is None or homogeneous(cell)
     assert bad == [("cube-res", 4)]
-    assert homogeneous(resolve.DOCUMENTED_MISMATCHES[("cube-res", 4)])
+    assert homogeneous(tables.DOCUMENTED_MISMATCHES[("cube-res", 4)])
+
+
+def test_catalog_fiber_weights_match_the_printed_cells():
+    """The fiber weight of every cataloged point and line is the torus
+    weight of its printed cell (of the correction, for the misprint)."""
+    cat = build_catalog((0, 1, 2, 3))
+    records = [(rec, rec.nu) for rec in cat.points]
+    records += [(rec, rec.wfiber) for rec in cat.lines]
+    assert len(records) == 77
+    for rec, nu in records:
+        if rec.table == "base":
+            cell = tables.BASE_CELLS[rec.row]
+        else:
+            cell = tables.EXCEPTIONAL[rec.table]["rows"][rec.row]["cell"]
+        cell = tables.DOCUMENTED_MISMATCHES.get((rec.table, rec.row), cell)
+        assert _cell_weights(cell) == {nu.coeffs}, rec.id
 
 
 def test_chart_form_carries_the_expected_coupling():
