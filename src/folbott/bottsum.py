@@ -1,11 +1,27 @@
 """Equivariant residue sums over the fixed-point catalog.
 
-Point terms are pure rationals: minus the fiber weight to the chosen
-power over the product of the seven tangent weights.  Line terms carry
-the unknown twist degrees d1..d30 of the line normal bundles, kept as
-linear expressions (TwistLinear) and pushed through a first-order dual
-class: the normal bundle contributes prod(n_i + d_i h) with h*h = 0,
-and the line integral extracts the h-coefficient after inversion.
+The sum of one flag runs over the 72 isolated points and the 5 fixed
+lines of ``fixlocus.build_catalog``.  Its records do not depend on the
+flag, so the catalog is read once, on first use, into plain int
+4-tuples: (nu, 7 tangent weights) per point and (fiber weight, 6
+normal weights, 6 twist slots) per line, all in the local frame.  On a
+flag every weight is the int dot product of its 4-tuple with the local
+weight vector ``[w[i] for i in flag]``.
+
+A point contributes -nu^p / prod(t); the 72 of them are added as one
+integer fraction over the least common multiple of their denominators.
+A line's residue is the h-coefficient of -nu^p * prod(n_i + d_i h)^-1
+with h*h = 0, where d1..d30 are the unknown twist degrees of the line
+normal bundles.  Since prod(n_i + d_i h) = N (1 + sum(d_i / n_i) h)
+with N = prod(n_i), that coefficient is sum(nu^p / (N n_i) * d_i): no
+constant, and one closed-form coefficient per twist slot.  The result
+is an affine-linear form in d1..d30 (TwistLinear).
+
+The same residues through generic ring arithmetic, a first-order dual
+class (torus.DualClass) over TwistLinear, stay available record by
+record (``point_contribution``, ``line_contribution``): the toy sum
+``three_planes_demo`` uses them, and the tests check the integer sum
+against them.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -21,6 +37,8 @@ under the interpreter lock, so they always run serially.
 """
 
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 from .torus import (DualClass, DivByZeroWeight, enumerate_fixed_flags,
                     flag_tangent_product, validate_weights)
@@ -189,16 +207,65 @@ def line_contribution(record, w, power):
     return line_term(nu, pairs, power)
 
 
+@cache
+def _integer_catalog():
+    """The reference-flag catalog as plain ints, read on first use.
+
+    Points are (id, nu, tangents) and lines (id, wfiber, normals,
+    slots), every weight a coefficient 4-tuple in the local frame.  The
+    records do not depend on the flag, so one read serves all 24.
+    """
+    catalog = build_catalog((0, 1, 2, 3))
+    points = tuple((rec.id, rec.nu.coeffs,
+                    tuple(t.coeffs for t in rec.tangent))
+                   for rec in catalog.points)
+    lines = tuple((rec.id, rec.wfiber.coeffs,
+                   tuple(n.coeffs for n in rec.normals), rec.slots)
+                  for rec in catalog.lines)
+    return points, lines
+
+
+def _flag_label(flag):
+    return ",".join(map(str, flag))
+
+
 def contribution_sum(flag, w, power):
-    """Raw residue sum over the catalog of one flag."""
-    catalog = build_catalog(flag)
-    total = TwistLinear()
-    for rec in catalog.points:
-        total = total + TwistLinear.constant(
-            point_contribution(rec, w, power))
-    for rec in catalog.lines:
-        total = total + line_contribution(rec, w, power)
-    return total
+    """Raw residue sum over the catalog of one flag.
+
+    The point residues are added as one integer fraction and the line
+    residues written down in closed form; see the module docstring.
+    """
+    if power < 0:
+        raise ValueError("power must be a nonnegative integer")
+    points, lines = _integer_catalog()
+    a, b, c, d = [w[i] for i in flag]
+    num, den = 0, 1
+    for rid, (n0, n1, n2, n3), tangents in points:
+        prod = 1
+        for t0, t1, t2, t3 in tangents:
+            prod *= t0 * a + t1 * b + t2 * c + t3 * d
+        if not prod:
+            raise DivByZeroWeight("zero tangent weight in %s on flag %s"
+                                  % (rid, _flag_label(flag)))
+        g = gcd(den, prod)
+        num = (num * (prod // g)
+               - (n0 * a + n1 * b + n2 * c + n3 * d) ** power * (den // g))
+        den *= prod // g
+    coeffs = {0: Fraction(num, den)} if num else {}
+    for rid, (f0, f1, f2, f3), normals, slots in lines:
+        values = [m0 * a + m1 * b + m2 * c + m3 * d
+                  for m0, m1, m2, m3 in normals]
+        prod = 1
+        for n in values:
+            prod *= n
+        if not prod:
+            raise DivByZeroWeight("zero normal weight in %s on flag %s"
+                                  % (rid, _flag_label(flag)))
+        top = (f0 * a + f1 * b + f2 * c + f3 * d) ** power
+        if top:
+            for n, slot in zip(values, slots):
+                coeffs[slot] = Fraction(top, prod * n)
+    return TwistLinear(coeffs)
 
 
 def display_sum(flag, w, power):
@@ -222,14 +289,15 @@ def fiber_degree(w, power=7, relations=None, jobs=1):
     w = tuple(validate_weights(w))
     if relations is None:
         return display_sum((0, 1, 2, 3), w, power)
-    substituted = [relations.substitute(contribution_sum(f, w, power))
-                   for f in enumerate_fixed_flags()]
-    first = substituted[0]
-    for val in substituted[1:]:
-        if val != first:
+    flags = enumerate_fixed_flags()
+    values = [relations.substitute(contribution_sum(f, w, power))
+              for f in flags]
+    for flag, val in zip(flags[1:], values[1:]):
+        if val != values[0]:
             raise ArithmeticError(
-                "per-flag values differ: %s vs %s" % (first, val))
-    return first
+                "per-flag values differ: %s on flag %s vs %s on flag %s"
+                % (values[0], _flag_label(flags[0]), val, _flag_label(flag)))
+    return values[0]
 
 
 def component_degree(w, power=13, relations=None, jobs=1):

@@ -2,9 +2,9 @@
 
 The fiber integral at power 7 must be flag independent, so equating
 the symbolic per-flag sums produces 23 linear equations in d1..d30.
-Exact Gaussian elimination reduces them to a rank-18 echelon system;
-substituting it back into any per-flag sum collapses the unknowns and
-leaves the numeric fiber degree.
+Exact, fraction-free Gaussian elimination reduces them to a rank-18
+echelon system; substituting it back into any per-flag sum collapses
+the unknowns and leaves the numeric fiber degree.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
@@ -12,7 +12,7 @@ from scratch for given (N, m) by the same equate-the-sums trick.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .bottsum import NUM_SLOTS, TwistLinear, display_sum
 from .torus import enumerate_fixed_flags, validate_weights
@@ -44,42 +44,66 @@ def _to_linear(row):
     return TwistLinear(coeffs)
 
 
+def _primitive(ints):
+    """Integer row divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _eliminate(row, prow, col):
+    """row with its entry in column ``col`` cleared by pivot row
+    ``prow``, as a primitive integer row."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
+
+
 def rref(rows):
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form over the rationals, fraction-free.
 
     Pivots are searched in every column but the last, which holds the
     constant (for the 31-wide relation rows: the 30 unknown columns); a
     surviving row of the shape (0, ..., 0, c) with c nonzero raises
-    InconsistentSystem.  Returns a tuple of tuples, zero rows dropped.
+    InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
+    rows dropped.
+
+    Every row is first scaled to a primitive integer row.  Clearing the
+    entry f of a row against pivot entry p replaces the row by
+    (p/g)*row - (f/g)*pivot_row, g = gcd(p, f), divided by its content,
+    so all arithmetic stays in integers (fraction-free elimination after
+    Bareiss, Math. Comp. 1968).  Forward elimination comes first; the
+    back substitution then runs from the last pivot row up, so every
+    pivot row it uses is already fully reduced and small.  Fractions
+    appear only at the end, when each pivot row is divided by its
+    leading entry; the reduced form is unique, so this is the
+    Gauss-Jordan result over the rationals.
     """
-    mat = [list(r) for r in rows]
+    mat = [_integer_row(r) for r in rows]
     width = len(mat[0]) - 1 if mat else 0
-    pivot_rows = []
+    pivots = []
     r = 0
     for col in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [c * inv for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivot_rows.append(r)
+        for i in range(r + 1, len(mat)):
+            if mat[i][col]:
+                mat[i] = _eliminate(mat[i], mat[r], col)
+        pivots.append(col)
         r += 1
-    for i in range(r, len(mat)):
-        if any(c != 0 for c in mat[i][:width]):
+    for row in mat[r:]:
+        if any(row[:width]):
             raise AssertionError("row reduction missed a pivot")
-        if mat[i][width] != 0:
-            raise InconsistentSystem(
-                "equations force %s = 0" % mat[i][width])
-    return tuple(tuple(mat[i]) for i in pivot_rows)
+        if row[width]:
+            raise InconsistentSystem("equations force %s = 0" % row[width])
+    for k in range(r - 1, 0, -1):
+        for i in range(k):
+            if mat[i][pivots[k]]:
+                mat[i] = _eliminate(mat[i], mat[k], pivots[k])
+    return tuple(tuple(Fraction(c, mat[i][col]) for c in mat[i])
+                 for i, col in enumerate(pivots))
 
 
 class RelationSystem:
@@ -172,15 +196,8 @@ def substitute_relations(expr, rels):
 def _integer_row(row):
     """Rational row rescaled to integers with gcd one and a positive
     leading entry (already positive for an echelon row)."""
-    denom = 1
-    for c in row:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in row]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
+    denom = lcm(*(c.denominator for c in row))
+    ints = _primitive([c.numerator * (denom // c.denominator) for c in row])
     if next((c for c in ints if c), 1) < 0:
         ints = [-c for c in ints]
     return ints

@@ -4,13 +4,15 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folbott import bottsum
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
                              display_sum, fiber_degree, line_contribution,
-                             line_term, per_flag_degrees, point_term,
-                             three_planes_demo, total_degree)
+                             line_term, per_flag_degrees, point_contribution,
+                             point_term, three_planes_demo, total_degree)
 from folbott.fixlocus import build_catalog
 from folbott.relations import build_system, solve_relations
-from folbott.torus import DivByZeroWeight, DualClass, WeightError
+from folbott.torus import (DivByZeroWeight, DualClass, WeightError,
+                           enumerate_fixed_flags)
 
 W0 = (0, 1, 5, 25)
 REF_FLAG = (0, 1, 2, 3)
@@ -202,3 +204,68 @@ def test_total_degree_dispatch():
 def test_rejects_resonant_weights():
     with pytest.raises(WeightError):
         fiber_degree((0, 1, 2, 3), 7, solved())
+
+
+@pytest.mark.parametrize("w", [W0, (0, 1, 7, 37),
+                               (12345678, -98765432, 55555555, 3)])
+def test_integer_sum_matches_the_dual_class_route(w):
+    # The record-by-record sum through point_term/line_term and DualClass
+    # is the independent route to the same per-flag linear forms.
+    for flag in enumerate_fixed_flags():
+        catalog = build_catalog(flag)
+        for power in (7, 13):
+            oracle = TwistLinear()
+            for rec in catalog.points:
+                oracle = oracle + point_contribution(rec, w, power)
+            for rec in catalog.lines:
+                oracle = oracle + line_contribution(rec, w, power)
+            assert contribution_sum(flag, w, power) == oracle, (flag, power)
+
+
+def _with_zero_weight(catalog, record_id):
+    """``catalog`` with the first tangent (or normal) weight of one
+    record replaced by zero."""
+    def zeroed(records):
+        return tuple(
+            rec[:2] + (((0, 0, 0, 0),) + rec[2][1:],) + rec[3:]
+            if rec[0] == record_id else rec for rec in records)
+
+    return lambda: tuple(zeroed(records) for records in catalog)
+
+
+def test_zero_weights_name_their_record_and_flag(monkeypatch):
+    catalog = bottsum._integer_catalog()
+    monkeypatch.setattr(bottsum, "_integer_catalog",
+                        _with_zero_weight(catalog, "base/r07"))
+    with pytest.raises(DivByZeroWeight, match="zero tangent weight "
+                       "in base/r07 on flag 1,0,3,2"):
+        contribution_sum((1, 0, 3, 2), W0, 7)
+    monkeypatch.setattr(bottsum, "_integer_catalog",
+                        _with_zero_weight(catalog, "line3"))
+    with pytest.raises(DivByZeroWeight, match="zero normal weight "
+                       "in line3 on flag 0,1,2,3"):
+        contribution_sum(REF_FLAG, W0, 13)
+    with pytest.raises(ValueError):
+        contribution_sum(REF_FLAG, W0, -1)
+
+
+def test_flag_disagreement_names_both_flags():
+    with pytest.raises(ArithmeticError,
+                       match=r"per-flag values differ: \S+ on flag 0,1,3,2 "
+                             r"vs \S+ on flag 0,1,2,3"):
+        fiber_degree(W0, 13, solved())
+
+
+def test_degree_path_reads_the_catalog_once(monkeypatch):
+    calls = []
+
+    def counting(flag):
+        calls.append(flag)
+        return build_catalog(flag)
+
+    bottsum._integer_catalog.cache_clear()
+    monkeypatch.setattr(bottsum, "build_catalog", counting)
+    rel = solve_relations(build_system(W0))
+    assert fiber_degree(W0, 7, rel) == 21
+    assert component_degree(W0, 13, rel) == 168208
+    assert len(calls) == 1

@@ -1,12 +1,16 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from folbott.bottsum import TwistLinear
+from folbott.bottsum import TwistLinear, component_degree, fiber_degree
 from folbott.relations import (InconsistentSystem, ResidualUnknowns,
                                build_system, integer_rows, normal_twist_check,
-                               relation_strings, row_space_equal,
+                               relation_strings, row_space_equal, rref,
                                solve_relations, substitute_relations)
+from folbott.torus import WeightError, validate_weights
 
 W0 = (0, 1, 5, 25)
 
@@ -133,6 +137,25 @@ def test_relations_do_not_depend_on_the_weights():
     assert relation_strings(other) == EXPECTED_STRINGS
 
 
+def _admissible(w):
+    try:
+        validate_weights(w)
+    except WeightError:
+        return False
+    return True
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.tuples(*[st.integers(min_value=-40, max_value=40)] * 4)
+       .filter(_admissible))
+def test_degrees_and_relations_do_not_depend_on_the_weights(w):
+    rel = solve_relations(build_system(w))
+    assert rel.rank == 18
+    assert relation_strings(rel) == EXPECTED_STRINGS
+    assert fiber_degree(w, 7, rel) == 21
+    assert component_degree(w, 13, rel) == 168208
+
+
 def test_substitution_collapses_consequences():
     rel = solved()
     expr = _tl({1: 2, 2: 1, 4: 2})
@@ -151,6 +174,74 @@ def test_contradictory_equations_are_refused():
     eqs = [_tl({1: 1, 0: 1}), _tl({1: 1, 0: 2})]
     with pytest.raises(InconsistentSystem):
         solve_relations(eqs)
+
+
+def _reference_rref(rows):
+    """Plain Gauss-Jordan over Fractions; None when inconsistent."""
+    mat = [[Fraction(c) for c in row] for row in rows]
+    width = len(mat[0]) - 1 if mat else 0
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [c / mat[r][col] for c in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    if any(row[width] for row in mat[r:]):
+        return None
+    return tuple(tuple(row) for row in mat[:r])
+
+
+@st.composite
+def rational_systems(draw):
+    """Small rational matrices; with a drawn flag, one extra row is a
+    combination of the others with its constant moved by one, which
+    makes the system inconsistent."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-4, max_value=4, max_denominator=3))
+    rows = draw(st.lists(st.lists(entry, min_size=width + 1,
+                                  max_size=width + 1), max_size=5))
+    if rows and draw(st.booleans()):
+        scales = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=len(rows), max_size=len(rows)))
+        extra = [sum(k * row[j] for k, row in zip(scales, rows))
+                 for j in range(width + 1)]
+        extra[-1] += 1
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_rref_equals_the_fraction_reference(rows):
+    expected = _reference_rref(rows)
+    if expected is None:
+        with pytest.raises(InconsistentSystem):
+            rref(rows)
+    else:
+        assert rref(rows) == expected
+
+
+def test_single_blowup_cross_checks_up_to_twelve():
+    # The equations are pinned by a digest of their text as first
+    # printed; the drops follow the closed form m zeros, then ones.
+    reports = []
+    for n in range(3, 13):
+        for m in range(1, n - 1):
+            report = normal_twist_check(n, m)
+            assert report.unique
+            assert report.deltas == (0,) * m + (1,) * (n - 1 - m)
+            reports.append([n, m, report.equations, report.solution])
+    digest = hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == ("b671df01a2b1fc7399a3c322b5744fa7"
+                      "17b991ee4e96841f9afab9a89c1a4ce1")
 
 
 def test_single_blowup_cross_check_small():
