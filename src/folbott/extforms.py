@@ -13,7 +13,7 @@ to assert, so the blowup pipelines re-check them after every step.
 
 from fractions import Fraction
 
-from .ratpoly import Polynomial, parse_poly
+from .ratpoly import Polynomial, parse_poly, substitute_all
 
 COORDS = ("x0", "x1", "x2", "x3")
 
@@ -60,7 +60,7 @@ class OneForm:
         return self.comps == other.comps
 
     def substitute(self, mapping):
-        return OneForm(c.substitute(mapping) for c in self.comps)
+        return OneForm(substitute_all(self.comps, mapping))
 
     def exact_divide(self, divisor, context=None):
         return OneForm(c.exact_divide(divisor, context=context)

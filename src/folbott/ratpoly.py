@@ -1,14 +1,21 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials are sparse dictionaries mapping monomials to nonzero
-Fractions.  A monomial is a sorted tuple of (variable index, exponent)
-pairs with positive exponents; the empty tuple is the constant monomial.
-The variable alphabet is fixed up front: projective coordinates, fiber
-parameters for every blowup stage, weight symbols, a hyperplane symbol
-and parametrization symbols.  Keeping the alphabet closed lets us store
-monomials as index tuples and compare them cheaply.
+A polynomial is a sparse dictionary from monomials to nonzero integer
+numerators over one positive denominator, in lowest terms; ``terms``
+gives the Fraction coefficients.  The variable alphabet is closed, so a
+monomial is one int: each variable owns a FIELD_BITS-wide exponent
+field, earlier variables in higher fields, and the total degree sits
+above them all.  Graded-lex comparison is then ``<`` on ints,
+multiplying monomials is one int add and the constant monomial is 0.
+Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
+field stays clear and serves as the guard bit of the divisibility test
+in ``exact_divide``.  Monomials are decoded into (variable index,
+exponent) pairs only by ``leading``, ``monomials``, the printer and
+``variables`` (once, on the OR of all monomials).
 """
 
+import heapq
+import math
 from fractions import Fraction
 
 
@@ -29,6 +36,18 @@ VARIABLE_NAMES = (
 )
 
 VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLE_NAMES)}
+
+FIELD_BITS = 8
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+_NVARS = len(VARIABLE_NAMES)
+_SHIFT = tuple(FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_DEG_SHIFT = FIELD_BITS * _NVARS
+_EXPONENTS = (1 << _DEG_SHIFT) - 1
+_GUARDS = sum(1 << (FIELD_BITS * f + FIELD_BITS - 1)
+              for f in range(_NVARS + 1))
+# Packed monomial of each single variable: exponent 1, total degree 1.
+_VARIABLE_MONO = tuple((1 << s) + (1 << _DEG_SHIFT) for s in _SHIFT)
 
 
 class NotDivisible(ArithmeticError):
@@ -51,37 +70,62 @@ def _as_fraction(value):
     raise TypeError("expected an int or Fraction, got %r" % (value,))
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for idx, e in m2:
-        exps[idx] = exps.get(idx, 0) + e
-    return tuple(sorted(exps.items()))
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise OverflowError("monomial degree %d exceeds the packed limit %d"
+                            % (degree, MAX_DEGREE))
 
 
-def _mono_degree(mono):
-    return sum(e for _, e in mono)
+def _decode(mono):
+    """(variable index, exponent) pairs of a packed monomial, by index."""
+    pairs = []
+    mono &= _EXPONENTS
+    while mono:
+        shift = (mono.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        e = mono >> shift
+        pairs.append((_NVARS - 1 - shift // FIELD_BITS, e))
+        mono -= e << shift
+    return tuple(pairs)
 
 
-def _mono_key(mono):
-    # Graded lex: compare total degree first, then exponents by
-    # variable order (higher exponent on an earlier variable wins).
-    vec = [0] * len(VARIABLE_NAMES)
-    for idx, e in mono:
-        vec[idx] = e
-    return (_mono_degree(mono), tuple(vec))
+def _mul_into(acc, a, b):
+    """acc += a*b on numerator dicts; zero sums are left for the caller."""
+    if len(a) < len(b):
+        a, b = b, a
+    if b:
+        _check_degree((max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT))
+    for m2, c2 in b.items():
+        for m1, c1 in a.items():
+            m = m1 + m2
+            if m in acc:
+                acc[m] += c1 * c2
+            else:
+                acc[m] = c1 * c2
+
+
+def _reduced(nums, den):
+    """Polynomial of nums / den with zeros dropped, in lowest terms."""
+    if not all(nums.values()):
+        nums = {m: c for m, c in nums.items() if c}
+    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        nums = {m: c // g for m, c in nums.items()}
+    return Polynomial(nums, den // g)
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else terms
+    def __init__(self, nums=None, den=1):
+        self.nums = {} if nums is None else nums
+        self.den = den
+
+    @property
+    def terms(self):
+        """{monomial: nonzero Fraction coefficient}."""
+        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
 
     # ---- constructors ----
 
@@ -94,13 +138,13 @@ class Polynomial:
         value = _as_fraction(value)
         if value == 0:
             return cls({})
-        return cls({(): value})
+        return cls({0: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name):
         if name not in VARIABLE_INDEX:
             raise KeyError("unknown variable %r" % name)
-        return cls({((VARIABLE_INDEX[name], 1),): Fraction(1)})
+        return cls({_VARIABLE_MONO[VARIABLE_INDEX[name]]: 1})
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
@@ -108,47 +152,49 @@ class Polynomial:
         coeff = _as_fraction(coeff)
         if coeff == 0:
             return cls({})
-        pairs = []
+        mono = 0
         for name, e in exponents.items():
             if e < 0:
                 raise ValueError("negative exponent for %s" % name)
-            if e > 0:
-                pairs.append((VARIABLE_INDEX[name], e))
-        return cls({tuple(sorted(pairs)): coeff})
+            mono += e * _VARIABLE_MONO[VARIABLE_INDEX[name]]
+        _check_degree(mono >> _DEG_SHIFT)
+        return cls({mono: coeff.numerator}, coeff.denominator)
 
     # ---- basic structure ----
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.nums or (len(self.nums) == 1 and 0 in self.nums)
 
     def constant_value(self):
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+        if len(self.nums) == 1 and 0 in self.nums:
+            return Fraction(self.nums[0], self.den)
         raise ValueError("polynomial is not constant: %s" % self)
 
     def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for idx, _ in mono:
-                seen.add(VARIABLE_NAMES[idx])
-        return seen
+        seen = 0
+        for mono in self.nums:
+            seen |= mono
+        return {VARIABLE_NAMES[i] for i, _ in _decode(seen)}
 
     def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
+        return max(self.nums) >> _DEG_SHIFT if self.nums else -1
 
     def leading(self):
-        """Leading (monomial, coefficient) in graded-lex order."""
-        if not self.terms:
+        """Leading (monomial pairs, coefficient) in graded-lex order."""
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=_mono_key)
-        return mono, self.terms[mono]
+        mono = max(self.nums)
+        return _decode(mono), Fraction(self.nums[mono], self.den)
+
+    def monomials(self):
+        """Yield (monomial pairs, coefficient), graded-lex descending."""
+        for mono in sorted(self.nums, reverse=True):
+            yield _decode(mono), Fraction(self.nums[mono], self.den)
 
     # ---- arithmetic ----
 
@@ -157,19 +203,17 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return Polynomial(terms)
+        den = math.lcm(self.den, other.den)
+        scale, other_scale = den // self.den, den // other.den
+        nums = {m: c * scale for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            nums[m] = nums.get(m, 0) + c * other_scale
+        return _reduced(nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -184,35 +228,30 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self.terms.items()})
+            return _reduced({m: c * other.numerator
+                             for m, c in self.nums.items()},
+                            self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = terms.get(mono, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        return Polynomial(terms)
+        acc = {}
+        _mul_into(acc, self.nums, other.nums)
+        return _reduced(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        _check_degree(self.total_degree() * exponent)
         result = Polynomial.constant(1)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -220,10 +259,10 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     # ---- substitution and evaluation ----
 
@@ -234,32 +273,7 @@ class Polynomial:
         replacements happen with respect to the original polynomial, so
         substituting x0 -> x1, x1 -> x0 swaps the two variables.
         """
-        subs = {}
-        for name, val in mapping.items():
-            idx = VARIABLE_INDEX[name]
-            if isinstance(val, Polynomial):
-                subs[idx] = val
-            else:
-                subs[idx] = Polynomial.constant(val)
-        if not subs:
-            return self
-        result = Polynomial.zero()
-        power_cache = {}
-        for mono, coeff in self.terms.items():
-            factor = Polynomial.constant(coeff)
-            plain = []
-            for idx, e in mono:
-                if idx in subs:
-                    key = (idx, e)
-                    if key not in power_cache:
-                        power_cache[key] = subs[idx] ** e
-                    factor = factor * power_cache[key]
-                else:
-                    plain.append((idx, e))
-            if plain:
-                factor = factor * Polynomial({tuple(plain): Fraction(1)})
-            result = result + factor
-        return result
+        return substitute_all((self,), mapping)[0]
 
     def evaluate(self, mapping):
         """Substitute and require a rational result."""
@@ -267,60 +281,44 @@ class Polynomial:
 
     def partial(self, name):
         """Partial derivative with respect to one variable."""
-        idx = VARIABLE_INDEX[name]
-        terms = {}
-        for mono, coeff in self.terms.items():
-            for pos, (vi, e) in enumerate(mono):
-                if vi == idx:
-                    new = list(mono)
-                    if e == 1:
-                        del new[pos]
-                    else:
-                        new[pos] = (vi, e - 1)
-                    mono2 = tuple(new)
-                    acc = terms.get(mono2, Fraction(0)) + coeff * e
-                    if acc == 0:
-                        terms.pop(mono2, None)
-                    else:
-                        terms[mono2] = acc
-                    break
-        return Polynomial(terms)
+        shift = _SHIFT[VARIABLE_INDEX[name]]
+        step = _VARIABLE_MONO[VARIABLE_INDEX[name]]
+        nums = {}
+        for mono, c in self.nums.items():
+            e = (mono >> shift) & _FIELD
+            if e:
+                nums[mono - step] = c * e
+        return _reduced(nums, self.den)
 
     def coefficients_in(self, names):
         """Collect coefficients with respect to a set of variables.
 
-        Returns {exponent tuple over names: Polynomial in the remaining
-        variables}.  The exponent tuple is aligned with the order of
-        ``names``.
+        Returns {exponent tuple aligned with ``names``: Polynomial in
+        the remaining variables}.
         """
-        idxs = [VARIABLE_INDEX[n] for n in names]
-        pos = {idx: p for p, idx in enumerate(idxs)}
+        shifts = [_SHIFT[VARIABLE_INDEX[n]] for n in names]
         out = {}
-        for mono, coeff in self.terms.items():
-            key = [0] * len(idxs)
-            rest = []
-            for vi, e in mono:
-                if vi in pos:
-                    key[pos[vi]] = e
-                else:
-                    rest.append((vi, e))
-            key = tuple(key)
-            piece = out.get(key)
-            if piece is None:
-                out[key] = Polynomial({tuple(rest): coeff})
-            else:
-                out[key] = piece + Polynomial({tuple(rest): coeff})
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        for mono, c in self.nums.items():
+            key = []
+            for shift in shifts:
+                e = (mono >> shift) & _FIELD
+                mono -= (e << shift) + (e << _DEG_SHIFT)
+                key.append(e)
+            out.setdefault(tuple(key), {})[mono] = c
+        return {k: _reduced(v, self.den) for k, v in out.items()}
 
     # ---- division ----
 
     def exact_divide(self, divisor, context=None):
         """Divide by another polynomial, demanding zero remainder.
 
-        Standard monomial-by-monomial reduction against the divisor's
-        graded-lex leading term.  Raises NotDivisible the moment a
-        leading term fails to reduce, which for an actual multiple never
-        happens.
+        Heap division of the numerators by the divisor's primitive
+        part, so an exact quotient has integer coefficients (Gauss's
+        lemma): the remainder is one dict whose monomials wait in a
+        max-heap, and each quotient term subtracts its multiple of the
+        divisor's tail in place.  m is divisible by the leading monomial
+        d when (m | guards) - d keeps every guard bit set.  Raises
+        NotDivisible the moment a leading term fails to reduce.
         """
         if isinstance(divisor, (int, Fraction)):
             d = _as_fraction(divisor)
@@ -329,33 +327,34 @@ class Polynomial:
             return self * (Fraction(1) / d)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero()
-        dmono, dcoeff = divisor.leading()
-        dexp = dict(dmono)
-        remainder = self
+        content = math.gcd(*divisor.nums.values())
+        dmono = max(divisor.nums)
+        dlead = divisor.nums[dmono] // content
+        tail = [(m - dmono, -c // content) for m, c in divisor.nums.items()
+                if m != dmono]
+        remainder = dict(self.nums)
+        heap = [-m for m in remainder]
+        heapq.heapify(heap)
         quotient = {}
-        while not remainder.is_zero():
-            mono, coeff = remainder.leading()
-            exps = dict(mono)
-            qexp = []
-            ok = True
-            for vi, e in dexp.items():
-                if exps.get(vi, 0) < e:
-                    ok = False
-                    break
-            if not ok:
+        while heap:
+            mono = -heapq.heappop(heap)
+            coeff, rest = divmod(remainder.pop(mono), dlead)
+            if not coeff and not rest:
+                continue
+            if rest or ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
                 raise NotDivisible(
                     "%s does not divide %s" % (divisor, self), context=context)
-            for vi, e in exps.items():
-                r = e - dexp.get(vi, 0)
-                if r:
-                    qexp.append((vi, r))
-            qmono = tuple(sorted(qexp))
-            qcoeff = coeff / dcoeff
-            quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoeff
-            remainder = remainder - Polynomial({qmono: qcoeff}) * divisor
-        return Polynomial({m: c for m, c in quotient.items() if c != 0})
+            quotient[mono - dmono] = coeff * divisor.den
+            # Every tail monomial is below dmono, so every new pending
+            # monomial is below the one just reduced.
+            for offset, c in tail:
+                m = mono + offset
+                if m in remainder:
+                    remainder[m] += coeff * c
+                else:
+                    remainder[m] = coeff * c
+                    heapq.heappush(heap, -m)
+        return _reduced(quotient, self.den * content)
 
     def proportional(self, other):
         """Ratio self / other if the two differ by a rational scalar.
@@ -368,11 +367,10 @@ class Polynomial:
             return Fraction(1)
         if self.is_zero() or other.is_zero():
             return None
-        m1, c1 = self.leading()
-        m2, c2 = other.leading()
-        if m1 != m2:
+        m1 = max(self.nums)
+        if m1 != max(other.nums):
             return None
-        ratio = c1 / c2
+        ratio = Fraction(self.nums[m1] * other.den, self.den * other.nums[m1])
         if self == other * ratio:
             return ratio
         return None
@@ -386,13 +384,76 @@ class Polynomial:
         return "Polynomial(%s)" % format_poly(self)
 
 
+def substitute_all(polys, mapping):
+    """``Polynomial.substitute`` of one mapping into several polynomials.
+
+    Values with one term fold into each term's monomial.  The other
+    terms are grouped by their exponents in the fields of the remaining
+    values, and each group is multiplied once by its product of powers;
+    those products are shared by all the polynomials.
+    """
+    folds, fields, mask, zeros = [], [], 0, 0
+    for name, val in mapping.items():
+        if not isinstance(val, Polynomial):
+            val = Polynomial.constant(val)
+        shift = _SHIFT[VARIABLE_INDEX[name]]
+        if not val.nums:
+            zeros |= _FIELD << shift
+        elif len(val.nums) == 1:
+            (m, c), = val.nums.items()
+            folds.append((shift, m - _VARIABLE_MONO[VARIABLE_INDEX[name]],
+                          c, val.den))
+        else:
+            fields.append((shift, val))
+            mask |= _FIELD << shift
+    # Products of powers by key, each built on the key's leading fields.
+    powers = {(shift, 1): val for shift, val in fields}
+    factors, out = {0: (Polynomial.constant(1), 0)}, []
+    for poly in polys:
+        groups = {}
+        for mono, c in poly.nums.items():
+            if mono & zeros:
+                continue
+            key, den = mono & mask, poly.den
+            rest = mono - key
+            for shift, step, num, vden in folds:
+                e = (mono >> shift) & _FIELD
+                if e:
+                    rest += e * step
+                    c *= num ** e
+                    den *= vden ** e
+            group = groups.setdefault((key, den), {})
+            group[rest] = group.get(rest, 0) + c
+        for key, _ in groups:
+            prefix = 0
+            for shift, val in fields:
+                e = (key >> shift) & _FIELD
+                if e and prefix + (e << shift) not in factors:
+                    for k in range(2, e + 1):
+                        if (shift, k) not in powers:
+                            powers[shift, k] = powers[shift, k - 1] * val
+                    factor, degree = factors[prefix]
+                    factors[prefix + (e << shift)] = (
+                        factor * powers[shift, e], degree + e)
+                prefix += e << shift
+        common = math.lcm(*(factors[k][0].den * den for k, den in groups))
+        acc = {}
+        for (key, den), group in groups.items():
+            factor, degree = factors[key]
+            # The rest still carries the key's share of the degree field.
+            scale, degree = common // (factor.den * den), degree << _DEG_SHIFT
+            _mul_into(acc, factor.nums,
+                      {m - degree: c * scale for m, c in group.items()})
+        out.append(_reduced(acc, common))
+    return out
+
+
 def format_poly(poly):
     """Deterministic rendering, graded-lex descending."""
     if poly.is_zero():
         return "0"
     parts = []
-    for mono in sorted(poly.terms, key=_mono_key, reverse=True):
-        coeff = poly.terms[mono]
+    for mono, coeff in poly.monomials():
         factors = []
         for idx, e in mono:
             if e == 1:

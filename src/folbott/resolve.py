@@ -340,18 +340,20 @@ class StructureError(AssertionError):
     """A pipeline fixture failed one of its structural invariants."""
 
 
-def _apply_stage_chart(chart_id, stage_index, stage, parent, chart_index):
-    eqs = [parse_poly(e) for e in stage["eqs"]]
+def _apply_stage_chart(chart_id, stage_index, stage, eqs, offsets, parent,
+                       chart_index):
+    """One chart of one stage, from the stage's parsed center equations
+    and template offsets."""
     exc = eqs[chart_index]
     subs = {}
-    for j, (var, scale, offset) in enumerate(stage["templates"]):
+    for j, (var, scale, _) in enumerate(stage["templates"]):
         if j == chart_index:
             continue
         repl = scale * (Polynomial.variable(stage["new"][j]) * exc
-                        + parse_poly(offset))
+                        + offsets[j])
         subs[var] = repl
-    kept_var, kept_scale, kept_offset = stage["templates"][chart_index]
-    if eqs[chart_index].substitute(subs) != eqs[chart_index]:
+    kept_var, kept_scale, _ = stage["templates"][chart_index]
+    if exc.substitute(subs) != exc:
         raise StructureError(
             "center equation %s not invariant on chart %d of %s stage %d"
             % (stage["eqs"][chart_index], chart_index, chart_id, stage_index))
@@ -368,8 +370,7 @@ def _apply_stage_chart(chart_id, stage_index, stage, parent, chart_index):
     for j, nv in enumerate(stage["new"]):
         if j != chart_index:
             anchors[nv] = Fraction(0)
-    offset_val = parse_poly(kept_offset).substitute(
-        {k: v for k, v in parent.anchors.items()})
+    offset_val = offsets[chart_index].substitute(parent.anchors)
     anchors[kept_var] = kept_scale * offset_val.constant_value()
     return ChartState(divided, anchors)
 
@@ -380,7 +381,8 @@ def run_chart(chart_id):
     Divisibility must hold on all charts of each stage (the vanishing
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
-    later stages.
+    later stages.  Each stage's center equations and offsets are parsed
+    once and shared by its charts.
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
@@ -391,10 +393,12 @@ def run_chart(chart_id):
     ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0", True)]
     for si, stage in enumerate(chart["stages"], start=1):
         parent = states[stage["parent"]]
+        eqs = [parse_poly(e) for e in stage["eqs"]]
+        offsets = [parse_poly(t[2]) for t in stage["templates"]]
         for ci in range(len(stage["eqs"])):
             try:
                 states[(si, ci)] = _apply_stage_chart(
-                    chart_id, si, stage, parent, ci)
+                    chart_id, si, stage, eqs, offsets, parent, ci)
             except NotDivisible:
                 ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
                                           stage["eqs"][ci], False))
@@ -586,9 +590,10 @@ def no_indeterminacy_certificate(variant, locus=None):
         kill = {v: 0 for v in eliminated}
         for poly in coeffs:
             reduced = poly.substitute(kill)
-            if reduced.is_zero() or len(reduced.terms) != 1:
+            terms = list(reduced.monomials())
+            if len(terms) != 1:
                 continue
-            mono, _ = reduced.leading()
+            mono, _ = terms[0]
             if len(mono) != 1 or mono[0][1] != 1:
                 continue
             name = VARIABLE_NAMES[mono[0][0]]

@@ -1,25 +1,86 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from folbott.ratpoly import (NotDivisible, Polynomial, format_poly,
-                             fraction_from_json, fraction_to_json,
-                             parse_poly)
+from folbott.ratpoly import (MAX_DEGREE, VARIABLE_NAMES, NotDivisible,
+                             Polynomial, format_poly, fraction_from_json,
+                             fraction_to_json, parse_poly, substitute_all)
+
+# Two coordinates, a chart parameter and a stage fiber coordinate, so
+# the packed exponent fields are far apart.
+SMALL_VARIABLES = ("x0", "x1", "b1", "t3")
 
 
 def small_polys():
-    coeff = st.integers(min_value=-3, max_value=3)
-    expo = st.tuples(st.integers(min_value=0, max_value=2),
-                     st.integers(min_value=0, max_value=2))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    expo = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
 
     def build(terms):
         p = Polynomial.zero()
-        for (e0, e1), c in terms:
-            p = p + Polynomial.monomial({"x0": e0, "x1": e1}, c)
+        for exps, c in terms:
+            p = p + Polynomial.monomial(dict(zip(SMALL_VARIABLES, exps)), c)
         return p
 
     return st.lists(st.tuples(expo, coeff), max_size=3).map(build)
+
+
+def graded_lex_key(exponents):
+    """The term order spelled out: total degree, then the exponent
+    vector over VARIABLE_NAMES, earlier variables first."""
+    return (sum(exponents), tuple(exponents))
+
+
+def pairs(exponents):
+    return tuple((i, e) for i, e in enumerate(exponents) if e)
+
+
+exponent_vectors = st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]),
+                            min_size=len(VARIABLE_NAMES),
+                            max_size=len(VARIABLE_NAMES))
+
+
+@settings(max_examples=100)
+@given(exponent_vectors, exponent_vectors,
+       st.permutations(range(len(VARIABLE_NAMES))), st.booleans())
+def test_packed_order_is_graded_lex(e, f, perm, same_degree):
+    if same_degree:
+        f = [e[i] for i in perm]
+    assume(sum(e) <= MAX_DEGREE and sum(f) <= MAX_DEGREE)
+    a = Polynomial.monomial(dict(zip(VARIABLE_NAMES, e)))
+    b = Polynomial.monomial(dict(zip(VARIABLE_NAMES, f)))
+    (ka,), (kb,) = a.terms, b.terms
+    assert (ka < kb) == (graded_lex_key(e) < graded_lex_key(f))
+    assert (ka == kb) == (e == f)
+    assert a.leading() == (pairs(e), 1)
+    assert a.total_degree() == sum(e)
+    assert (a + b).leading()[0] == pairs(max(e, f, key=graded_lex_key))
+    expected = sorted({tuple(e), tuple(f)}, key=graded_lex_key, reverse=True)
+    assert [m for m, _ in (a + b).monomials()] == [pairs(v) for v in expected]
+
+
+def test_degree_past_the_field_limit_raises():
+    x0, x1 = Polynomial.variable("x0"), Polynomial.variable("x1")
+    top = x0 ** MAX_DEGREE
+    assert top.leading() == (((0, MAX_DEGREE),), 1)
+    assert top.exact_divide(x0) == x0 ** (MAX_DEGREE - 1)
+    with pytest.raises(NotDivisible):
+        (x1 ** MAX_DEGREE).exact_divide(x0)
+    half = MAX_DEGREE // 2 + 1
+    with pytest.raises(OverflowError):
+        top * x1
+    with pytest.raises(OverflowError):
+        x0 ** (MAX_DEGREE + 1)
+    with pytest.raises(OverflowError):
+        (x0 * x1) ** half
+    with pytest.raises(OverflowError):
+        parse_poly("x0^%d" % (MAX_DEGREE + 1))
+    with pytest.raises(OverflowError):
+        parse_poly("x0^%d*x1^%d" % (half, half))
+    with pytest.raises(OverflowError):
+        Polynomial.monomial({"y3": MAX_DEGREE + 1})
+    with pytest.raises(OverflowError):
+        parse_poly("x0^%d" % half).substitute({"x0": x1 ** 2})
 
 
 def test_parse_and_format_roundtrip():
@@ -61,6 +122,16 @@ def test_exact_divide_inverts_multiplication(p, q):
     assert (p * q).exact_divide(q) == p
 
 
+@settings(max_examples=60)
+@given(small_polys(), small_polys())
+def test_exact_divide_rejects_a_remainder(p, q):
+    if q.is_constant():
+        return
+    with pytest.raises(NotDivisible) as err:
+        (p * q + 1).exact_divide(q, context=("stage", 2, 1))
+    assert err.value.context == ("stage", 2, 1)
+
+
 def test_exact_divide_failure_carries_context():
     p = parse_poly("x0^2 + x1")
     with pytest.raises(NotDivisible) as err:
@@ -76,6 +147,31 @@ def test_substitution_is_a_homomorphism(p, q):
         p.substitute(mapping) * q.substitute(mapping)
     assert (p + q).substitute(mapping) == \
         p.substitute(mapping) + q.substitute(mapping)
+
+
+def expand_term_by_term(p, mapping):
+    """Substitution spelled out with products and powers only."""
+    out = Polynomial.zero()
+    for mono, c in p.monomials():
+        term = Polynomial.constant(c)
+        for idx, e in mono:
+            name = VARIABLE_NAMES[idx]
+            term = term * mapping.get(name, Polynomial.variable(name)) ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=60)
+@given(small_polys(), small_polys(),
+       st.dictionaries(st.sampled_from(SMALL_VARIABLES), small_polys()))
+def test_substitute_matches_term_by_term_expansion(p, q, mapping):
+    # Values may be zero, one term (folded into each monomial) or
+    # several terms (grouped), and may contain the replaced variables;
+    # p and q share their products of powers.
+    expected = [expand_term_by_term(p, mapping),
+                expand_term_by_term(q, mapping)]
+    assert substitute_all((p, q), mapping) == expected
+    assert p.substitute(mapping) == expected[0]
 
 
 def test_coefficients_in_groups_by_exponent():

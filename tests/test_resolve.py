@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from folbott import resolve, tables
@@ -14,7 +16,7 @@ def _cell_weights(cell):
     form = parse_form(cell)
     vecs = set()
     for i, comp in enumerate(form.comps):
-        for mono, _ in comp.terms.items():
+        for mono, _ in comp.monomials():
             vec = [0, 0, 0, 0]
             for var, exp in mono:
                 if var in COORD_IDX:
@@ -29,6 +31,21 @@ def test_every_stage_division_succeeds():
     assert len(entries) == 69
     failed = [e.describe() for e in entries if not e.ok]
     assert failed == []
+
+
+def test_stage_forms_are_pinned():
+    """The text of all 69 stage forms, pinned by a SHA-256 of the
+    rendering before monomials were packed into ints."""
+    lines = []
+    for chart_id in resolve.CHART_IDS:
+        run = resolve.get_run(chart_id)
+        for (si, ci), state in sorted(run.states.items()):
+            lines.append("%s stage %d chart %d: %s"
+                         % (chart_id, si, ci, state.form))
+    assert len(lines) == 69
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("3dc047f66d6da1323ddc8208a81e8f57"
+                      "d654d6bc7248f14a3472f7b8ed60c8f4")
 
 
 def test_anchor_bookkeeping_reaches_every_staged_table():
