@@ -16,14 +16,13 @@ from .fixlocus import build_catalog
 from .bottsum import TwistLinear, total_degree, fiber_degree, \
     component_degree, three_planes_demo
 from .relations import build_system, solve_relations, \
-    substitute_relations, normal_twist_check, InconsistentSystem, \
-    ResidualUnknowns
+    normal_twist_check, InconsistentSystem, ResidualUnknowns
 
 __all__ = [
     "WeightError", "DivByZeroWeight", "validate_weights",
     "enumerate_fixed_flags", "build_catalog", "TwistLinear",
     "total_degree", "fiber_degree", "component_degree",
     "three_planes_demo", "build_system", "solve_relations",
-    "substitute_relations", "normal_twist_check", "InconsistentSystem",
-    "ResidualUnknowns", "__version__",
+    "normal_twist_check", "InconsistentSystem", "ResidualUnknowns",
+    "__version__",
 ]

@@ -2,9 +2,12 @@
 
 The fiber integral at power 7 must be flag independent, so equating
 the symbolic per-flag sums produces 23 linear equations in d1..d30.
-Exact, fraction-free Gaussian elimination reduces them to a rank-18
-echelon system; substituting it back into any per-flag sum collapses
-the unknowns and leaves the numeric fiber degree.
+One exact elimination reduces them to a rank-18 echelon system:
+the rows are reduced modulo a 61-bit prime, lifted back to fractions by
+rational reconstruction and certified with integer arithmetic, and a
+failed lift or check brings in the next prime.  Substituting the
+system back into any per-flag sum collapses the unknowns and leaves
+the numeric fiber degree.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
@@ -12,7 +15,7 @@ from scratch for given (N, m) by the same equate-the-sums trick.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .bottsum import NUM_SLOTS, TwistLinear, display_sum
 from .torus import enumerate_fixed_flags, validate_weights
@@ -44,66 +47,161 @@ def _to_linear(row):
     return TwistLinear(coeffs)
 
 
-def _primitive(ints):
-    """Integer row divided by the gcd of its entries."""
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _eliminate(row, prow, col):
-    """row with its entry in column ``col`` cleared by pivot row
-    ``prow``, as a primitive integer row."""
-    p, f = prow[col], row[col]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    return _primitive([a * x - b * y for x, y in zip(row, prow)])
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, which decides
+    primality exactly for every odd n from 39 to 3.3e24 (Sorenson and
+    Webster, Math. Comp. 2017); the candidates here are close to 2^61."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """2^61 - 1, then the primes below it in descending order."""
+    p = (1 << 61) - 1
+    while True:
+        yield p
+        p -= 2
+        while not _is_prime(p):
+            p -= 2
+
+
+def _rref_mod(mat, p):
+    """Gauss-Jordan over F_p on every column, the constant included:
+    the pivot columns and the reduced nonzero rows."""
+    rows = [r for r in ([c % p for c in row] for row in mat) if any(r)]
+    pivots = []
+    for col in range(len(mat[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        inv = pow(rows[pivot][col], -1, p)
+        prow = [c * inv % p for c in rows[pivot]]
+        rows[pivot] = rows[r]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(col)
+        if r + 1 == len(rows):
+            break
+    return tuple(pivots), rows[:len(pivots)]
+
+
+def _crt(residues, modulus, more, p):
+    """Combine residues mod ``modulus`` with residues mod the prime p."""
+    inv = pow(modulus, -1, p)
+    return [[a + modulus * ((b - a) * inv % p) for a, b in zip(ra, rb)]
+            for ra, rb in zip(residues, more)]
+
+
+def _reconstruct(u, m, bound):
+    """The fraction n/d = u mod m with |n|, d <= bound, or None (Wang,
+    SYMSAC 1981): the extended Euclidean algorithm on (m, u), stopped
+    at the first remainder within the bound."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(residues, m):
+    """Every residue mod m as the fraction with numerator and
+    denominator at most sqrt(m/2) that it reduces from, or None when
+    one has none.  Zeros and ones, the pivots among them, lift as
+    themselves."""
+    bound = isqrt((m - 1) // 2)
+    lifted = [tuple(_ONE if u == 1 else _ZERO if u == 0 else
+                    _reconstruct(u, m, bound) for u in row)
+              for row in residues]
+    return None if any(None in row for row in lifted) else lifted
+
+
+def _certified(mat, rref_rows, pivots):
+    """Whether every integer row lies in the span of the candidate rows.
+
+    With D the lcm of the candidate's denominators and C_k = D*R_k,
+    each row must satisfy D*row = sum_k row[pivot_k]*C_k.  The pivot
+    columns hold the identity, so only the other columns are compared.
+    """
+    denom = lcm(*(c.denominator for row in rref_rows for c in row))
+    scaled = [[c.numerator * (denom // c.denominator) for c in row]
+              for row in rref_rows]
+    pivot_set = set(pivots)
+    columns = [(j, [(pivots[k], row[j]) for k, row in enumerate(scaled)
+                    if row[j]])
+               for j in range(len(mat[0])) if j not in pivot_set]
+    return all(denom * row[j] == sum(row[pc] * c for pc, c in terms)
+               for row in mat for j, terms in columns)
 
 
 def rref(rows):
-    """Reduced row echelon form over the rationals, fraction-free.
+    """Reduced row echelon form over the rationals, certified
+    multimodular.
 
     Pivots are searched in every column but the last, which holds the
-    constant (for the 31-wide relation rows: the 30 unknown columns); a
-    surviving row of the shape (0, ..., 0, c) with c nonzero raises
+    constant (for the 31-wide relation rows: the 30 unknown columns);
+    a system whose rows combine to (0, ..., 0, c) with c nonzero raises
     InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
     rows dropped.
 
-    Every row is first scaled to a primitive integer row.  Clearing the
-    entry f of a row against pivot entry p replaces the row by
-    (p/g)*row - (f/g)*pivot_row, g = gcd(p, f), divided by its content,
-    so all arithmetic stays in integers (fraction-free elimination after
-    Bareiss, Math. Comp. 1968).  Forward elimination comes first; the
-    back substitution then runs from the last pivot row up, so every
-    pivot row it uses is already fully reduced and small.  Fractions
-    appear only at the end, when each pivot row is divided by its
-    leading entry; the reduced form is unique, so this is the
-    Gauss-Jordan result over the rationals.
+    Every row is scaled to a primitive integer row, reduced modulo
+    p = 2^61 - 1 and brought to reduced form over F_p, so no entry
+    grows past p.  Each entry is lifted back to the rationals by
+    rational reconstruction, and the candidate is certified with
+    integers only (see ``_certified``): every input row lies in its
+    span, and its rank, the rank mod p, is at most the rank over the
+    rationals, so the two spans are equal and the candidate is the
+    unique reduced form.  When a lift or the check fails, the next
+    prime of ``_primes`` joins by CRT.  An unlucky prime, one dividing
+    a minor, shows fewer pivots or later pivot columns than the
+    rationals: a prime whose pivots are worse than the best seen so far
+    is skipped, and one whose pivots are better replaces the residues.
+    Only finitely many primes are unlucky and the modulus grows without
+    bound, so the loop ends (multimodular solving with an exact check,
+    after Dixon, Numer. Math. 1982).  A pivot in the constant column
+    counts as an inconsistency only once its candidate has passed the
+    check.
     """
     mat = [_integer_row(r) for r in rows]
-    width = len(mat[0]) - 1 if mat else 0
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+    if not mat:
+        return ()
+    best = None
+    for p in _primes():
+        pivots, reduced = _rref_mod(mat, p)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, residues, modulus = pivots, reduced, p
+        elif pivots == best:
+            residues = _crt(residues, modulus, reduced, p)
+            modulus *= p
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, len(mat)):
-            if mat[i][col]:
-                mat[i] = _eliminate(mat[i], mat[r], col)
-        pivots.append(col)
-        r += 1
-    for row in mat[r:]:
-        if any(row[:width]):
-            raise AssertionError("row reduction missed a pivot")
-        if row[width]:
-            raise InconsistentSystem("equations force %s = 0" % row[width])
-    for k in range(r - 1, 0, -1):
-        for i in range(k):
-            if mat[i][pivots[k]]:
-                mat[i] = _eliminate(mat[i], mat[k], pivots[k])
-    return tuple(tuple(Fraction(c, mat[i][col]) for c in mat[i])
-                 for i, col in enumerate(pivots))
+        lifted = _lift(residues, modulus)
+        if lifted is not None and _certified(mat, lifted, best):
+            break
+    if best and best[-1] == len(mat[0]) - 1:
+        raise InconsistentSystem("equations force 1 = 0")
+    return tuple(lifted)
 
 
 class RelationSystem:
@@ -189,18 +287,15 @@ def solve_relations(system):
     return SolvedRelations(rref(rows))
 
 
-def substitute_relations(expr, rels):
-    return rels.substitute(expr)
-
-
 def _integer_row(row):
     """Rational row rescaled to integers with gcd one and a positive
     leading entry (already positive for an echelon row)."""
     denom = lcm(*(c.denominator for c in row))
-    ints = _primitive([c.numerator * (denom // c.denominator) for c in row])
+    ints = [c.numerator * (denom // c.denominator) for c in row]
+    g = gcd(*ints)
     if next((c for c in ints if c), 1) < 0:
-        ints = [-c for c in ints]
-    return ints
+        g = -g
+    return ints if g in (0, 1) else [c // g for c in ints]
 
 
 def integer_rows(solved):

@@ -9,10 +9,12 @@ from folbott.bottsum import TwistLinear, component_degree, fiber_degree
 from folbott.relations import (InconsistentSystem, ResidualUnknowns,
                                build_system, integer_rows, normal_twist_check,
                                relation_strings, row_space_equal, rref,
-                               solve_relations, substitute_relations)
+                               solve_relations)
 from folbott.torus import WeightError, validate_weights
 
 W0 = (0, 1, 5, 25)
+W_WIDE = (67208900, -31429501, 99121929, -3756357)
+P = (1 << 61) - 1  # the first prime of the multimodular elimination
 
 # Reference echelon relations, grouped by the line whose twist slots
 # they pin down, listed bottom group first inside each group.
@@ -156,11 +158,30 @@ def test_degrees_and_relations_do_not_depend_on_the_weights(w):
     assert component_degree(w, 13, rel) == 168208
 
 
+def test_headline_at_wide_weights():
+    rel = solve_relations(build_system(W_WIDE))
+    assert rel.rank == 18
+    assert relation_strings(rel) == EXPECTED_STRINGS
+    assert fiber_degree(W_WIDE, 7, rel) == 21
+    assert component_degree(W_WIDE, 13, rel) == 168208
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.tuples(*[st.integers(min_value=-10**8, max_value=10**8)] * 4)
+       .filter(_admissible))
+def test_degrees_and_relations_at_wide_weights(w):
+    rel = solve_relations(build_system(w))
+    assert rel.rank == 18
+    assert relation_strings(rel) == EXPECTED_STRINGS
+    assert fiber_degree(w, 7, rel) == 21
+    assert component_degree(w, 13, rel) == 168208
+
+
 def test_substitution_collapses_consequences():
     rel = solved()
     expr = _tl({1: 2, 2: 1, 4: 2})
     assert rel.substitute(expr) == -2
-    assert substitute_relations(TwistLinear.constant(5), rel) == 5
+    assert rel.substitute(TwistLinear.constant(5)) == 5
 
 
 def test_free_unknowns_are_reported():
@@ -220,6 +241,49 @@ def rational_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(rational_systems())
 def test_rref_equals_the_fraction_reference(rows):
+    expected = _reference_rref(rows)
+    if expected is None:
+        with pytest.raises(InconsistentSystem):
+            rref(rows)
+    else:
+        assert rref(rows) == expected
+
+
+def test_constant_pivot_mod_p_is_not_an_inconsistency():
+    # Modulo P the row reads (0, 1), yet over Q it says P*x = -1.
+    assert rref([[P, 1]]) == ((1, Fraction(1, P)),)
+
+
+def test_rank_drop_mod_p_gives_the_rational_form():
+    rows = [[1, 2, 3], [2, 4 + P, 6 + P]]
+    assert rref(rows) == _reference_rref(rows) == ((1, 0, 1), (0, 1, 1))
+
+
+def test_inconsistency_hidden_mod_p_is_found():
+    # Row two minus twice row one is (0, 0, P): zero modulo P only.
+    rows = [[1, 2, 3], [2, 4, 6 + P]]
+    assert _reference_rref(rows) is None
+    with pytest.raises(InconsistentSystem):
+        rref(rows)
+
+
+@st.composite
+def wide_systems(draw):
+    """Rational matrices with numerators or denominators above 2^130,
+    so that the reduced form needs several primes."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    big = st.integers(min_value=-(1 << 140), max_value=1 << 140)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, big, st.integers(1, 1 << 140)),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    return draw(st.lists(st.lists(entry, min_size=width + 1,
+                                  max_size=width + 1), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_systems())
+def test_rref_with_wide_entries_equals_the_fraction_reference(rows):
     expected = _reference_rref(rows)
     if expected is None:
         with pytest.raises(InconsistentSystem):
