@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 from .torus import WeightError, DivByZeroWeight, validate_weights, \
     enumerate_fixed_flags
 from .fixlocus import build_catalog
-from .bottsum import TwistLinear, total_degree, fiber_degree, \
-    component_degree, three_planes_demo
+from .bottsum import TwistLinear, fiber_degree, component_degree, \
+    three_planes_demo
 from .relations import build_system, solve_relations, \
     normal_twist_check, InconsistentSystem, ResidualUnknowns
 
 __all__ = [
     "WeightError", "DivByZeroWeight", "validate_weights",
     "enumerate_fixed_flags", "build_catalog", "TwistLinear",
-    "total_degree", "fiber_degree", "component_degree",
+    "fiber_degree", "component_degree",
     "three_planes_demo", "build_system", "solve_relations",
     "normal_twist_check", "InconsistentSystem", "ResidualUnknowns",
     "__version__",

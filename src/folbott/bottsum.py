@@ -17,11 +17,10 @@ with N = prod(n_i), that coefficient is sum(nu^p / (N n_i) * d_i): no
 constant, and one closed-form coefficient per twist slot.  The result
 is an affine-linear form in d1..d30 (TwistLinear).
 
-The same residues through generic ring arithmetic, a first-order dual
-class (torus.DualClass) over TwistLinear, stay available record by
-record (``point_contribution``, ``line_contribution``): the toy sum
-``three_planes_demo`` uses them, and the tests check the integer sum
-against them.
+This is the only residue arithmetic in the package.  The generic
+route, a first-order dual class over TwistLinear evaluated record by
+record with Fraction dot products, lives in ``tests/oracle.py`` as the
+independent check of this one.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -31,16 +30,20 @@ orientation in which the reference coefficient freezes (the constant
 49642909/3974400 and the d1 coefficient -729/320 on the identity flag
 at weights (0, 1, 5, 25)) are stated.
 
-The degree functions accept a ``jobs`` argument and ignore it: the 24
-flag sums are pure-Python arithmetic, which threads do not speed up
-under the interpreter lock, so they always run serially.
+One weight vector costs one power-7 pass and one power-13 pass over
+the 24 flags: ``fiber_degree`` reuses the raw power-7 sums that
+``relations.build_system`` keeps, when its weights and power match.
+``fiber_degree``, ``component_degree`` and ``per_flag_degrees`` accept
+a ``jobs`` argument and ignore it: the flag sums are pure-Python
+arithmetic, which threads do not speed up under the interpreter lock,
+so they always run serially.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .torus import (DualClass, DivByZeroWeight, enumerate_fixed_flags,
+from .torus import (DivByZeroWeight, enumerate_fixed_flags,
                     flag_tangent_product, validate_weights)
 from .fixlocus import build_catalog
 
@@ -51,7 +54,7 @@ class TwistLinear:
     """Affine-linear combination of the twist unknowns d1..d30.
 
     Stored as {slot: Fraction} with slot 0 holding the constant term.
-    Supports the ring operations DualClass needs from an h-part.
+    Supports addition and scaling by rationals.
     """
 
     __slots__ = ("coeffs",)
@@ -162,51 +165,6 @@ class TwistLinear:
         return "TwistLinear(%s)" % self
 
 
-def point_term(nu, tangents, power):
-    """Isolated fixed point residue: -nu^power / prod(tangents)."""
-    denom = Fraction(1)
-    for t in tangents:
-        if t == 0:
-            raise DivByZeroWeight("zero tangent weight in a point term")
-        denom *= t
-    return -(Fraction(nu) ** power) / denom
-
-
-def line_term(nu_class, normal_pairs, power):
-    """Fixed line residue via the first-order dual class.
-
-    ``nu_class`` is the fiber weight as a DualClass (its h-part is zero
-    for the catalog lines, nonzero in the toy demo).  ``normal_pairs``
-    is a list of (weight, twist) with the twist a Fraction or
-    TwistLinear.  Returns the h-coefficient of
-    -nu_class^power * prod(weight + twist*h)^(-1).
-    """
-    symbolic = any(isinstance(t, TwistLinear) for _, t in normal_pairs)
-    zero = TwistLinear() if symbolic else Fraction(0)
-    prod = DualClass(Fraction(1), zero)
-    for weight, twist in normal_pairs:
-        if weight == 0:
-            raise DivByZeroWeight("zero normal weight in a line term")
-        if symbolic and isinstance(twist, (int, Fraction)):
-            twist = TwistLinear.constant(twist)
-        prod = prod * DualClass(Fraction(weight), twist)
-    total = (-(nu_class ** power)) * prod.inverse()
-    return total.h_coefficient()
-
-
-def point_contribution(record, w, power):
-    """Residue of one cataloged point at a weight vector."""
-    return point_term(record.nu_value(w), record.tangent_values(w), power)
-
-
-def line_contribution(record, w, power):
-    """Residue of one cataloged line, linear in its six twist slots."""
-    nu = DualClass(record.wfiber_value(w), TwistLinear())
-    pairs = [(n, TwistLinear.unknown(slot))
-             for n, slot in zip(record.normal_values(w), record.slots)]
-    return line_term(nu, pairs, power)
-
-
 @cache
 def _integer_catalog():
     """The reference-flag catalog as plain ints, read on first use.
@@ -284,14 +242,20 @@ def fiber_degree(w, power=7, relations=None, jobs=1):
     Without relations the symbolic sum on the identity flag is
     returned in the published orientation.  With relations each flag's
     sum collapses to a number and the common value comes back; a
-    disagreement (any power other than 7) raises ArithmeticError.
+    disagreement (any power other than 7) raises ArithmeticError.  The
+    flag sums of the relations' own system are reused when its weights
+    and power are these.
     """
     w = tuple(validate_weights(w))
     if relations is None:
         return display_sum((0, 1, 2, 3), w, power)
     flags = enumerate_fixed_flags()
-    values = [relations.substitute(contribution_sum(f, w, power))
-              for f in flags]
+    system = relations.system
+    if system is not None and (system.w, system.power) == (w, power):
+        sums = system.flag_sums
+    else:
+        sums = [contribution_sum(f, w, power) for f in flags]
+    values = [relations.substitute(s) for s in sums]
     for flag, val in zip(flags[1:], values[1:]):
         if val != values[0]:
             raise ArithmeticError(
@@ -312,16 +276,6 @@ def component_degree(w, power=13, relations=None, jobs=1):
     return relations.substitute(total)
 
 
-def total_degree(w, power, relations=None, jobs=1):
-    """Dispatch on the residue power: 7 is the fiber integral, 13 the
-    full component degree."""
-    if power == 7:
-        return fiber_degree(w, 7, relations, jobs)
-    if power == 13:
-        return component_degree(w, 13, relations, jobs)
-    raise ValueError("power must be 7 or 13")
-
-
 def per_flag_degrees(w, relations, jobs=1, power=13):
     """The 24 flag summands of the global degree, substituted."""
     w = tuple(validate_weights(w))
@@ -332,26 +286,21 @@ def per_flag_degrees(w, relations, jobs=1, power=13):
 def three_planes_demo():
     """Toy residue sum on a broken plane arrangement.
 
-    Four isolated points and one line with known twists; the same point
-    and line cores as the main sum, at power three.  The total comes
-    out to the plain degree 1, which is the point of the exercise.
+    Four isolated points and one line with known twists, at power
+    three; the total comes out to the plain degree 1, which is the
+    point of the exercise.  A point gives -nu^3 / prod(t).  The line has
+    fiber weight nu0 + nu1*h and normals n_i + d_i*h, so its residue,
+    the h-coefficient of -(nu0 + nu1*h)^3 * prod(n_i + d_i*h)^-1, is
+    -nu0^3 / N * (3 nu1/nu0 - sum(d_i / n_i)) with N = prod(n_i).
     """
-    points = [
-        ("p2", Fraction(-2), (Fraction(1), Fraction(1), Fraction(-1))),
-        ("q1", Fraction(-3), (Fraction(2), Fraction(2), Fraction(-1))),
-        ("q2", Fraction(-3), (Fraction(2), Fraction(1), Fraction(1))),
-        ("r2", Fraction(-1), (Fraction(-2), Fraction(-1), Fraction(1))),
-    ]
-    rows = []
-    total = Fraction(0)
-    for label, nu, tangents in points:
-        value = point_term(nu, tangents, 3)
-        rows.append((label, value))
-        total += value
-    nu_class = DualClass(Fraction(-1), Fraction(-1))
-    line_value = line_term(
-        nu_class, [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(-1))], 3)
-    rows.append(("line", line_value))
-    total += line_value
-    rows.append(("total", total))
+    rows = [(label, Fraction(-nu ** 3, t0 * t1 * t2))
+            for label, nu, (t0, t1, t2) in (("p2", -2, (1, 1, -1)),
+                                            ("q1", -3, (2, 2, -1)),
+                                            ("q2", -3, (2, 1, 1)),
+                                            ("r2", -1, (-2, -1, 1)))]
+    nu0, nu1, (n1, d1), (n2, d2) = -1, -1, (1, 0), (2, -1)
+    rows.append(("line", -Fraction(nu0 ** 3, n1 * n2)
+                 * (3 * Fraction(nu1, nu0) - Fraction(d1, n1)
+                    - Fraction(d2, n2))))
+    rows.append(("total", sum(value for _, value in rows)))
     return rows

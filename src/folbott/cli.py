@@ -87,8 +87,8 @@ def main():
 @_weights_option
 @_output_option
 @_jobs_option
-@click.option("--power", type=int, default=7, show_default=True,
-              help="Residue power in the numerator.")
+@click.option("--power", type=click.IntRange(min=0), default=7,
+              show_default=True, help="Residue power in the numerator.")
 @click.option("--per-flag", is_flag=True,
               help="Emit the individual per-flag values.")
 @click.option("--symbolic-d", "symbolic_d", is_flag=True,
@@ -127,8 +127,8 @@ def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
 @_weights_option
 @_output_option
 @_jobs_option
-@click.option("--power", type=int, default=13, show_default=True,
-              help="Residue power in the numerator.")
+@click.option("--power", type=click.IntRange(min=0), default=13,
+              show_default=True, help="Residue power in the numerator.")
 @click.option("--per-flag", is_flag=True,
               help="Emit the 24 per-flag partial sums.")
 @click.option("--symbolic-d", "symbolic_d", is_flag=True,

@@ -199,12 +199,6 @@ class FixedPointRecord:
         self.tangent = tuple(tangent)
         self.flag = flag
 
-    def nu_value(self, w):
-        return self.nu.evaluate_at_flag(self.flag, w)
-
-    def tangent_values(self, w):
-        return [t.evaluate_at_flag(self.flag, w) for t in self.tangent]
-
     def __repr__(self):
         return "FixedPointRecord(%r)" % self.id
 
@@ -220,12 +214,6 @@ class FixedLineRecord:
         self.normals = tuple(normals)
         self.slots = tuple(slots)
         self.flag = flag
-
-    def wfiber_value(self, w):
-        return self.wfiber.evaluate_at_flag(self.flag, w)
-
-    def normal_values(self, w):
-        return [n.evaluate_at_flag(self.flag, w) for n in self.normals]
 
     def __repr__(self):
         return "FixedLineRecord(%r)" % self.id

@@ -181,7 +181,7 @@ class Polynomial:
             seen |= mono
         return {VARIABLE_NAMES[i] for i, _ in _decode(seen)}
 
-    def total_degree(self):
+    def degree(self):
         return max(self.nums) >> _DEG_SHIFT if self.nums else -1
 
     def leading(self):
@@ -242,7 +242,7 @@ class Polynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        _check_degree(self.total_degree() * exponent)
+        _check_degree(self.degree() * exponent)
         result = Polynomial.constant(1)
         base = self
         e = exponent

@@ -17,7 +17,8 @@ from scratch for given (N, m) by the same equate-the-sums trick.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .bottsum import NUM_SLOTS, TwistLinear, display_sum
+from . import bottsum
+from .bottsum import NUM_SLOTS, TwistLinear
 from .torus import enumerate_fixed_flags, validate_weights
 
 
@@ -205,24 +206,28 @@ def rref(rows):
 
 
 class RelationSystem:
-    """The 23 flag-difference equations at a given weight vector."""
+    """The 23 flag-difference equations at a given weight vector, and
+    the raw residue sums of the 24 flags at ``power`` they come from."""
 
-    __slots__ = ("w", "flags", "flag_sums", "equations")
+    __slots__ = ("w", "power", "flags", "flag_sums", "equations")
 
-    def __init__(self, w, flags, flag_sums, equations):
+    def __init__(self, w, power, flags, flag_sums, equations):
         self.w = w
+        self.power = power
         self.flags = flags
         self.flag_sums = flag_sums
         self.equations = equations
 
 
 class SolvedRelations:
-    """Echelon form of the relation system, ready for substitution."""
+    """Echelon form of the relation system, ready for substitution;
+    ``system`` is the RelationSystem it was solved from, if any."""
 
-    __slots__ = ("rows", "rank", "pivots", "assignments")
+    __slots__ = ("rows", "rank", "pivots", "assignments", "system")
 
-    def __init__(self, rows):
+    def __init__(self, rows, system=None):
         self.rows = rows
+        self.system = system
         self.rank = len(rows)
         self.pivots = {}
         self.assignments = {}
@@ -268,23 +273,27 @@ class SolvedRelations:
 
 
 def build_system(w):
-    """Symbolic power-7 sums for all 24 flags and their differences."""
+    """Symbolic power-7 sums for all 24 flags and their differences.
+
+    The sums are kept raw (``bottsum.contribution_sum``), so the fiber
+    degree can reuse them; the published orientation would only negate
+    every equation, which leaves the reduced echelon form unchanged.
+    """
     w = tuple(validate_weights(w))
     flags = enumerate_fixed_flags()
-    flag_sums = [display_sum(flag, w, 7) for flag in flags]
+    flag_sums = [bottsum.contribution_sum(flag, w, 7) for flag in flags]
     base = flag_sums[0]
     equations = [s - base for s in flag_sums[1:]]
-    return RelationSystem(w, flags, flag_sums, equations)
+    return RelationSystem(w, 7, flags, flag_sums, equations)
 
 
 def solve_relations(system):
-    """Exact elimination of the flag-difference equations."""
-    if isinstance(system, RelationSystem):
-        equations = system.equations
-    else:
-        equations = list(system)
+    """Exact elimination of the flag-difference equations.  A
+    RelationSystem stays on the result, so its flag sums can be reused."""
+    kept = system if isinstance(system, RelationSystem) else None
+    equations = system.equations if kept is not None else system
     rows = [_vector(eq) for eq in equations]
-    return SolvedRelations(rref(rows))
+    return SolvedRelations(rref(rows), kept)
 
 
 def _integer_row(row):

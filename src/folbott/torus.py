@@ -8,7 +8,6 @@ coordinate flags, listed in a specific deterministic order so that
 parallel runs fold results identically.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 
@@ -73,40 +72,18 @@ def enumerate_fixed_flags(w=None):
     return flags
 
 
-# Index pairs (i, j), i < j in flag position, for the six tangent
-# directions of the flag variety at a fixed flag.
-_FLAG_TANGENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def flag_tangent_class(flag):
-    """Six tangent eigenweights of the flag variety at a fixed flag.
-
-    Returned as EigenWeight instances in global coordinates; the weight
-    at pair (i, j) is w[flag[j]] - w[flag[i]].
-    """
-    out = []
-    for i, j in _FLAG_TANGENT_PAIRS:
-        coeffs = [0, 0, 0, 0]
-        coeffs[flag[j]] += 1
-        coeffs[flag[i]] -= 1
-        out.append(EigenWeight(coeffs))
-    return out
-
-
 def flag_tangent_product(flag, w):
-    """Product of the six flag tangent weights at a weight vector."""
-    prod = Fraction(1)
-    for ew in flag_tangent_class(flag):
-        prod *= ew.evaluate(w)
-    return prod
+    """Product of the six flag tangent weights w[flag[j]] - w[flag[i]],
+    i < j in flag position, at a weight vector."""
+    a, b, c, d = [w[i] for i in flag]
+    return (b - a) * (c - a) * (d - a) * (c - b) * (d - b) * (d - c)
 
 
 class EigenWeight:
     """Integer combination of the four coordinate weights.
 
-    Stored as a coefficient 4-tuple.  An eigenweight written in a flag's
-    local frame is converted to global coordinates by permuting slots,
-    and evaluated at a weight vector by a dot product.
+    Stored as a coefficient 4-tuple in the local frame of a flag; on a
+    flag its value is the dot product with ``[w[i] for i in flag]``.
     """
 
     __slots__ = ("coeffs",)
@@ -120,9 +97,6 @@ class EigenWeight:
     @classmethod
     def zero(cls):
         return cls((0, 0, 0, 0))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
         return EigenWeight(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -140,23 +114,6 @@ class EigenWeight:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def evaluate(self, w):
-        """Dot product with a weight vector (local frame)."""
-        return sum((Fraction(c) * wi for c, wi in zip(self.coeffs, w)),
-                   Fraction(0))
-
-    def to_global(self, flag):
-        """Reinterpret local slot i as global coordinate flag[i]."""
-        out = [0, 0, 0, 0]
-        for i, c in enumerate(self.coeffs):
-            out[flag[i]] += c
-        return EigenWeight(out)
-
-    def evaluate_at_flag(self, flag, w):
-        """Evaluate the local eigenweight after placing it on a flag."""
-        return sum((Fraction(c) * w[flag[i]]
-                    for i, c in enumerate(self.coeffs)), Fraction(0))
 
     def __str__(self):
         return format_weight(self)
@@ -206,74 +163,3 @@ def parse_weight(text):
                 raise ValueError("bad weight factor %r" % factor)
             coeffs[int(name[1:])] += sign * e
     return EigenWeight(coeffs)
-
-
-class DualClass:
-    """Truncated class a + b*h with h*h = 0.
-
-    ``a`` is a Fraction; ``b`` may be a Fraction or any value supporting
-    addition and scaling, which lets the h-part carry linear expressions
-    in unknown twist degrees.  Inversion needs a nonzero pure part and
-    raises DivByZeroWeight otherwise.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b
-
-    def __add__(self, other):
-        if isinstance(other, DualClass):
-            return DualClass(self.a + other.a, self.b + other.b)
-        return DualClass(self.a + other, self.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualClass(-self.a, -self.b)
-
-    def __sub__(self, other):
-        if isinstance(other, DualClass):
-            return DualClass(self.a - other.a, self.b - other.b)
-        return DualClass(self.a - other, self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, DualClass):
-            return DualClass(self.a * other.a,
-                             self.b * other.a + other.b * self.a)
-        return DualClass(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = DualClass(Fraction(1), 0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def inverse(self):
-        if self.a == 0:
-            raise DivByZeroWeight("pure part vanished, cannot invert")
-        inv = Fraction(1) / self.a
-        return DualClass(inv, self.b * (-inv * inv))
-
-    def __truediv__(self, other):
-        if isinstance(other, DualClass):
-            return self * other.inverse()
-        return DualClass(self.a / other, self.b * Fraction(1, 1) / other)
-
-    def h_coefficient(self):
-        return self.b
-
-    def __eq__(self, other):
-        if isinstance(other, DualClass):
-            return self.a == other.a and self.b == other.b
-        return self.a == other and (self.b == 0 or
-                                    (hasattr(self.b, "is_zero")
-                                     and self.b.is_zero()))
-
-    def __repr__(self):
-        return "DualClass(%s, %s)" % (self.a, self.b)

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from folbott import bottsum
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
-                             display_sum, fiber_degree, line_contribution,
-                             line_term, per_flag_degrees, point_contribution,
-                             point_term, three_planes_demo, total_degree)
+                             display_sum, fiber_degree, per_flag_degrees,
+                             three_planes_demo)
 from folbott.fixlocus import build_catalog
 from folbott.relations import build_system, solve_relations
-from folbott.torus import (DivByZeroWeight, DualClass, WeightError,
-                           enumerate_fixed_flags)
+from folbott.torus import DivByZeroWeight, WeightError, enumerate_fixed_flags
+from oracle import (DualClass, line_contribution, line_term, normal_values,
+                    point_contribution, point_term)
 
 W0 = (0, 1, 5, 25)
 REF_FLAG = (0, 1, 2, 3)
@@ -159,7 +159,7 @@ def test_line1_twist_degree_closed_form():
     line1 = [rec for rec in cat.lines if rec.id == "line1"][0]
     rel = solved()
     for wv in [W0, (0, 1, 7, 37), (1, 2, 9, 41)]:
-        normals = line1.normal_values(wv)
+        normals = normal_values(line1, wv)
         big_w = reduce(lambda a, b: a * b, normals, Fraction(1))
         acc = TwistLinear()
         for n, slot in zip(normals, line1.slots):
@@ -195,12 +195,6 @@ def test_contribution_and_display_are_negatives():
     assert solved().substitute(raw) == 21
 
 
-def test_total_degree_dispatch():
-    assert total_degree(W0, 7, solved()) == 21
-    with pytest.raises(ValueError):
-        total_degree(W0, 5, solved())
-
-
 def test_rejects_resonant_weights():
     with pytest.raises(WeightError):
         fiber_degree((0, 1, 2, 3), 7, solved())
@@ -209,8 +203,8 @@ def test_rejects_resonant_weights():
 @pytest.mark.parametrize("w", [W0, (0, 1, 7, 37),
                                (12345678, -98765432, 55555555, 3)])
 def test_integer_sum_matches_the_dual_class_route(w):
-    # The record-by-record sum through point_term/line_term and DualClass
-    # is the independent route to the same per-flag linear forms.
+    # The record-by-record sum through the oracle's point_term/line_term
+    # and DualClass is the independent route to the same linear forms.
     for flag in enumerate_fixed_flags():
         catalog = build_catalog(flag)
         for power in (7, 13):
@@ -269,3 +263,21 @@ def test_degree_path_reads_the_catalog_once(monkeypatch):
     assert fiber_degree(W0, 7, rel) == 21
     assert component_degree(W0, 13, rel) == 168208
     assert len(calls) == 1
+
+
+def test_one_power_7_pass_per_weight_vector(monkeypatch):
+    calls = []
+    engine = bottsum.contribution_sum
+
+    def counting(flag, w, power):
+        calls.append(power)
+        return engine(flag, w, power)
+
+    monkeypatch.setattr(bottsum, "contribution_sum", counting)
+    rel = solve_relations(build_system(W0))
+    assert fiber_degree(W0, 7, rel) == 21
+    assert component_degree(W0, 13, rel) == 168208
+    assert calls == [7] * 24 + [13] * 24
+    calls.clear()
+    assert fiber_degree((0, 1, 7, 37), 7, rel) == 21
+    assert calls == [7] * 24

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from folbott.cli import main
@@ -65,6 +66,19 @@ def test_fiber_degree_honest_failure_on_wrong_power():
     res = run("fiber-degree", "--power", "13")
     assert res.exit_code == 1
     assert res.output.startswith("verification mismatch:")
+
+
+@pytest.mark.parametrize("args", [
+    ("fiber-degree", "--power", "-1"),
+    ("component-degree", "--power", "-1"),
+    ("fiber-degree", "--symbolic-d", "--power", "-2"),
+])
+def test_negative_power_is_a_usage_error(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "Invalid value for '--power'" in res.output
 
 
 def test_weights_validation():

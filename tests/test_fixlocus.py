@@ -4,12 +4,13 @@ from functools import reduce
 import pytest
 
 from folbott import resolve
-from folbott.bottsum import point_contribution
 from folbott.fixlocus import (DirectionNotInNormal, build_catalog,
                               tangent_split_blowup, validate_events)
 from folbott.tables import LINE_SLOTS
 from folbott.torus import enumerate_fixed_flags, flag_tangent_product, \
     parse_weight
+from oracle import (normal_values, nu_value, point_contribution,
+                    tangent_values, wfiber_value)
 
 REF_FLAG = (0, 1, 2, 3)
 WEIGHTS = [(0, 1, 5, 25), (0, 1, 7, 37), (1, 2, 9, 41)]
@@ -66,7 +67,7 @@ def test_line_records():
     facts = {}
     for rec in cat.lines:
         assert len(rec.normals) == 6
-        facts[rec.id] = (rec.wfiber_value(w), _prod(rec.normal_values(w)),
+        facts[rec.id] = (wfiber_value(rec, w), _prod(normal_values(rec, w)),
                          rec.slots)
     assert facts == {
         "line1": (3, -960, (1, 2, 3, 4, 5, 6)),
@@ -81,7 +82,7 @@ def test_points_are_isolated_for_generic_weights():
     cat = build_catalog(REF_FLAG)
     for rec in cat.points:
         assert len(rec.tangent) == 7
-        assert all(v != 0 for v in rec.tangent_values((0, 1, 5, 25)))
+        assert all(v != 0 for v in tangent_values(rec, (0, 1, 5, 25)))
 
 
 def _point(table, row):
@@ -118,9 +119,9 @@ def test_frozen_point_frames(table, row, nu_fn, prod_fn):
     for wv in WEIGHTS:
         w0, w1, w2, w3 = [Fraction(x) for x in wv]
         if nu_fn is not None:
-            assert rec.nu_value(wv) == nu_fn(w0, w1, w2, w3)
+            assert nu_value(rec, wv) == nu_fn(w0, w1, w2, w3)
         if prod_fn is not None:
-            assert _prod(rec.tangent_values(wv)) == prod_fn(w0, w1, w2, w3)
+            assert _prod(tangent_values(rec, wv)) == prod_fn(w0, w1, w2, w3)
 
 
 def test_global_localization_term_closed_form():

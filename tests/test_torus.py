@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folbott.torus import (DivByZeroWeight, DualClass, EigenWeight,
-                           WeightError, enumerate_fixed_flags,
-                           flag_tangent_product, format_weight, parse_weight,
-                           validate_weights)
+from folbott.torus import (DivByZeroWeight, EigenWeight, WeightError,
+                           enumerate_fixed_flags, flag_tangent_product,
+                           format_weight, parse_weight, validate_weights)
+from oracle import DualClass, evaluate
 
 
 def test_validate_accepts_the_default_vector():
@@ -38,13 +38,25 @@ def test_flag_enumeration():
 
 
 def test_flag_tangent_product_reference_value():
-    assert flag_tangent_product((0, 1, 2, 3), (0, 1, 5, 25)) == 240000
+    value = flag_tangent_product((0, 1, 2, 3), (0, 1, 5, 25))
+    assert type(value) is int
+    assert value == 240000
 
 
 def test_flag_tangent_product_is_never_zero_on_valid_weights():
     w = validate_weights((0, 1, 7, 37))
     for flag in enumerate_fixed_flags():
-        assert flag_tangent_product(flag, w) != 0
+        value = flag_tangent_product(flag, w)
+        assert type(value) is int
+        assert value != 0
+        # The six tangent eigenweights x[flag[j]]/x[flag[i]], i < j.
+        expected = 1
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            coeffs = [0, 0, 0, 0]
+            coeffs[flag[j]] += 1
+            coeffs[flag[i]] -= 1
+            expected *= evaluate(EigenWeight(coeffs), w)
+        assert value == expected, flag
 
 
 def coeff_tuples():
@@ -56,8 +68,8 @@ def coeff_tuples():
 def test_eigenweight_addition_matches_evaluation(a, b):
     w = (0, 1, 5, 25)
     ea, eb = EigenWeight(a), EigenWeight(b)
-    assert (ea + eb).evaluate(w) == ea.evaluate(w) + eb.evaluate(w)
-    assert (-ea).evaluate(w) == -ea.evaluate(w)
+    assert evaluate(ea + eb, w) == evaluate(ea, w) + evaluate(eb, w)
+    assert evaluate(-ea, w) == -evaluate(ea, w)
 
 
 def test_weight_format_roundtrip():
