@@ -2,25 +2,27 @@
 
 The sum of one flag runs over the 72 isolated points and the 5 fixed
 lines of ``fixlocus.build_catalog``.  Its records do not depend on the
-flag, so the catalog is read once, on first use, into plain int
-4-tuples: (nu, 7 tangent weights) per point and (fiber weight, 6
-normal weights, 6 twist slots) per line, all in the local frame.  On a
-flag every weight is the int dot product of its 4-tuple with the local
-weight vector ``[w[i] for i in flag]``.
+flag, so the catalog is read once, on first use, into plain ints: the
+54 distinct weights as 4-tuples in the local frame, and per point (nu,
+7 tangent weights), per line (fiber weight, 6 normal weights, 6 twist
+slots) as indices into them.  On a flag each distinct weight is one int
+dot product with the local weight vector ``[w[i] for i in flag]``.
 
 A point contributes -nu^p / prod(t); the 72 of them are added as one
-integer fraction over the least common multiple of their denominators.
-A line's residue is the h-coefficient of -nu^p * prod(n_i + d_i h)^-1
-with h*h = 0, where d1..d30 are the unknown twist degrees of the line
-normal bundles.  Since prod(n_i + d_i h) = N (1 + sum(d_i / n_i) h)
-with N = prod(n_i), that coefficient is sum(nu^p / (N n_i) * d_i): no
-constant, and one closed-form coefficient per twist slot.  The result
-is an affine-linear form in d1..d30 (TwistLinear).
+integer fraction.  A line's residue is the h-coefficient of
+-nu^p * prod(n_i + d_i h)^-1 with h*h = 0, where d1..d30 are the
+unknown twist degrees of the line normal bundles.  Since
+prod(n_i + d_i h) = N (1 + sum(d_i / n_i) h) with N = prod(n_i), that
+coefficient is sum(nu^p / (N n_i) * d_i): no constant, and one
+closed-form coefficient per twist slot.  The result is an
+affine-linear form in d1..d30 (TwistLinear), stored as one integer
+row, 30 twist numerators and then the constant, over one positive
+denominator in lowest terms; its arithmetic cross-multiplies rows.
 
 This is the only residue arithmetic in the package.  The generic
-route, a first-order dual class over TwistLinear evaluated record by
-record with Fraction dot products, lives in ``tests/oracle.py`` as the
-independent check of this one.
+route, a first-order dual class evaluated record by record with
+Fraction dot products, lives in ``tests/oracle.py`` as the independent
+check of this one, next to a {slot: Fraction} reference TwistLinear.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -31,7 +33,8 @@ orientation in which the reference coefficient freezes (the constant
 at weights (0, 1, 5, 25)) are stated.
 
 One weight vector costs one power-7 pass and one power-13 pass over
-the 24 flags: ``fiber_degree`` reuses the raw power-7 sums that
+the 24 flags: ``per_flag_fiber_values``, behind ``fiber_degree`` and
+``fiber-degree --per-flag``, reuses the raw power-7 sums that
 ``relations.build_system`` keeps, when its weights and power match.
 ``fiber_degree``, ``component_degree`` and ``per_flag_degrees`` accept
 a ``jobs`` argument and ignore it: the flag sums are pure-Python
@@ -41,125 +44,145 @@ so they always run serially.
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .torus import (DivByZeroWeight, enumerate_fixed_flags,
                     flag_tangent_product, validate_weights)
 from .fixlocus import build_catalog
 
 NUM_SLOTS = 30
+WIDTH = NUM_SLOTS + 1  # d1..d30, then the constant
 
 
 class TwistLinear:
     """Affine-linear combination of the twist unknowns d1..d30.
 
-    Stored as {slot: Fraction} with slot 0 holding the constant term.
-    Supports addition and scaling by rationals.
+    Stored as 31 integer numerators ``nums`` (d1..d30, then the
+    constant) over one positive denominator ``den``, in lowest terms.
+    ``coeffs`` is a fresh {slot: Fraction} view with slot 0 holding the
+    constant and zero entries left out.  Supports addition and scaling
+    by rationals.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=None):
-        self.coeffs = {} if coeffs is None else coeffs
+        coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items()}
+        # The lcm of reduced denominators leaves the row in lowest terms.
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        nums = [0] * WIDTH
+        for slot, c in coeffs.items():
+            if not 0 <= slot <= NUM_SLOTS:
+                raise ValueError("twist slot out of range: %r" % slot)
+            nums[slot - 1 if slot else NUM_SLOTS] = \
+                c.numerator * (den // c.denominator)
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def from_row(cls, nums, den=1):
+        """The form with integer numerators ``nums`` (d1..d30, then the
+        constant) over the nonzero integer ``den``, in lowest terms."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        out = cls.__new__(cls)
+        out.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        out.den = den // g
+        return out
 
     @classmethod
     def constant(cls, value):
-        value = Fraction(value)
-        return cls({0: value} if value else {})
+        return cls({0: value})
 
     @classmethod
     def unknown(cls, slot, coeff=1):
         if not 1 <= slot <= NUM_SLOTS:
             raise ValueError("twist slot out of range: %r" % slot)
-        coeff = Fraction(coeff)
-        return cls({slot: coeff} if coeff else {})
+        return cls({slot: coeff})
+
+    @property
+    def coeffs(self):
+        nums, den = self.nums, self.den
+        out = {j + 1: Fraction(n, den)
+               for j, n in enumerate(nums[:NUM_SLOTS]) if n}
+        if nums[NUM_SLOTS]:
+            out[0] = Fraction(nums[NUM_SLOTS], den)
+        return out
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.nums)
 
     def constant_part(self):
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.nums[NUM_SLOTS], self.den)
 
     def coefficient(self, slot):
         return self.coeffs.get(slot, Fraction(0))
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if isinstance(other, (int, Fraction)):
             other = TwistLinear.constant(other)
         if not isinstance(other, TwistLinear):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc = out.get(k, Fraction(0)) + v
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return TwistLinear(out)
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return TwistLinear.from_row(
+            [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
+            da * (db // g))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TwistLinear({k: -v for k, v in self.coeffs.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TwistLinear.constant(other)
-        if not isinstance(other, TwistLinear):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return self * -1
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return TwistLinear()
-            return TwistLinear(
-                {k: v * other for k, v in self.coeffs.items()})
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num = other.numerator
+        return TwistLinear.from_row([n * num for n in self.nums],
+                                    self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / Fraction(other))
+        other = Fraction(other)
+        if not other:
+            raise ZeroDivisionError("TwistLinear division by zero")
+        den = other.denominator
+        return TwistLinear.from_row([n * den for n in self.nums],
+                                    self.den * other.numerator)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TwistLinear.constant(other)
         if not isinstance(other, TwistLinear):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        order = sorted(s for s in self.coeffs if s != 0)
-        if 0 in self.coeffs:
-            order.append(0)
-        parts = []
-        for slot in order:
-            c = self.coeffs[slot]
-            name = "d%d" % slot if slot else None
-            if name is None:
-                piece = str(abs(c))
-            elif abs(c) == 1:
-                piece = name
-            else:
-                piece = "%s*%s" % (abs(c), name)
-            parts.append((c < 0, piece))
-        out = []
-        for i, (neg, piece) in enumerate(parts):
-            if i == 0:
-                out.append("-" + piece if neg else piece)
-            else:
-                out.append(" - " + piece if neg else " + " + piece)
-        return "".join(out)
+        out = ""
+        for j, n in enumerate(self.nums):
+            if n:
+                c = abs(Fraction(n, self.den))
+                piece = (str(c) if j == NUM_SLOTS else "d%d" % (j + 1)
+                         if c == 1 else "%s*d%d" % (c, j + 1))
+                sign = (" - " if n < 0 else " + ") if out else \
+                    ("-" if n < 0 else "")
+                out += sign + piece
+        return out or "0"
 
     def __repr__(self):
         return "TwistLinear(%s)" % self
@@ -169,18 +192,24 @@ class TwistLinear:
 def _integer_catalog():
     """The reference-flag catalog as plain ints, read on first use.
 
-    Points are (id, nu, tangents) and lines (id, wfiber, normals,
-    slots), every weight a coefficient 4-tuple in the local frame.  The
+    ``weights`` holds each distinct weight once, as a coefficient
+    4-tuple in the local frame: 54 of them for the 72 points and 5
+    lines.  Points are (id, nu, tangents) and lines (id, wfiber,
+    normals, slots), with every weight an index into ``weights``.  The
     records do not depend on the flag, so one read serves all 24.
     """
     catalog = build_catalog((0, 1, 2, 3))
-    points = tuple((rec.id, rec.nu.coeffs,
-                    tuple(t.coeffs for t in rec.tangent))
+    index = {}
+
+    def at(ew):
+        return index.setdefault(ew.coeffs, len(index))
+
+    points = tuple((rec.id, at(rec.nu), tuple(map(at, rec.tangent)))
                    for rec in catalog.points)
-    lines = tuple((rec.id, rec.wfiber.coeffs,
-                   tuple(n.coeffs for n in rec.normals), rec.slots)
+    lines = tuple((rec.id, at(rec.wfiber), tuple(map(at, rec.normals)),
+                   rec.slots)
                   for rec in catalog.lines)
-    return points, lines
+    return tuple(index), points, lines
 
 
 def _flag_label(flag):
@@ -190,40 +219,50 @@ def _flag_label(flag):
 def contribution_sum(flag, w, power):
     """Raw residue sum over the catalog of one flag.
 
-    The point residues are added as one integer fraction and the line
-    residues written down in closed form; see the module docstring.
+    Each distinct weight is evaluated once; the point residues are
+    added as one integer fraction and the line residues written down in
+    closed form, and the result comes back as one integer row over the
+    lcm of their denominators.  See the module docstring.
     """
     if power < 0:
         raise ValueError("power must be a nonnegative integer")
-    points, lines = _integer_catalog()
+    weights, points, lines = _integer_catalog()
     a, b, c, d = [w[i] for i in flag]
+    vals = [t0 * a + t1 * b + t2 * c + t3 * d for t0, t1, t2, t3 in weights]
     num, den = 0, 1
-    for rid, (n0, n1, n2, n3), tangents in points:
+    for rid, nu, tangents in points:
         prod = 1
-        for t0, t1, t2, t3 in tangents:
-            prod *= t0 * a + t1 * b + t2 * c + t3 * d
+        for i in tangents:
+            prod *= vals[i]
         if not prod:
             raise DivByZeroWeight("zero tangent weight in %s on flag %s"
                                   % (rid, _flag_label(flag)))
         g = gcd(den, prod)
-        num = (num * (prod // g)
-               - (n0 * a + n1 * b + n2 * c + n3 * d) ** power * (den // g))
+        num = num * (prod // g) - vals[nu] ** power * (den // g)
         den *= prod // g
-    coeffs = {0: Fraction(num, den)} if num else {}
-    for rid, (f0, f1, f2, f3), normals, slots in lines:
-        values = [m0 * a + m1 * b + m2 * c + m3 * d
-                  for m0, m1, m2, m3 in normals]
+    parts = []
+    for rid, fiber, normals, slots in lines:
+        values = [vals[i] for i in normals]
         prod = 1
         for n in values:
             prod *= n
         if not prod:
             raise DivByZeroWeight("zero normal weight in %s on flag %s"
                                   % (rid, _flag_label(flag)))
-        top = (f0 * a + f1 * b + f2 * c + f3 * d) ** power
+        top = vals[fiber] ** power
         if top:
-            for n, slot in zip(values, slots):
-                coeffs[slot] = Fraction(top, prod * n)
-    return TwistLinear(coeffs)
+            # top / (prod * n_i) = top * (m // n_i) / (prod * m)
+            m = lcm(*values)
+            parts.append((prod * m, [(slot - 1, top * (m // n))
+                                     for n, slot in zip(values, slots)]))
+    common = lcm(den, *(line_den for line_den, _ in parts))
+    row = [0] * WIDTH
+    row[NUM_SLOTS] = num * (common // den)
+    for line_den, entries in parts:
+        scale = common // line_den
+        for j, value in entries:
+            row[j] = value * scale
+    return TwistLinear.from_row(row, common)
 
 
 def display_sum(flag, w, power):
@@ -242,26 +281,32 @@ def fiber_degree(w, power=7, relations=None, jobs=1):
     Without relations the symbolic sum on the identity flag is
     returned in the published orientation.  With relations each flag's
     sum collapses to a number and the common value comes back; a
-    disagreement (any power other than 7) raises ArithmeticError.  The
-    flag sums of the relations' own system are reused when its weights
-    and power are these.
+    disagreement (any power other than 7) raises ArithmeticError.
     """
-    w = tuple(validate_weights(w))
     if relations is None:
-        return display_sum((0, 1, 2, 3), w, power)
+        return display_sum((0, 1, 2, 3), validate_weights(w), power)
+    rows = per_flag_fiber_values(w, relations, power)
+    first, value = rows[0]
+    for flag, val in rows[1:]:
+        if val != value:
+            raise ArithmeticError(
+                "per-flag values differ: %s on flag %s vs %s on flag %s"
+                % (value, _flag_label(first), val, _flag_label(flag)))
+    return value
+
+
+def per_flag_fiber_values(w, relations, power=7):
+    """The 24 flag sums at ``power``, substituted.  The sums of the
+    relations' own system are reused when its weights and power are
+    these, so a solved weight vector costs no second power-7 pass."""
+    w = tuple(validate_weights(w))
     flags = enumerate_fixed_flags()
     system = relations.system
     if system is not None and (system.w, system.power) == (w, power):
         sums = system.flag_sums
     else:
         sums = [contribution_sum(f, w, power) for f in flags]
-    values = [relations.substitute(s) for s in sums]
-    for flag, val in zip(flags[1:], values[1:]):
-        if val != values[0]:
-            raise ArithmeticError(
-                "per-flag values differ: %s on flag %s vs %s on flag %s"
-                % (values[0], _flag_label(flags[0]), val, _flag_label(flag)))
-    return values[0]
+    return [(flag, relations.substitute(s)) for flag, s in zip(flags, sums)]
 
 
 def component_degree(w, power=13, relations=None, jobs=1):

@@ -17,8 +17,7 @@ import click
 from . import bottsum, extforms, relations, resolve
 from .fixlocus import build_catalog
 from .ratpoly import fraction_to_json
-from .torus import WeightError, enumerate_fixed_flags, format_weight, \
-    validate_weights
+from .torus import WeightError, format_weight, validate_weights
 
 
 def _parse_weights(ctx, param, value):
@@ -102,9 +101,7 @@ def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
         return
     solved = _solved(weights)
     if per_flag:
-        rows = [(flag, solved.substitute(
-            bottsum.contribution_sum(flag, weights, power)))
-            for flag in enumerate_fixed_flags()]
+        rows = bottsum.per_flag_fiber_values(weights, solved, power)
         doc = {"flags": [{"flag": list(flag),
                           "value": fraction_to_json(val)}
                          for flag, val in rows]}

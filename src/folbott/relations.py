@@ -5,9 +5,12 @@ the symbolic per-flag sums produces 23 linear equations in d1..d30.
 One exact elimination reduces them to a rank-18 echelon system:
 the rows are reduced modulo a 61-bit prime, lifted back to fractions by
 rational reconstruction and certified with integer arithmetic, and a
-failed lift or check brings in the next prime.  Substituting the
-system back into any per-flag sum collapses the unknowns and leaves
-the numeric fiber degree.
+failed lift or check brings in the next prime.  The equations go in
+as TwistLinear's integer rows.  Substituting the system into any
+per-flag sum collapses the unknowns and leaves the numeric fiber
+degree: with the echelon rows scaled once to an integer matrix over
+the lcm of their denominators, that is one integer dot product per
+free column.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
@@ -18,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import bottsum
-from .bottsum import NUM_SLOTS, TwistLinear
+from .bottsum import NUM_SLOTS, WIDTH, TwistLinear
 from .torus import enumerate_fixed_flags, validate_weights
 
 
@@ -28,24 +31,6 @@ class InconsistentSystem(ArithmeticError):
 
 class ResidualUnknowns(ArithmeticError):
     """Substitution left free unknowns that the relations cannot fix."""
-
-
-def _vector(tl):
-    """TwistLinear -> 31-wide row (d1..d30 coefficients, then constant)."""
-    row = [Fraction(0)] * (NUM_SLOTS + 1)
-    for slot, c in tl.coeffs.items():
-        row[NUM_SLOTS if slot == 0 else slot - 1] = c
-    return row
-
-
-def _to_linear(row):
-    coeffs = {}
-    for j, c in enumerate(row[:NUM_SLOTS]):
-        if c:
-            coeffs[j + 1] = c
-    if row[NUM_SLOTS]:
-        coeffs[0] = row[NUM_SLOTS]
-    return TwistLinear(coeffs)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -223,52 +208,52 @@ class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
     ``system`` is the RelationSystem it was solved from, if any."""
 
-    __slots__ = ("rows", "rank", "pivots", "assignments", "system")
+    __slots__ = ("rows", "rank", "pivots", "assignments", "system",
+                 "_denom", "_columns")
 
     def __init__(self, rows, system=None):
         self.rows = rows
         self.system = system
         self.rank = len(rows)
-        self.pivots = {}
-        self.assignments = {}
-        for row in rows:
-            col = next(j for j in range(NUM_SLOTS) if row[j] != 0)
-            slot = col + 1
-            expr = {}
-            for j in range(col + 1, NUM_SLOTS):
-                if row[j]:
-                    expr[j + 1] = -row[j]
-            if row[NUM_SLOTS]:
-                expr[0] = -row[NUM_SLOTS]
-            self.pivots[slot] = col
-            self.assignments[slot] = TwistLinear(expr)
-
-    def relations(self):
-        """The echelon rows as affine-linear forms equal to zero."""
-        return [_to_linear(row) for row in self.rows]
+        denom = lcm(*(c.denominator for row in rows for c in row))
+        scaled = [[c.numerator * (denom // c.denominator) for c in row]
+                  for row in rows]
+        cols = [next(j for j in range(NUM_SLOTS) if row[j])
+                for row in scaled]
+        self.pivots = {col + 1: col for col in cols}
+        self.assignments = {
+            col + 1: TwistLinear.from_row(
+                [0 if j == col else -c for j, c in enumerate(row)], denom)
+            for col, row in zip(cols, scaled)}
+        self._denom = denom
+        self._columns = tuple(
+            (j, tuple((col, row[j]) for col, row in zip(cols, scaled)
+                      if row[j]))
+            for j in range(WIDTH) if j not in cols)
 
     def reduce(self, tl):
-        """Substitute the pivot assignments, keeping free unknowns."""
-        acc = TwistLinear.constant(tl.constant_part())
-        for slot in sorted(tl.coeffs):
-            if slot == 0:
-                continue
-            c = tl.coeffs[slot]
-            if slot in self.assignments:
-                acc = acc + self.assignments[slot] * c
-            else:
-                acc = acc + TwistLinear.unknown(slot, c)
-        return acc
+        """Substitute the pivot assignments, keeping free unknowns.
+
+        With D the lcm of the rows' denominators, M = D*rows and c the
+        numerators of ``tl``, free column j of the result is
+        D*c_j - sum_k c_{pivot_k}*M[k][j] over D times the denominator
+        of ``tl``; the pivot columns become zero.
+        """
+        c, denom = tl.nums, self._denom
+        out = [0] * WIDTH
+        for j, terms in self._columns:
+            out[j] = denom * c[j] - sum(c[col] * m for col, m in terms)
+        return TwistLinear.from_row(out, denom * tl.den)
 
     def substitute(self, tl):
         """Collapse a linear form to its constant; the free-unknown
         coefficients must all cancel or ResidualUnknowns is raised."""
         acc = self.reduce(tl)
-        leftover = [s for s in acc.coeffs if s != 0]
+        leftover = [j + 1 for j in range(NUM_SLOTS) if acc.nums[j]]
         if leftover:
             raise ResidualUnknowns(
                 "unresolved twist unknowns: %s"
-                % ", ".join("d%d" % s for s in sorted(leftover)))
+                % ", ".join("d%d" % s for s in leftover))
         return acc.constant_part()
 
 
@@ -292,8 +277,7 @@ def solve_relations(system):
     RelationSystem stays on the result, so its flag sums can be reused."""
     kept = system if isinstance(system, RelationSystem) else None
     equations = system.equations if kept is not None else system
-    rows = [_vector(eq) for eq in equations]
-    return SolvedRelations(rref(rows), kept)
+    return SolvedRelations(rref([eq.nums for eq in equations]), kept)
 
 
 def _integer_row(row):
@@ -314,15 +298,13 @@ def integer_rows(solved):
 
 def relation_strings(solved):
     """The solved relations in printable form, constants last."""
-    return ["%s = 0" % _to_linear([Fraction(c) for c in row])
+    return ["%s = 0" % TwistLinear.from_row(row)
             for row in integer_rows(solved)]
 
 
 def row_space_equal(eqs_a, eqs_b):
     """Whether two sets of affine-linear equations span the same space."""
-    ra = rref([_vector(e) for e in eqs_a])
-    rb = rref([_vector(e) for e in eqs_b])
-    return ra == rb
+    return rref([e.nums for e in eqs_a]) == rref([e.nums for e in eqs_b])
 
 
 class NormalTwistReport:

@@ -7,12 +7,94 @@ eigenweight is evaluated record by record with Fraction dot products,
 and a line's residue is the h-coefficient of a first-order dual class
 carrying TwistLinear forms.  It shares nothing with the integer engine
 but the catalog records, so the tests compare the two.
+
+``FractionLinear`` is the plain {slot: Fraction} affine-linear form that
+TwistLinear's integer rows are checked against, and ``substitute_rows``
+substitutes reduced echelon rows into one the Fraction way.
 """
 
 from fractions import Fraction
 
 from folbott.bottsum import TwistLinear
 from folbott.torus import DivByZeroWeight
+
+NUM_SLOTS = 30
+
+
+class FractionLinear:
+    """Affine-linear form in d1..d30 as {slot: Fraction}, slot 0 the
+    constant, zero entries left out."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items()
+                       if v}
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionLinear({0: other})
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return FractionLinear(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionLinear({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionLinear({0: other})
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FractionLinear({k: v * other for k, v in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * (1 / Fraction(other))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionLinear({0: other})
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __str__(self):
+        """Unknowns by slot, then the constant: "2*d1 - d4 + 1/2"."""
+        out = ""
+        for slot in sorted(self.coeffs, key=lambda s: s or NUM_SLOTS + 1):
+            c = self.coeffs[slot]
+            if not slot:
+                piece = str(abs(c))
+            elif abs(c) == 1:
+                piece = "d%d" % slot
+            else:
+                piece = "%s*d%d" % (abs(c), slot)
+            if out:
+                out += (" - " if c < 0 else " + ") + piece
+            else:
+                out = "-" + piece if c < 0 else piece
+        return out or "0"
+
+
+def substitute_rows(rows, form):
+    """Substitute reduced echelon rows (31 Fractions each, the constant
+    last) into a FractionLinear, one pivot unknown at a time."""
+    out = dict(form.coeffs)
+    for row in rows:
+        col = next(j for j in range(NUM_SLOTS) if row[j])
+        c = out.pop(col + 1, 0)
+        for j, v in enumerate(row):
+            if j != col and v:
+                slot = j + 1 if j < NUM_SLOTS else 0
+                out[slot] = out.get(slot, 0) - c * v
+    return FractionLinear(out)
 
 
 def evaluate(ew, w):

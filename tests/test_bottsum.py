@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
 from folbott.fixlocus import build_catalog
 from folbott.relations import build_system, solve_relations
 from folbott.torus import DivByZeroWeight, WeightError, enumerate_fixed_flags
-from oracle import (DualClass, line_contribution, line_term, normal_values,
-                    point_contribution, point_term)
+from oracle import (DualClass, FractionLinear, line_contribution, line_term,
+                    normal_values, point_contribution, point_term)
 
 W0 = (0, 1, 5, 25)
 REF_FLAG = (0, 1, 2, 3)
@@ -52,6 +53,38 @@ def test_twist_linear_module_axioms(a, b, c):
     assert a * 0 == TwistLinear()
     if c:
         assert (a / c) * c == a
+
+
+rationals = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(Fraction, st.integers(-(1 << 80), 1 << 80),
+              st.integers(1, 1 << 80)))
+forms = st.dictionaries(st.integers(min_value=0, max_value=30), rationals,
+                        max_size=6)
+
+
+@settings(max_examples=150)
+@given(forms, forms, rationals, st.integers(-50, 50))
+def test_integer_rows_agree_with_the_fraction_reference(ca, cb, q, k):
+    a, b = TwistLinear(ca), TwistLinear(cb)
+    ra, rb = FractionLinear(ca), FractionLinear(cb)
+    assert a.coeffs == ra.coeffs
+    pairs = [(a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+             (a * k, ra * k), (k * a, k * ra), (a * q, ra * q),
+             (a + q, ra + q), (q + a, q + ra), (a - k, ra - k)]
+    if q:
+        pairs.append((a / q, ra / q))
+    if k:
+        pairs.append((a / k, ra / k))
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        assert str(got) == str(want)
+        assert hash(got) == hash(want)
+        assert got.den > 0
+        assert gcd(got.den, *got.nums) == 1
+    assert (a == b) == (ra == rb)
+    assert (a == q) == (ra == q)
+    assert TwistLinear.constant(q) == q
 
 
 def test_twist_linear_accessors():
@@ -195,6 +228,18 @@ def test_contribution_and_display_are_negatives():
     assert solved().substitute(raw) == 21
 
 
+@pytest.mark.parametrize("w", [W0, (3, -7, 11, 40)])
+def test_bott_sums_vanish_below_the_dimension(w):
+    # The global sum integrates over a 13-dimensional space and the
+    # fiber sum over a 7-dimensional one, so both vanish below that
+    # power; at 14 the global sum is linear in the weights.
+    rel = solve_relations(build_system(w))
+    assert [component_degree(w, p, rel) for p in range(13)] == [0] * 13
+    assert component_degree(w, 13, rel) == 168208
+    assert component_degree(w, 14, rel) == 2354912 * sum(w)
+    assert [fiber_degree(w, p, rel) for p in range(7)] == [0] * 7
+
+
 def test_rejects_resonant_weights():
     with pytest.raises(WeightError):
         fiber_degree((0, 1, 2, 3), 7, solved())
@@ -219,12 +264,15 @@ def test_integer_sum_matches_the_dual_class_route(w):
 def _with_zero_weight(catalog, record_id):
     """``catalog`` with the first tangent (or normal) weight of one
     record replaced by zero."""
-    def zeroed(records):
-        return tuple(
-            rec[:2] + (((0, 0, 0, 0),) + rec[2][1:],) + rec[3:]
-            if rec[0] == record_id else rec for rec in records)
+    weights, points, lines = catalog
+    zero = len(weights)
 
-    return lambda: tuple(zeroed(records) for records in catalog)
+    def zeroed(records):
+        return tuple(rec[:2] + ((zero,) + rec[2][1:],) + rec[3:]
+                     if rec[0] == record_id else rec for rec in records)
+
+    return lambda: (weights + ((0, 0, 0, 0),), zeroed(points),
+                    zeroed(lines))
 
 
 def test_zero_weights_name_their_record_and_flag(monkeypatch):

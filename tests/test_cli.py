@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from folbott import bottsum
 from folbott.cli import main
 
 EXPECTED_RELATIONS = [
@@ -53,6 +54,21 @@ def test_fiber_degree_per_flag():
     assert len(lines) == 24
     assert lines[0] == "flag 0,1,3,2: 21"
     assert all(line.endswith(": 21") for line in lines)
+
+
+def test_fiber_degree_per_flag_makes_one_power_7_pass(monkeypatch):
+    calls = []
+    engine = bottsum.contribution_sum
+
+    def counting(flag, w, power):
+        calls.append(power)
+        return engine(flag, w, power)
+
+    monkeypatch.setattr(bottsum, "contribution_sum", counting)
+    res = run("fiber-degree", "--per-flag")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "flag 3,2,0,1: 21"
+    assert calls == [7] * 24
 
 
 def test_fiber_degree_symbolic():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folbott.bottsum import TwistLinear, component_degree, fiber_degree
+from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
+                             fiber_degree)
 from folbott.relations import (InconsistentSystem, ResidualUnknowns,
                                build_system, integer_rows, normal_twist_check,
                                relation_strings, row_space_equal, rref,
                                solve_relations)
-from folbott.torus import WeightError, validate_weights
+from folbott.torus import WeightError, enumerate_fixed_flags, validate_weights
+from oracle import FractionLinear, substitute_rows
 
 W0 = (0, 1, 5, 25)
 W_WIDE = (67208900, -31429501, 99121929, -3756357)
@@ -182,6 +184,24 @@ def test_substitution_collapses_consequences():
     expr = _tl({1: 2, 2: 1, 4: 2})
     assert rel.substitute(expr) == -2
     assert rel.substitute(TwistLinear.constant(5)) == 5
+
+
+def test_reduce_of_the_flag_sums_equals_the_fraction_substitution():
+    rel = solved()
+    for flag in enumerate_fixed_flags():
+        for power in (7, 13):
+            form = contribution_sum(flag, W0, power)
+            oracle = substitute_rows(rel.rows, FractionLinear(form.coeffs))
+            assert rel.reduce(form).coeffs == oracle.coeffs, (flag, power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=30),
+                       st.fractions(max_denominator=1000), max_size=8))
+def test_reduce_equals_the_fraction_substitution(coeffs):
+    rel = solved()
+    oracle = substitute_rows(rel.rows, FractionLinear(coeffs))
+    assert rel.reduce(TwistLinear(coeffs)).coeffs == oracle.coeffs
 
 
 def test_free_unknowns_are_reported():
