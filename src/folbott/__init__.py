@@ -6,23 +6,11 @@ of degree-two plane fields on projective three-space: the catalog of
 fixed points and fixed lines, the linear relations among the thirty
 unknown twist degrees, the per-flag fiber value 21 and the global
 degree 168208.
+
+Importing the package loads no submodule and re-exports no names, so
+each ``folbott`` command compiles only the half it runs: Bott's formula
+(``torus``, ``tables``, ``fixlocus``, ``bottsum``, ``relations``) or the
+blowup charts (``ratpoly``, ``extforms``, ``tables``, ``resolve``).
 """
 
 __version__ = "0.1.0"
-
-from .torus import WeightError, DivByZeroWeight, validate_weights, \
-    enumerate_fixed_flags
-from .fixlocus import build_catalog
-from .bottsum import TwistLinear, fiber_degree, component_degree, \
-    three_planes_demo
-from .relations import build_system, solve_relations, \
-    normal_twist_check, InconsistentSystem, ResidualUnknowns
-
-__all__ = [
-    "WeightError", "DivByZeroWeight", "validate_weights",
-    "enumerate_fixed_flags", "build_catalog", "TwistLinear",
-    "fiber_degree", "component_degree",
-    "three_planes_demo", "build_system", "solve_relations",
-    "normal_twist_check", "InconsistentSystem", "ResidualUnknowns",
-    "__version__",
-]

@@ -9,18 +9,13 @@ Exit codes: 0 on success, 1 when a verification check fails, 2 on
 usage errors (including weight vectors with colliding partial sums).
 """
 
-import json
 import sys
 
 import click
 
-from . import bottsum, extforms, relations, resolve
-from .fixlocus import build_catalog
-from .ratpoly import fraction_to_json
-from .torus import WeightError, format_weight, validate_weights
-
 
 def _parse_weights(ctx, param, value):
+    from .torus import WeightError, validate_weights
     parts = value.split(",")
     if len(parts) != 4:
         raise click.UsageError(
@@ -56,8 +51,14 @@ def _jobs_option(func):
         help="Accepted for compatibility; has no effect.")(func)
 
 
+def fraction_to_json(q):
+    """An int or Fraction as {'num': ..., 'den': ...} with string fields."""
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
 def _emit(document, output):
     if output == "json":
+        import json
         click.echo(json.dumps(document, indent=2, sort_keys=True))
         return True
     return False
@@ -74,6 +75,7 @@ def _linear_document(tl):
 
 
 def _solved(weights):
+    from . import relations
     return relations.solve_relations(relations.build_system(weights))
 
 
@@ -94,6 +96,7 @@ def main():
               help="Emit the linear form before relation substitution.")
 def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
     """Residue value over a single flag (the same for all of them)."""
+    from . import bottsum
     if symbolic_d:
         form = bottsum.display_sum((0, 1, 2, 3), weights, power)
         if not _emit(_linear_document(form), output):
@@ -133,6 +136,7 @@ def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
 def component_degree_cmd(weights, output, jobs, power, per_flag,
                          symbolic_d):
     """Global residue sum over all 24 flags."""
+    from . import bottsum
     if symbolic_d:
         form = -bottsum.component_degree(weights, power, None, jobs)
         if not _emit(_linear_document(form), output):
@@ -163,8 +167,8 @@ def component_degree_cmd(weights, output, jobs, power, per_flag,
 @_output_option
 def relations_cmd(weights, output):
     """Solve the flag-difference system for the twist unknowns."""
+    from . import relations
     solved = _solved(weights)
-    strings = relations.relation_strings(solved)
     if output == "json":
         rows = []
         for row in relations.integer_rows(solved):
@@ -176,7 +180,7 @@ def relations_cmd(weights, output):
             rows.append(entry)
         _emit({"rank": solved.rank, "relations": rows}, output)
         return
-    for line in strings:
+    for line in relations.relation_strings(solved):
         click.echo(line)
 
 
@@ -184,6 +188,8 @@ def relations_cmd(weights, output):
 @_output_option
 def tables_cmd(output):
     """Dump the fixed-point catalog of one flag."""
+    from .fixlocus import build_catalog
+    from .torus import format_weight
     catalog = build_catalog((0, 1, 2, 3))
     if output == "json":
         doc = {
@@ -231,19 +237,16 @@ def tables_cmd(output):
               help="Cross-check every published cell against the pipelines.")
 def resolve_cmd(chart_id, stage, check_tables):
     """Run the blowup pipelines and their division ledger."""
+    from . import resolve
     if check_tables:
         reports = resolve.check_tables()
-        bad = 0
-        for rep in reports:
-            click.echo("%s r%d: %s" % (rep.table, rep.row, rep.status))
-            if rep.status not in ("ok", "nd_zero", "documented_mismatch"):
-                bad += 1
         counts = {}
         for rep in reports:
+            click.echo("%s r%d: %s" % (rep.table, rep.row, rep.status))
             counts[rep.status] = counts.get(rep.status, 0) + 1
         click.echo("summary: " + ", ".join(
             "%s=%d" % (k, counts[k]) for k in sorted(counts)))
-        if bad:
+        if set(counts) - {"ok", "nd_zero", "documented_mismatch"}:
             sys.exit(1)
         return
     if chart_id is not None and chart_id not in resolve.CHARTS:
@@ -275,6 +278,7 @@ def resolve_cmd(chart_id, stage, check_tables):
 @_output_option
 def three_planes_cmd(output):
     """Toy residue sum whose total is the plain degree one."""
+    from . import bottsum
     rows = bottsum.three_planes_demo()
     doc = {label: fraction_to_json(val) for label, val in rows}
     if not _emit(doc, output):
@@ -285,6 +289,7 @@ def three_planes_cmd(output):
 @main.command("singular-locus")
 def singular_locus_cmd():
     """Verify the reference pair's form and its three singular curves."""
+    from . import extforms
     checks, ratio = extforms.sample_foliation_report()
     failed = 0
     for label, ok in checks:
@@ -304,6 +309,7 @@ def singular_locus_cmd():
               help="Dimension of the linear blowup center.")
 def normal_twist_cmd(output, n, m):
     """Pin the twist drops of a single linear-center blowup."""
+    from . import relations
     try:
         report = relations.normal_twist_check(n, m)
     except ValueError as err:

@@ -147,7 +147,7 @@ def _event_frame(key, memo):
         d = _w(row["eig"])
         if row["kind"] == "family":
             tangent = _line_normals(pframe.center, pframe.tangent, d)
-            tangent.append(EigenWeight.zero())
+            tangent.append(EigenWeight((0, 0, 0, 0)))
         else:
             tangent = tangent_split_blowup(pframe.center, pframe.tangent, d)
         nu = pframe.nu + d

@@ -585,12 +585,3 @@ def _parse_atom(toks):
         return Polynomial.variable(name)
     raise ValueError("unexpected character %r" % ch)
 
-
-def fraction_to_json(q):
-    """Serialize a Fraction as {'num': ..., 'den': ...} with string fields."""
-    q = _as_fraction(q)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def fraction_from_json(obj):
-    return Fraction(int(obj["num"]), int(obj["den"]))

@@ -68,7 +68,9 @@ def _primes():
 
 def _rref_mod(mat, p):
     """Gauss-Jordan over F_p on every column, the constant included:
-    the pivot columns and the reduced nonzero rows."""
+    the pivot columns and the reduced nonzero rows.  Rows not yet
+    pivoted are zero left of the pivot column, so a step rewrites the
+    columns from there on only."""
     rows = [r for r in ([c % p for c in row] for row in mat) if any(r)]
     pivots = []
     for col in range(len(mat[0])):
@@ -76,14 +78,15 @@ def _rref_mod(mat, p):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        inv = pow(rows[pivot][col], -1, p)
-        prow = [c * inv % p for c in rows[pivot]]
+        prow = rows[pivot]
+        inv = pow(prow[col], -1, p)
+        prow[col:] = tail = [c * inv % p for c in prow[col:]]
         rows[pivot] = rows[r]
         rows[r] = prow
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
-                rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
         pivots.append(col)
         if r + 1 == len(rows):
             break
@@ -117,10 +120,17 @@ def _lift(residues, m):
     one has none.  Zeros and ones, the pivots among them, lift as
     themselves."""
     bound = isqrt((m - 1) // 2)
-    lifted = [tuple(_ONE if u == 1 else _ZERO if u == 0 else
-                    _reconstruct(u, m, bound) for u in row)
-              for row in residues]
-    return None if any(None in row for row in lifted) else lifted
+    lifted = []
+    for row in residues:
+        out = []
+        for u in row:
+            q = (_ONE if u == 1 else _ZERO if u == 0 else
+                 _reconstruct(u, m, bound))
+            if q is None:
+                return None
+            out.append(q)
+        lifted.append(tuple(out))
+    return lifted
 
 
 def _certified(mat, rref_rows, pivots):

@@ -95,17 +95,23 @@ class EigenWeight:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls):
-        return cls((0, 0, 0, 0))
+    def _of(cls, coeffs):
+        """Wrap a 4-tuple of ints as it is, skipping __init__'s checks."""
+        ew = object.__new__(cls)
+        ew.coeffs = coeffs
+        return ew
 
     def __add__(self, other):
-        return EigenWeight(a + b for a, b in zip(self.coeffs, other.coeffs))
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.coeffs, other.coeffs
+        return EigenWeight._of((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
 
     def __sub__(self, other):
-        return EigenWeight(a - b for a, b in zip(self.coeffs, other.coeffs))
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.coeffs, other.coeffs
+        return EigenWeight._of((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
 
     def __neg__(self):
-        return EigenWeight(-c for c in self.coeffs)
+        a0, a1, a2, a3 = self.coeffs
+        return EigenWeight._of((-a0, -a1, -a2, -a3))
 
     def __eq__(self, other):
         if not isinstance(other, EigenWeight):
@@ -143,8 +149,6 @@ def parse_weight(text):
     """Inverse of format_weight for the fixture tables."""
     text = text.strip()
     coeffs = [0, 0, 0, 0]
-    if text == "1":
-        return EigenWeight(coeffs)
     if "/" in text:
         top, bottom = text.split("/", 1)
     else:
@@ -162,4 +166,4 @@ def parse_weight(text):
             if not name.startswith("x"):
                 raise ValueError("bad weight factor %r" % factor)
             coeffs[int(name[1:])] += sign * e
-    return EigenWeight(coeffs)
+    return EigenWeight._of(tuple(coeffs))

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+import folbott
 from folbott import bottsum
-from folbott.cli import main
+from folbott.cli import fraction_to_json, main
 
 EXPECTED_RELATIONS = [
     "2*d1 + d2 + 2*d4 + 2 = 0",
@@ -181,6 +188,16 @@ def test_resolve_check_tables():
     assert lines[-1] == "summary: documented_mismatch=1, nd_zero=7, ok=81"
 
 
+def test_resolve_check_tables_failure_exits_1(monkeypatch):
+    from folbott import resolve
+    bad = SimpleNamespace(table="cube-res", row=4, status="mismatch")
+    monkeypatch.setattr(resolve, "check_tables", lambda: [bad])
+    res = run("resolve", "--check-tables")
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["cube-res r4: mismatch",
+                                       "summary: mismatch=1"]
+
+
 def test_resolve_unknown_chart():
     res = run("resolve", "--chart", "bogus")
     assert res.exit_code == 2
@@ -254,3 +271,50 @@ def test_normal_twist_check_guard():
     res = run("normal-twist-check", "--N", "4", "--m", "0")
     assert res.exit_code == 2
     assert "need n >= 3 and 1 <= m <= n-2" in res.output
+
+
+def fraction_from_json(obj):
+    return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+def test_fraction_json_roundtrip():
+    q = Fraction(-355, 113)
+    blob = fraction_to_json(q)
+    assert blob == {"num": "-355", "den": "113"}
+    assert fraction_from_json(blob) == q
+
+
+# Runs in a fresh interpreter, because this one has imported every
+# module already: optionally one command, then the loaded folbott modules.
+_LOADED_MODULES = """
+import sys
+import folbott
+if sys.argv[1:]:
+    from click.testing import CliRunner
+    from folbott.cli import main
+    result = CliRunner().invoke(main, sys.argv[1:])
+    assert result.exit_code == 0, result.output
+print(" ".join(sorted(m for m in sys.modules if m.startswith("folbott."))))
+"""
+
+
+def _loaded_modules(*args):
+    src = str(Path(folbott.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", _LOADED_MODULES] + list(args),
+                         env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_commands_load_only_their_modules():
+    assert _loaded_modules() == set()
+    fiber = _loaded_modules("fiber-degree")
+    assert {"folbott.bottsum", "folbott.relations"} <= fiber
+    assert not fiber & {"folbott.ratpoly", "folbott.extforms",
+                        "folbott.resolve"}
+    pipelines = _loaded_modules("resolve")
+    assert "folbott.resolve" in pipelines
+    assert not pipelines & {"folbott.bottsum", "folbott.relations",
+                            "folbott.fixlocus", "folbott.torus"}

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from folbott.ratpoly import (MAX_DEGREE, VARIABLE_NAMES, NotDivisible,
-                             Polynomial, format_poly, fraction_from_json,
-                             fraction_to_json, parse_poly, substitute_all)
+                             Polynomial, format_poly, parse_poly,
+                             substitute_all)
 
 # Two coordinates, a chart parameter and a stage fiber coordinate, so
 # the packed exponent fields are far apart.
@@ -188,9 +188,3 @@ def test_proportional():
     assert p.proportional(parse_poly("x0 + x1")) is None
     assert Polynomial.zero().proportional(Polynomial.zero()) == 1
 
-
-def test_fraction_json_roundtrip():
-    q = Fraction(-355, 113)
-    blob = fraction_to_json(q)
-    assert blob == {"num": "-355", "den": "113"}
-    assert fraction_from_json(blob) == q

@@ -72,6 +72,25 @@ def test_eigenweight_addition_matches_evaluation(a, b):
     assert evaluate(-ea, w) == -evaluate(ea, w)
 
 
+def test_eigenweight_needs_four_coefficients():
+    with pytest.raises(ValueError, match="expected four coefficients"):
+        EigenWeight((1, 2, 3))
+    with pytest.raises(ValueError, match="expected four coefficients"):
+        EigenWeight((1, 2, 3, 4, 5))
+
+
+@settings(max_examples=60)
+@given(coeff_tuples(), coeff_tuples())
+def test_eigenweight_arithmetic_equals_the_constructor(a, b):
+    ea, eb = EigenWeight(a), EigenWeight(b)
+    for got, want in ((ea + eb, [x + y for x, y in zip(a, b)]),
+                      (ea - eb, [x - y for x, y in zip(a, b)]),
+                      (-ea, [-x for x in a])):
+        assert got == EigenWeight(want)
+        assert type(got.coeffs) is tuple
+    assert parse_weight(format_weight(ea)) == ea
+
+
 def test_weight_format_roundtrip():
     ew = EigenWeight((1, -2, 1, 0))
     assert format_weight(ew) == "x0*x2/x1^2"
