@@ -36,10 +36,10 @@ One weight vector costs one power-7 pass and one power-13 pass over
 the 24 flags: ``per_flag_fiber_values``, behind ``fiber_degree`` and
 ``fiber-degree --per-flag``, reuses the raw power-7 sums that
 ``relations.build_system`` keeps, when its weights and power match.
-``fiber_degree``, ``component_degree`` and ``per_flag_degrees`` accept
-a ``jobs`` argument and ignore it: the flag sums are pure-Python
-arithmetic, which threads do not speed up under the interpreter lock,
-so they always run serially.
+The flag sums always run serially: they are pure-Python arithmetic,
+which threads do not speed up under the interpreter lock.  Only
+``component_degree`` still takes a ``jobs`` argument, and ignores it,
+because the jobs probe of ``perfbench`` passes one.
 """
 
 from fractions import Fraction
@@ -275,16 +275,13 @@ def _global_summand(flag, w, power):
     return s / flag_tangent_product(flag, w)
 
 
-def fiber_degree(w, power=7, relations=None, jobs=1):
+def fiber_degree(w, power, relations):
     """Per-flag residue value, checked to agree across all 24 flags.
 
-    Without relations the symbolic sum on the identity flag is
-    returned in the published orientation.  With relations each flag's
-    sum collapses to a number and the common value comes back; a
-    disagreement (any power other than 7) raises ArithmeticError.
+    Each flag's sum collapses to a number under the solved relations
+    and the common value comes back; a disagreement (any power other
+    than 7) raises ArithmeticError.
     """
-    if relations is None:
-        return display_sum((0, 1, 2, 3), validate_weights(w), power)
     rows = per_flag_fiber_values(w, relations, power)
     first, value = rows[0]
     for flag, val in rows[1:]:
@@ -302,7 +299,7 @@ def per_flag_fiber_values(w, relations, power=7):
     w = tuple(validate_weights(w))
     flags = enumerate_fixed_flags()
     system = relations.system
-    if system is not None and (system.w, system.power) == (w, power):
+    if (system.w, system.power) == (w, power):
         sums = system.flag_sums
     else:
         sums = [contribution_sum(f, w, power) for f in flags]
@@ -321,7 +318,7 @@ def component_degree(w, power=13, relations=None, jobs=1):
     return relations.substitute(total)
 
 
-def per_flag_degrees(w, relations, jobs=1, power=13):
+def per_flag_degrees(w, relations, power=13):
     """The 24 flag summands of the global degree, substituted."""
     w = tuple(validate_weights(w))
     return [(flag, relations.substitute(_global_summand(flag, w, power)))

@@ -113,7 +113,7 @@ def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
                 click.echo("flag %s: %s" % (",".join(map(str, flag)), val))
         return
     try:
-        value = bottsum.fiber_degree(weights, power, solved, jobs)
+        value = bottsum.fiber_degree(weights, power, solved)
     except ArithmeticError as err:
         click.echo("verification mismatch: %s" % err)
         sys.exit(1)
@@ -138,13 +138,13 @@ def component_degree_cmd(weights, output, jobs, power, per_flag,
     """Global residue sum over all 24 flags."""
     from . import bottsum
     if symbolic_d:
-        form = -bottsum.component_degree(weights, power, None, jobs)
+        form = -bottsum.component_degree(weights, power)
         if not _emit(_linear_document(form), output):
             click.echo(str(form))
         return
     solved = _solved(weights)
     if per_flag:
-        rows = bottsum.per_flag_degrees(weights, solved, jobs, power)
+        rows = bottsum.per_flag_degrees(weights, solved, power)
         total = sum(val for _, val in rows)
         doc = {"flags": [{"flag": list(flag),
                           "value": fraction_to_json(val)}
@@ -155,7 +155,7 @@ def component_degree_cmd(weights, output, jobs, power, per_flag,
                 click.echo("flag %s: %s" % (",".join(map(str, flag)), val))
             click.echo("total: %s" % total)
         return
-    value = bottsum.component_degree(weights, power, solved, jobs)
+    value = bottsum.component_degree(weights, power, solved)
     if not _emit({"component_degree": fraction_to_json(value),
                   "power": power,
                   "weights": list(weights)}, output):

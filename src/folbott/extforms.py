@@ -5,7 +5,7 @@ dx0..dx3.  Coefficients may involve fiber parameters as well as the
 coordinates; only x0..x3 are differentiated.
 
 The central construction is ``build_omega``: for a cubic f and a quadric
-g it forms 3*f*dg - 2*g*df and removes one coordinate factor exactly.
+g it forms 3*f*dg - 2*g*df and removes the factor x0 exactly.
 The result is projective (contracts to zero against the Euler field) and
 integrable (the Frobenius wedge vanishes), and both properties are cheap
 to assert, so the blowup pipelines re-check them after every step.
@@ -28,10 +28,6 @@ class OneForm:
         if len(comps) != 4:
             raise ValueError("a one-form needs exactly four components")
         self.comps = comps
-
-    @classmethod
-    def zero(cls):
-        return cls((Polynomial.zero(),) * 4)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
@@ -111,16 +107,17 @@ def differential(poly):
     return OneForm(poly.partial(name) for name in COORDS)
 
 
-def build_omega(f, g, coord="x0"):
+def build_omega(f, g):
     """Generator form attached to a cubic/quadric pair.
 
-    Computes 3*f*dg - 2*g*df, then strips one factor of ``coord``
-    exactly.  Raises NotDivisible if the strip fails, which flags a pair
-    that does not actually produce a projective form along this chart.
+    Computes 3*f*dg - 2*g*df, then strips one factor of x0 exactly, as
+    the paper's omega does.  Raises NotDivisible if the strip fails,
+    which flags a pair that does not actually produce a projective form
+    along this chart.
     """
     raw = 3 * f * differential(g) - 2 * g * differential(f)
-    divisor = Polynomial.variable(coord)
-    return raw.exact_divide(divisor, context=("initial", coord))
+    return raw.exact_divide(Polynomial.variable("x0"),
+                            context=("initial", "x0"))
 
 
 def integrability_defect(form):
@@ -145,12 +142,6 @@ def integrability_defect(form):
 
 def is_integrable(form):
     return all(b.is_zero() for b in integrability_defect(form))
-
-
-def singular_locus_coeffs(form):
-    """The four coefficient polynomials whose common zeros are the
-    singular set of the form."""
-    return list(form.comps)
 
 
 def vanishes_on(form, parametrization):
@@ -238,7 +229,7 @@ def sample_foliation_report():
     """
     f = parse_poly(SAMPLE_CUBIC)
     g = parse_poly(SAMPLE_QUADRIC)
-    form = build_omega(f, g, "x0")
+    form = build_omega(f, g)
     printed = parse_form(SAMPLE_FORM)
     ratio = form.proportional(printed)
     checks = [("matches printed expansion", ratio is not None and ratio != 0)]

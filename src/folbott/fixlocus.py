@@ -19,8 +19,10 @@ blowing up is produced by one split rule throughout, so the printed
 decompositions act as assertions over those rows rather than as inputs.
 """
 
-from .tables import (A_BASE, A_EXTRA, B_MONOS, BASE_CELLS, EVENT_ORDER,
-                     EXCEPTIONAL, LINE_SLOTS)
+from collections import Counter
+
+from .tables import (B_MONOS, BASE_CELLS, EVENT_ORDER, EXCEPTIONAL,
+                     LINE_SLOTS, base_cubics, base_pair)
 from .torus import EigenWeight, parse_weight
 
 
@@ -28,14 +30,16 @@ class DirectionNotInNormal(ValueError):
     """Asked to split along a direction absent from the normal frame."""
 
 
-def tangent_split_blowup(center, tangent, direction):
+def tangent_split_blowup(center, tangent, direction, times=1):
     """Tangent frame at the fixed point over ``direction`` after blowup.
 
     ``center`` lists the tangent directions of the blowup center (a
     sub-multiset of ``tangent``); ``direction`` picks the normal
-    eigenvector the new point sits over.  The child frame keeps the
-    center directions and the chosen direction, and twists every other
-    normal direction by -direction.
+    eigenvector the new point sits over, and leaves the normal frame
+    ``times`` times: twice for a fixed line, whose direction is
+    doubled.  The child frame keeps the center directions and the
+    chosen direction, and twists every other normal direction by
+    -direction; for a fixed line that is its normal decomposition.
     """
     residual = list(tangent)
     for c in center:
@@ -44,25 +48,13 @@ def tangent_split_blowup(center, tangent, direction):
         except ValueError:
             raise DirectionNotInNormal(
                 "center direction %s missing from tangent frame" % c)
-    try:
-        residual.remove(direction)
-    except ValueError:
-        raise DirectionNotInNormal(
-            "direction %s is not a normal direction" % direction)
-    return list(center) + [direction] + [n - direction for n in residual]
-
-
-def _line_normals(center, tangent, direction):
-    """Normal decomposition of the fixed line over a doubled direction."""
-    residual = list(tangent)
-    for c in center:
-        residual.remove(c)
-    for _ in range(2):
+    for _ in range(times):
         try:
             residual.remove(direction)
         except ValueError:
             raise DirectionNotInNormal(
-                "family direction %s is not doubled" % direction)
+                "direction %s is not %s normal direction"
+                % (direction, "a" if times == 1 else "a doubled"))
     return list(center) + [direction] + [n - direction for n in residual]
 
 
@@ -70,68 +62,30 @@ def _line_normals(center, tangent, direction):
 # Base layer
 # ---------------------------------------------------------------------------
 
-def _w(text):
-    return parse_weight(text)
+def base_frame(row):
+    """(tangent eigenweights, fiber eigenweight) of base row ``row``.
 
-
-def _cubics_for(k):
-    return list(A_BASE) + [A_EXTRA[k]]
-
-
-def base_anchor(row):
-    """Anchor of base table row ``row`` (see tables.BASE_CELLS)."""
-    j, i = divmod(row, 5)
-    return (j + 1, i) if j < 3 else (0, j - 2, i)
-
-
-def base_anchor_frame(anchor):
-    """(tangent eigenweights, fiber eigenweight) of a base anchor.
-
-    ``anchor`` is (k, i) for the plain pairs with quadric B_MONOS[k],
-    or (0, k, i) for pairs over the degenerate quadric x0^2 labeled by
-    partner quadric B_MONOS[k].  Works for the event anchors too.
+    The row pairs quadric q with cubic i of partner k (tables.base_pair).
+    The quadric's directions lead, the partner's first when the quadric
+    is the degenerate x0^2; the cubic's four directions follow.
     """
-    x0 = _w("x0")
-    bw = [_w(m) for m in B_MONOS]
-    if len(anchor) == 2:
-        k, i = anchor
-        fs = _cubics_for(k)
-        fw = [_w(m) for m in fs]
-        tb = [bw[j] - bw[k] for j in range(4) if j != k]
-        ta = [fw[j] - fw[i] for j in range(5) if j != i]
-        nu = bw[k] + fw[i] - x0
-        return tb + ta, nu
-    _, k, i = anchor
-    fs = _cubics_for(k)
-    fw = [_w(m) for m in fs]
-    tb = [bw[k] - bw[0]]
-    tb += [bw[j] - bw[k] for j in range(4) if j not in (0, k)]
+    q, k, i = base_pair(row)
+    bw = [parse_weight(m) for m in B_MONOS]
+    fw = [parse_weight(m) for m in base_cubics(k)]
+    tb = [bw[k] - bw[0]] if q != k else []
+    tb += [bw[j] - bw[k] for j in range(4) if j not in (q, k)]
     ta = [fw[j] - fw[i] for j in range(5) if j != i]
-    nu = bw[0] + fw[i] - x0
-    return tb + ta, nu
+    return tb + ta, bw[q] + fw[i] - parse_weight("x0")
 
 
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
 
-class _EventFrame:
-    def __init__(self, center, tangent, nu):
-        self.center = center
-        self.tangent = tangent
-        self.nu = nu
-
-    def normal(self):
-        residual = list(self.tangent)
-        for c in self.center:
-            residual.remove(c)
-        return residual
-
-
 def _event_frame(key, memo):
-    """Frame of an event's center, from the row its parent names.
+    """(center, tangent, nu) of an event, from the row its parent names.
 
-    A not-defined base cell gives the anchor frame; an "nd" row gives
+    A not-defined base cell gives the base frame; an "nd" row gives
     the split frame over its direction; a "family" row gives the fixed
     line's normals plus the zero weight along the line.
     """
@@ -140,18 +94,18 @@ def _event_frame(key, memo):
     ev = EXCEPTIONAL[key]
     ptable, prow = ev["parent"]
     if ptable == "base":
-        tangent, nu = base_anchor_frame(base_anchor(prow))
+        tangent, nu = base_frame(prow)
     else:
-        pframe = _event_frame(ptable, memo)
+        pcenter, ptangent, pnu = _event_frame(ptable, memo)
         row = EXCEPTIONAL[ptable]["rows"][prow]
-        d = _w(row["eig"])
-        if row["kind"] == "family":
-            tangent = _line_normals(pframe.center, pframe.tangent, d)
+        d = parse_weight(row["eig"])
+        family = row["kind"] == "family"
+        tangent = tangent_split_blowup(pcenter, ptangent, d,
+                                       times=2 if family else 1)
+        if family:
             tangent.append(EigenWeight((0, 0, 0, 0)))
-        else:
-            tangent = tangent_split_blowup(pframe.center, pframe.tangent, d)
-        nu = pframe.nu + d
-    frame = _EventFrame([_w(c) for c in ev["center"]], tangent, nu)
+        nu = pnu + d
+    frame = ([parse_weight(c) for c in ev["center"]], tangent, nu)
     memo[key] = frame
     return frame
 
@@ -160,26 +114,19 @@ def validate_events():
     """Structural sanity of the event fixtures.
 
     For each event, the row directions (markers contributing a zero
-    weight, family directions doubled) must reproduce the normal frame
-    of the center as a multiset, and the center must embed in the
-    parent tangent frame.  Raises AssertionError on any defect.
+    weight, family directions doubled) together with the center must
+    give the tangent frame as a multiset: the center embeds in the
+    tangent frame and the rows tile its normal frame.  Raises
+    AssertionError on any defect.
     """
     memo = {}
     for key in EVENT_ORDER:
-        frame = _event_frame(key, memo)
-        normal = frame.normal()
-        claimed = []
+        center, tangent, _ = _event_frame(key, memo)
+        claimed = Counter(center)
         for row in EXCEPTIONAL[key]["rows"]:
-            w = _w(row["eig"])
-            claimed.append(w)
-            if row["kind"] == "family":
-                claimed.append(w)
-        def _multiset(ws):
-            out = {}
-            for x in ws:
-                out[x.coeffs] = out.get(x.coeffs, 0) + 1
-            return out
-        if _multiset(claimed) != _multiset(normal):
+            claimed[parse_weight(row["eig"])] += \
+                2 if row["kind"] == "family" else 1
+        if claimed != Counter(tangent):
             raise AssertionError(
                 "event %s rows do not tile the normal frame" % key)
 
@@ -238,29 +185,27 @@ def build_catalog(flag):
     for row, cell in enumerate(BASE_CELLS):
         if cell is None:
             continue  # an event anchor, replaced by its event's rows
-        tangent, nu = base_anchor_frame(base_anchor(row))
+        tangent, nu = base_frame(row)
         points.append(FixedPointRecord(
             "base/r%02d" % row, "base", row, nu, tangent, flag))
     markers = []
     lines = []
     for key in EVENT_ORDER:
-        frame = _event_frame(key, memo)
+        center, tangent, nu = _event_frame(key, memo)
         ptable, prow = EXCEPTIONAL[key]["parent"]
         line_end = None if ptable == "base" \
             else EXCEPTIONAL[ptable]["rows"][prow].get("line")
         for ri, row in enumerate(EXCEPTIONAL[key]["rows"]):
             kind = row["kind"]
-            dw = _w(row["eig"])
+            dw = parse_weight(row["eig"])
             if kind == "iso":
-                tangent = tangent_split_blowup(
-                    frame.center, frame.tangent, dw)
                 points.append(FixedPointRecord(
-                    "%s/r%d" % (key, ri), key, ri,
-                    frame.nu + dw, tangent, flag))
+                    "%s/r%d" % (key, ri), key, ri, nu + dw,
+                    tangent_split_blowup(center, tangent, dw), flag))
             elif kind == "family":
-                normals = _line_normals(frame.center, frame.tangent, dw)
                 lines.append(FixedLineRecord(
-                    row["line"], key, ri, frame.nu + dw, normals,
+                    row["line"], key, ri, nu + dw,
+                    tangent_split_blowup(center, tangent, dw, times=2),
                     LINE_SLOTS[row["line"]], flag))
             elif kind == "marker":
                 if line_end is None:

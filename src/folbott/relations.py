@@ -216,12 +216,12 @@ class RelationSystem:
 
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
-    ``system`` is the RelationSystem it was solved from, if any."""
+    ``system`` is the RelationSystem it was solved from."""
 
     __slots__ = ("rows", "rank", "pivots", "assignments", "system",
                  "_denom", "_columns")
 
-    def __init__(self, rows, system=None):
+    def __init__(self, rows, system):
         self.rows = rows
         self.system = system
         self.rank = len(rows)
@@ -283,11 +283,11 @@ def build_system(w):
 
 
 def solve_relations(system):
-    """Exact elimination of the flag-difference equations.  A
-    RelationSystem stays on the result, so its flag sums can be reused."""
-    kept = system if isinstance(system, RelationSystem) else None
-    equations = system.equations if kept is not None else system
-    return SolvedRelations(rref([eq.nums for eq in equations]), kept)
+    """Exact elimination of a RelationSystem's flag-difference
+    equations.  The system stays on the result, so its flag sums can be
+    reused."""
+    return SolvedRelations(rref([eq.nums for eq in system.equations]),
+                           system)
 
 
 def _integer_row(row):

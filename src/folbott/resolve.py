@@ -21,18 +21,17 @@ recipe: every stage-new variable is set to zero (except a family
 partner kept symbolic), surviving older variables keep their propagated
 anchor values, and the chart coordinate var_c anchors to its own
 template offset evaluated at the current anchors.  The rows and their
-printed cells are read from ``tables``; all comparisons with a printed
-cell are up to a nonzero rational scalar.
+printed cells are read from ``tables``.  ``check_tables`` decides the
+status of every printed cell, base or exceptional, by one rule, and
+all its comparisons are up to a nonzero rational scalar.
 """
 
 from fractions import Fraction
 
 from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, NotDivisible
-from .extforms import OneForm, build_omega, parse_form
-from .tables import (A_BASE, A_EXTRA, B_MONOS, BASE_CELLS,
-                     DOCUMENTED_MISMATCHES, EXCEPTIONAL)
-
-COORDS = ("x0", "x1", "x2", "x3")
+from .extforms import COORDS, build_omega, parse_form
+from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
+                     EXCEPTIONAL, base_cubics, base_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,6 @@ class ChartRun:
         self.chart_id = chart_id
         self.states = states
         self.ledger = ledger
-        self.chart = CHARTS[chart_id]
 
 
 class StructureError(AssertionError):
@@ -387,7 +385,7 @@ def run_chart(chart_id):
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
     g = parse_poly(chart["g"])
-    form = build_omega(f, g, "x0")
+    form = build_omega(f, g)
     anchors = {p: Fraction(0) for p in chart["params"]}
     states = {(0, 0): ChartState(form, anchors)}
     ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0", True)]
@@ -439,108 +437,78 @@ def _point_evaluation(state, symbolic=()):
 def evaluate_fixed(table_key, row_index):
     """Evaluate one exceptional-table row through its pipeline.
 
-    Isolated, marker and not-defined rows give a single form (the
-    latter must come out zero).  Family rows give a pair of forms, one
-    per chart, each keeping the opposite fiber coordinate symbolic.
+    Returns (form, partner) pairs.  A family row gives one pair per
+    chart of its fixed line: the form keeps the other chart's fiber
+    coordinate symbolic, and the partner is this chart's own fiber
+    coordinate, which the chart lacks and the printed cell sets to 1.
+    Every other row gives one pair with partner None.
     """
     chart_id, stage_index = TABLE_STAGE[table_key]
-    run = get_run(chart_id)
-    stage = CHARTS[chart_id]["stages"][stage_index - 1]
+    states = get_run(chart_id).states
+    new = CHARTS[chart_id]["stages"][stage_index - 1]["new"]
     row = EXCEPTIONAL[table_key]["rows"][row_index]
-    chart = row["chart"]
-    if row["kind"] == "family":
-        c1, c2 = chart
-        f1 = _point_evaluation(run.states[(stage_index, c1)],
-                               symbolic=(stage["new"][c2],))
-        f2 = _point_evaluation(run.states[(stage_index, c2)],
-                               symbolic=(stage["new"][c1],))
-        return (f1, f2)
-    return _point_evaluation(run.states[(stage_index, chart)])
+    if row["kind"] != "family":
+        return [(_point_evaluation(states[(stage_index, row["chart"])]),
+                 None)]
+    c1, c2 = row["chart"]
+    return [(_point_evaluation(states[(stage_index, c)],
+                               symbolic=(new[other],)), new[c])
+            for c, other in ((c1, c2), (c2, c1))]
 
 
 class CellReport:
-    def __init__(self, table, row, status, ratio=None):
+    def __init__(self, table, row, status):
         self.table = table
         self.row = row
         self.status = status
-        self.ratio = ratio
 
     def __repr__(self):
         return "CellReport(%r, %d, %r)" % (self.table, self.row, self.status)
 
 
-def _check_base_rows():
-    out = []
-    for j in range(6):
-        k = j % 3 + 1
-        g = parse_poly(B_MONOS[k] if j < 3 else B_MONOS[0])
-        for i, f_text in enumerate(A_BASE + (A_EXTRA[k],)):
-            row_index = 5 * j + i
-            cell = BASE_CELLS[row_index]
-            form = build_omega(parse_poly(f_text), g, "x0")
-            if cell is None:
-                status = "nd_zero" if form.is_zero() else "mismatch"
-                out.append(CellReport("base", row_index, status))
-            else:
-                ratio = form.proportional(parse_form(cell))
-                status = "ok" if ratio is not None else "mismatch"
-                out.append(CellReport("base", row_index, status, ratio))
-    return out
+def _status(key, row, computed, cell):
+    """Status of one printed cell against its computed (form, partner)
+    pairs; see ``check_tables``."""
+    if cell is None:
+        zero = all(form.is_zero() for form, _ in computed)
+        return "nd_zero" if zero else "mismatch"
 
+    def matches(text):
+        printed = parse_form(text)
+        return all(form.proportional(
+            printed if partner is None else printed.substitute({partner: 1}))
+            is not None for form, partner in computed)
 
-def _check_staged_table(table_key):
-    out = []
-    chart_id, stage_index = TABLE_STAGE[table_key]
-    stage = CHARTS[chart_id]["stages"][stage_index - 1]
-    for ri, row in enumerate(EXCEPTIONAL[table_key]["rows"]):
-        computed = evaluate_fixed(table_key, ri)
-        if row["kind"] == "nd":
-            status = "nd_zero" if computed.is_zero() else "mismatch"
-            out.append(CellReport(table_key, ri, status))
-            continue
-        if row["kind"] == "family":
-            c1, c2 = row["chart"]
-            printed = parse_form(row["cell"])
-            ok = True
-            ratio = None
-            for form, on_chart, partner in (
-                    (computed[0], c1, stage["new"][c1]),
-                    (computed[1], c2, stage["new"][c2])):
-                fixed = printed.substitute({partner: 1})
-                r = form.proportional(fixed)
-                if r is None:
-                    ok = False
-                else:
-                    ratio = r
-            out.append(CellReport(table_key, ri,
-                                  "ok" if ok else "mismatch", ratio))
-            continue
-        printed = parse_form(row["cell"])
-        ratio = computed.proportional(printed)
-        if ratio is not None:
-            out.append(CellReport(table_key, ri, "ok", ratio))
-            continue
-        corrected = DOCUMENTED_MISMATCHES.get((table_key, ri))
-        if corrected is not None:
-            r2 = computed.proportional(parse_form(corrected))
-            status = "documented_mismatch" if r2 is not None else "mismatch"
-            out.append(CellReport(table_key, ri, status, r2))
-        else:
-            out.append(CellReport(table_key, ri, "mismatch"))
-    return out
+    if matches(cell):
+        return "ok"
+    correction = DOCUMENTED_MISMATCHES.get((key, row))
+    if correction is not None and matches(correction):
+        return "documented_mismatch"
+    return "mismatch"
 
 
 def check_tables():
     """Compare every published cell against the pipelines.
 
-    Returns CellReports in table order.  Statuses: ok (proportional),
-    nd_zero (printed as not defined, computed zero), documented_mismatch
-    (the known misprint, proportional to its correction), mismatch
-    (anything else; should never happen).
+    A base row's form is the generator form of its quadric/cubic pair;
+    an exceptional row's comes from ``evaluate_fixed``.  One rule then
+    decides every cell, in table order: nd_zero when the cell is
+    printed as not defined and every form is zero; ok when every form
+    is proportional to the printed cell, with the partner set to 1;
+    documented_mismatch when that holds for the cell's correction (the
+    known misprint) instead; mismatch otherwise (should never happen).
     """
-    reports = _check_base_rows()
-    for key in EXCEPTIONAL:
-        reports.extend(_check_staged_table(key))
+    reports = []
+    quadrics = [parse_poly(m) for m in B_MONOS]
+    for row, cell in enumerate(BASE_CELLS):
+        q, k, i = base_pair(row)
+        form = build_omega(parse_poly(base_cubics(k)[i]), quadrics[q])
+        reports.append(CellReport(
+            "base", row, _status("base", row, [(form, None)], cell)))
+    for key, table in EXCEPTIONAL.items():
+        for ri, row in enumerate(table["rows"]):
+            reports.append(CellReport(key, ri, _status(
+                key, ri, evaluate_fixed(key, ri), row["cell"])))
     return reports
 
 
@@ -575,7 +543,7 @@ def no_indeterminacy_certificate(variant, locus=None):
     locus = dict(locus or {})
     f = parse_poly(recipe["f"]).substitute(locus)
     g = parse_poly(recipe["g"]).substitute(locus)
-    form = build_omega(f, g, "x0")
+    form = build_omega(f, g)
     fibers = [v for v in recipe["fiber"] if v not in locus]
     coeffs = []
     for comp in form.comps:

@@ -5,9 +5,11 @@ thirteen tables: the base pairs and twelve exceptional tables, one per
 blowup event.  The fixed-point catalog (``fixlocus``) reads each row's
 eigenweight and kind; the blowup pipelines (``resolve``) read its chart
 and printed generator cell.  Everything else either module needs is
-derived from these literals.  Cells are kept as unparsed text and
-stored exactly as printed; the one known misprint is listed in
-DOCUMENTED_MISMATCHES together with its correction.
+derived from these literals; the rule that pairs a base row with its
+quadric and cubic (``base_pair``) is written here once.  Cells are
+kept as unparsed text and stored exactly as printed; the one known
+misprint is listed in DOCUMENTED_MISMATCHES together with its
+correction.
 """
 
 # ---------------------------------------------------------------------------
@@ -18,12 +20,28 @@ B_MONOS = ("x0^2", "x0*x1", "x0*x2", "x1^2")
 A_BASE = ("x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3")
 A_EXTRA = {1: "x0*x1^2", 2: "x0*x1*x2", 3: "x1^3"}
 
-# Six groups of five rows; row 5*j + i pairs a quadric with cubic i of
-# A_BASE + (A_EXTRA[k],), where k = j % 3 + 1.  Groups 0-2 take the
-# quadric B_MONOS[k]; groups 3-5 sit over the degenerate quadric x0^2
-# and are labeled by the partner B_MONOS[k].  None marks a cell printed
-# as not defined: its pair must give the zero form, and a blowup event
-# replaces it in the catalog.
+
+def base_cubics(k):
+    """The five cubics paired with quadric partner B_MONOS[k]."""
+    return A_BASE + (A_EXTRA[k],)
+
+
+def base_pair(row):
+    """(quadric index q, partner k, cubic index i) of base row ``row``.
+
+    Six groups of five rows: row 5*j + i pairs the quadric B_MONOS[q]
+    with cubic i of base_cubics(k), where k = j % 3 + 1.  Groups 0-2
+    take q = k; groups 3-5 sit over the degenerate quadric x0^2 (q = 0)
+    and are labeled by the partner B_MONOS[k].
+    """
+    j, i = divmod(row, 5)
+    k = j % 3 + 1
+    return (k if j < 3 else 0), k, i
+
+
+# The printed cells, in the order of base_pair.  None marks a cell
+# printed as not defined: its pair must give the zero form, and a
+# blowup event replaces it in the catalog.
 BASE_CELLS = (
     # rows 0-4: quadric x0*x1
     "x0^2*x1*dx0 - x0^3*dx1",

@@ -4,8 +4,7 @@ The diagonal torus acts on projective three-space with integer weights
 (w0, w1, w2, w3).  Localization needs those weights generic enough that
 no two monomials of the same degree (up to three) share a weight; the
 validator below enforces exactly that.  Fixed flags are the 24 full
-coordinate flags, listed in a specific deterministic order so that
-parallel runs fold results identically.
+coordinate flags, listed in one fixed order.
 """
 
 from itertools import combinations_with_replacement
@@ -51,16 +50,13 @@ def validate_weights(w):
     return w
 
 
-def enumerate_fixed_flags(w=None):
+def enumerate_fixed_flags():
     """The 24 torus-fixed coordinate flags point-in-plane-in-space.
 
     Order is deterministic: outer index runs over the flag's point
     coordinate, the remaining coordinates are taken in descending order
-    and unfolded in a fixed interleave.  If a weight vector is supplied
-    it is validated first.
+    and unfolded in a fixed interleave.
     """
-    if w is not None:
-        validate_weights(w)
     flags = []
     for a in range(4):
         rem = sorted((i for i in range(4) if i != a), reverse=True)

@@ -1,19 +1,18 @@
 from hypothesis import given, settings, strategies as st
 
 from folbott.extforms import (build_omega, is_integrable, parse_form,
-                              sample_foliation_report, singular_locus_coeffs,
-                              vanishes_on, OneForm)
+                              sample_foliation_report, vanishes_on)
 from folbott.ratpoly import Polynomial, parse_poly
 
 
 def test_known_pair_gives_printed_form():
-    form = build_omega(parse_poly("x0^2*x2"), parse_poly("x0*x1"), "x0")
+    form = build_omega(parse_poly("x0^2*x2"), parse_poly("x0*x1"))
     assert form == parse_form(
         "-x0*x1*x2*dx0 + 3*x0^2*x2*dx1 - 2*x0^2*x1*dx2")
 
 
 def test_degenerate_pair_gives_zero():
-    form = build_omega(parse_poly("x0^3"), parse_poly("x0^2"), "x0")
+    form = build_omega(parse_poly("x0^3"), parse_poly("x0^2"))
     assert form.is_zero()
 
 
@@ -38,15 +37,15 @@ def test_omega_is_projective_and_integrable(pair):
     """Monomial pairs through x0 stay divisible, Euler-orthogonal and
     Frobenius-integrable."""
     f, g = pair
-    form = build_omega(f, g, "x0")
+    form = build_omega(f, g)
     assert form.euler_pairing().is_zero()
     assert is_integrable(form)
 
 
 def test_omega_is_bilinear():
     f, g = parse_poly("x0^2*x3"), parse_poly("x0*x2")
-    lhs = build_omega(5 * f, -3 * g, "x0")
-    assert lhs == build_omega(f, g, "x0") * (-15)
+    lhs = build_omega(5 * f, -3 * g)
+    assert lhs == build_omega(f, g) * (-15)
 
 
 def test_reference_pair_full_report():
@@ -67,15 +66,12 @@ def test_parametrizations_lie_on_their_curves():
 
 def test_generic_line_is_not_in_the_singular_set():
     from folbott.extforms import SAMPLE_CUBIC, SAMPLE_QUADRIC
-    form = build_omega(parse_poly(SAMPLE_CUBIC), parse_poly(SAMPLE_QUADRIC),
-                       "x0")
+    form = build_omega(parse_poly(SAMPLE_CUBIC), parse_poly(SAMPLE_QUADRIC))
     generic = [parse_poly(t) for t in ("y0", "y1", "0", "0")]
     assert not vanishes_on(form, generic)
 
 
-def test_singular_locus_coeffs_are_the_components():
+def test_parse_form_reads_a_bare_differential():
     form = parse_form("dx0")
-    coeffs = singular_locus_coeffs(form)
-    assert coeffs[0] == Polynomial.constant(1)
-    assert all(c.is_zero() for c in coeffs[1:])
-    assert all(c.is_zero() for c in singular_locus_coeffs(OneForm.zero()))
+    assert form.comps[0] == Polynomial.constant(1)
+    assert all(c.is_zero() for c in form.comps[1:])

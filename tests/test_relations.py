@@ -214,7 +214,7 @@ def test_free_unknowns_are_reported():
 def test_contradictory_equations_are_refused():
     eqs = [_tl({1: 1, 0: 1}), _tl({1: 1, 0: 2})]
     with pytest.raises(InconsistentSystem):
-        solve_relations(eqs)
+        rref([eq.nums for eq in eqs])
 
 
 def _reference_rref(rows):

@@ -66,6 +66,76 @@ def test_cross_check_statuses():
     assert flagged == [("cube-res", 4)]
 
 
+def _set_base_cell(monkeypatch, row, cell):
+    cells = list(tables.BASE_CELLS)
+    cells[row] = cell
+    for module in (tables, resolve):
+        monkeypatch.setattr(module, "BASE_CELLS", tuple(cells))
+
+
+def _set_row_cell(monkeypatch, key, row, cell):
+    monkeypatch.setitem(tables.EXCEPTIONAL[key]["rows"][row], "cell", cell)
+
+
+@pytest.mark.parametrize("key,row,patch", [
+    ("base", 0, lambda mp: _set_base_cell(
+        mp, 0, "x0^2*x1*dx0 + x0^3*dx1")),
+    ("base", 1, lambda mp: _set_base_cell(mp, 1, None)),
+    ("cube", 0, lambda mp: _set_row_cell(
+        mp, "cube", 0, "x0*x1^2*dx0 + x0^2*x1*dx1")),
+    ("cube", 4, lambda mp: _set_row_cell(
+        mp, "cube", 4,
+        "(2*s5 - 3*s4)*x1^3*dx0 + (2*s5 - 3*s4)*x0*x1^2*dx1")),
+    # Right on chart 4 (s4 = 1), wrong on chart 5 (s5 = 1).
+    ("cube", 4, lambda mp: _set_row_cell(
+        mp, "cube", 4,
+        "(2*s5 - 2*s4 - 1)*x1^3*dx0 - (2*s5 - 2*s4 - 1)*x0*x1^2*dx1")),
+    ("cube-res", 4, lambda mp: mp.setitem(
+        tables.DOCUMENTED_MISMATCHES, ("cube-res", 4),
+        "x1*x2^2*dx0 + 2*x0*x2^2*dx1 + x0*x1*x2*dx2")),
+], ids=["base-row", "base-printed-none", "iso-row", "family-row",
+        "family-row-one-chart", "correction"])
+def test_a_wrong_printed_cell_is_a_mismatch(monkeypatch, key, row, patch):
+    """One wrong cell turns exactly its own row into a mismatch: a base
+    row, a base cell printed as not defined whose form is nonzero, an
+    isolated row, a family row (wrong on both charts or on one), and
+    the misprint's correction."""
+    patch(monkeypatch)
+    reports = resolve.check_tables()
+    assert [(r.table, r.row) for r in reports
+            if r.status == "mismatch"] == [(key, row)]
+    assert len(reports) == 89
+
+
+def test_cells_are_not_defined_exactly_on_nd_rows():
+    """The status rule reads a None cell as "not defined": None marks
+    exactly the nd rows, and the base None rows are the base parents of
+    the events."""
+    for key, table in tables.EXCEPTIONAL.items():
+        for ri, row in enumerate(table["rows"]):
+            assert (row["cell"] is None) == (row["kind"] == "nd"), (key, ri)
+    base_none = [r for r, cell in enumerate(tables.BASE_CELLS)
+                 if cell is None]
+    parents = sorted(row for table, row in
+                     (ev["parent"] for ev in tables.EXCEPTIONAL.values())
+                     if table == "base")
+    assert base_none == parents == [14, 15, 20, 25]
+
+
+def test_base_pair_follows_the_table_layout():
+    """Rows 0-14 pair the quadrics x0*x1, x0*x2 and x1^2 with their own
+    cubics; rows 15-29 sit over x0^2 and take the partner's cubics."""
+    layout = [("x0*x1", "x0*x1"), ("x0*x2", "x0*x2"), ("x1^2", "x1^2"),
+              ("x0^2", "x0*x1"), ("x0^2", "x0*x2"), ("x0^2", "x1^2")]
+    extra = {"x0*x1": "x0*x1^2", "x0*x2": "x0*x1*x2", "x1^2": "x1^3"}
+    for row in range(30):
+        q, k, i = tables.base_pair(row)
+        quadric, partner = layout[row // 5]
+        assert (tables.B_MONOS[q], tables.B_MONOS[k]) == (quadric, partner)
+        assert i == row % 5
+        assert tables.base_cubics(k) == tables.A_BASE + (extra[partner],)
+
+
 def test_documented_mismatch_has_a_correction():
     assert ("cube-res", 4) in resolve.DOCUMENTED_MISMATCHES
 
@@ -106,7 +176,7 @@ def test_catalog_fiber_weights_match_the_printed_cells():
 
 def test_chart_form_carries_the_expected_coupling():
     chart = resolve.CHARTS["b3=a6=1"]
-    form = build_omega(parse_poly(chart["f"]), parse_poly(chart["g"]), "x0")
+    form = build_omega(parse_poly(chart["f"]), parse_poly(chart["g"]))
     grouped = form.comps[0].coefficients_in(("x0", "x1", "x2", "x3"))
     cell = grouped[(2, 1, 0, 0)]
     sub = cell.coefficients_in(("a0", "a1", "b0", "b1"))
