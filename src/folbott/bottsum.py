@@ -9,7 +9,8 @@ slots) as indices into them.  On a flag each distinct weight is one int
 dot product with the local weight vector ``[w[i] for i in flag]``.
 
 A point contributes -nu^p / prod(t); the 72 of them are added as one
-integer fraction.  A line's residue is the h-coefficient of
+integer fraction, and points sharing a nu value share one numerator.
+A line's residue is the h-coefficient of
 -nu^p * prod(n_i + d_i h)^-1 with h*h = 0, where d1..d30 are the
 unknown twist degrees of the line normal bundles.  Since
 prod(n_i + d_i h) = N (1 + sum(d_i / n_i) h) with N = prod(n_i), that
@@ -24,6 +25,14 @@ route, a first-order dual class evaluated record by record with
 Fraction dot products, lives in ``tests/oracle.py`` as the independent
 check of this one, next to a {slot: Fraction} reference TwistLinear.
 
+Only nu^p and the fiber powers depend on the power p.  So
+``flag_residues(flag, w)`` computes the rest once, as a FlagResidues:
+the common denominator D of every point and line term, each nu value
+with its integer numerator over D, and each line's fiber value with
+one integer numerator over D per twist slot.  Its ``at(p)`` is the
+flag's sum at power p, a dozen powers and one integer row, and
+``contribution_sum(flag, w, p)`` is ``flag_residues(flag, w).at(p)``.
+
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
 gives the fiber degree and, with the extra flag-tangent factors at
@@ -32,12 +41,17 @@ orientation in which the reference coefficient freezes (the constant
 49642909/3974400 and the d1 coefficient -729/320 on the identity flag
 at weights (0, 1, 5, 25)) are stated.
 
-One weight vector costs one power-7 pass and one power-13 pass over
-the 24 flags: ``per_flag_fiber_values``, behind ``fiber_degree`` and
-``fiber-degree --per-flag``, reuses the raw power-7 sums that
-``relations.build_system`` keeps, when its weights and power match.
-The flag sums always run serially: they are pure-Python arithmetic,
-which threads do not speed up under the interpreter lock.  Only
+One weight vector costs one pass over the 24 flags, whatever the
+powers: ``relations.build_system`` keeps the 24 FlagResidues next to
+its power-7 sums.  ``per_flag_fiber_values``, behind ``fiber_degree``
+and ``fiber-degree --per-flag``, reuses those sums when its weights
+and power match, and ``component_degree``, ``per_flag_degrees`` and
+the fiber values at any other power read their sums off the kept
+FlagResidues when the weights match; only other weights cost a pass
+of their own.  ``component_degree`` adds its 24 summands over one
+common denominator, in one integer row.  The flag sums always run
+serially: they are pure-Python arithmetic, which threads do not speed
+up under the interpreter lock.  Only
 ``component_degree`` still takes a ``jobs`` argument, and ignores it,
 because the jobs probe of ``perfbench`` passes one.
 """
@@ -216,20 +230,55 @@ def _flag_label(flag):
     return ",".join(map(str, flag))
 
 
-def contribution_sum(flag, w, power):
-    """Raw residue sum over the catalog of one flag.
+class FlagResidues:
+    """One flag's residue sum with the power left open.
 
-    Each distinct weight is evaluated once; the point residues are
-    added as one integer fraction and the line residues written down in
-    closed form, and the result comes back as one integer row over the
-    lcm of their denominators.  See the module docstring.
+    Everything but the powers of the nu and fiber values is fixed once
+    the weights are: ``den`` is the lcm of every point's tangent
+    product and every line's denominator prod(n) * lcm(n), ``points``
+    holds (nu value, sum of den // prod(t) over the points with that
+    nu), and ``lines`` holds (fiber value, (slot index, den // (prod(n)
+    * n_i)) per slot).  ``at(power)`` is then the flag's sum at that
+    power: a few powers and products, and one integer row.
     """
+
+    __slots__ = ("den", "points", "lines")
+
+    def __init__(self, den, points, lines):
+        self.den = den
+        self.points = points
+        self.lines = lines
+
+    def at(self, power):
+        """The raw residue sum at ``power`` (see ``contribution_sum``)."""
+        _check_power(power)
+        row = [0] * WIDTH
+        row[NUM_SLOTS] = -sum(nu ** power * q for nu, q in self.points)
+        for fiber, entries in self.lines:
+            top = fiber ** power
+            if top:
+                for j, value in entries:
+                    row[j] = top * value
+        return TwistLinear.from_row(row, self.den)
+
+
+def _check_power(power):
     if power < 0:
         raise ValueError("power must be a nonnegative integer")
+
+
+def flag_residues(flag, w):
+    """The power-free part of one flag's residue sum (FlagResidues).
+
+    Each distinct weight is evaluated once, and a zero tangent or
+    normal weight raises DivByZeroWeight naming its record and the
+    flag.  Points sharing a nu value share one entry.  See the module
+    docstring.
+    """
     weights, points, lines = _integer_catalog()
     a, b, c, d = [w[i] for i in flag]
     vals = [t0 * a + t1 * b + t2 * c + t3 * d for t0, t1, t2, t3 in weights]
-    num, den = 0, 1
+    point_rows = []
     for rid, nu, tangents in points:
         prod = 1
         for i in tangents:
@@ -237,10 +286,8 @@ def contribution_sum(flag, w, power):
         if not prod:
             raise DivByZeroWeight("zero tangent weight in %s on flag %s"
                                   % (rid, _flag_label(flag)))
-        g = gcd(den, prod)
-        num = num * (prod // g) - vals[nu] ** power * (den // g)
-        den *= prod // g
-    parts = []
+        point_rows.append((vals[nu], prod))
+    line_rows = []
     for rid, fiber, normals, slots in lines:
         values = [vals[i] for i in normals]
         prod = 1
@@ -249,20 +296,31 @@ def contribution_sum(flag, w, power):
         if not prod:
             raise DivByZeroWeight("zero normal weight in %s on flag %s"
                                   % (rid, _flag_label(flag)))
-        top = vals[fiber] ** power
-        if top:
-            # top / (prod * n_i) = top * (m // n_i) / (prod * m)
-            m = lcm(*values)
-            parts.append((prod * m, [(slot - 1, top * (m // n))
-                                     for n, slot in zip(values, slots)]))
-    common = lcm(den, *(line_den for line_den, _ in parts))
-    row = [0] * WIDTH
-    row[NUM_SLOTS] = num * (common // den)
-    for line_den, entries in parts:
-        scale = common // line_den
-        for j, value in entries:
-            row[j] = value * scale
-    return TwistLinear.from_row(row, common)
+        # 1 / (prod * n_i) = (m // n_i) / (prod * m)
+        m = lcm(*values)
+        line_rows.append((vals[fiber], prod * m,
+                          [(slot - 1, m // n) for n, slot in zip(values,
+                                                                 slots)]))
+    den = 1
+    for _, prod in point_rows:
+        den *= prod // gcd(den, prod)
+    den = lcm(den, *(line_den for _, line_den, _ in line_rows))
+    by_nu = {}
+    for nu, prod in point_rows:
+        by_nu[nu] = by_nu.get(nu, 0) + den // prod
+    return FlagResidues(
+        den, tuple(by_nu.items()),
+        tuple((fiber, tuple((j, value * (den // line_den))
+                            for j, value in entries))
+              for fiber, line_den, entries in line_rows))
+
+
+def contribution_sum(flag, w, power):
+    """Raw residue sum over the catalog of one flag: the integer row of
+    ``flag_residues(flag, w).at(power)``.  A negative power raises
+    ValueError before any weight is evaluated."""
+    _check_power(power)
+    return flag_residues(flag, w).at(power)
 
 
 def display_sum(flag, w, power):
@@ -270,9 +328,13 @@ def display_sum(flag, w, power):
     return -contribution_sum(flag, w, power)
 
 
-def _global_summand(flag, w, power):
-    s = contribution_sum(flag, w, power)
-    return s / flag_tangent_product(flag, w)
+def _residues_for(w, relations):
+    """The 24 FlagResidues at ``w``: the relations' own when their
+    system was built at ``w``, otherwise computed."""
+    system = relations.system if relations is not None else None
+    if system is not None and system.w == w:
+        return system.residues
+    return [flag_residues(flag, w) for flag in enumerate_fixed_flags()]
 
 
 def fiber_degree(w, power, relations):
@@ -295,24 +357,27 @@ def fiber_degree(w, power, relations):
 def per_flag_fiber_values(w, relations, power=7):
     """The 24 flag sums at ``power``, substituted.  The sums of the
     relations' own system are reused when its weights and power are
-    these, so a solved weight vector costs no second power-7 pass."""
+    these, and its FlagResidues when only the weights are."""
     w = tuple(validate_weights(w))
-    flags = enumerate_fixed_flags()
     system = relations.system
     if (system.w, system.power) == (w, power):
         sums = system.flag_sums
     else:
-        sums = [contribution_sum(f, w, power) for f in flags]
-    return [(flag, relations.substitute(s)) for flag, s in zip(flags, sums)]
+        sums = [r.at(power) for r in _residues_for(w, relations)]
+    return [(flag, relations.substitute(s))
+            for flag, s in zip(enumerate_fixed_flags(), sums)]
 
 
 def component_degree(w, power=13, relations=None, jobs=1):
     """Global residue sum: flag sums over their six flag-tangent
-    weights, added across all 24 flags."""
+    weights, added across all 24 flags over one common denominator."""
     w = tuple(validate_weights(w))
-    total = TwistLinear()
-    for flag in enumerate_fixed_flags():
-        total = total + _global_summand(flag, w, power)
+    sums = [r.at(power) for r in _residues_for(w, relations)]
+    summands = [(s.nums, s.den * flag_tangent_product(flag, w))
+                for flag, s in zip(enumerate_fixed_flags(), sums)]
+    den = lcm(*(d for _, d in summands))
+    rows = [[n * (den // d) for n in nums] for nums, d in summands]
+    total = TwistLinear.from_row([sum(col) for col in zip(*rows)], den)
     if relations is None:
         return total
     return relations.substitute(total)
@@ -321,8 +386,10 @@ def component_degree(w, power=13, relations=None, jobs=1):
 def per_flag_degrees(w, relations, power=13):
     """The 24 flag summands of the global degree, substituted."""
     w = tuple(validate_weights(w))
-    return [(flag, relations.substitute(_global_summand(flag, w, power)))
-            for flag in enumerate_fixed_flags()]
+    return [(flag, relations.substitute(
+                r.at(power) / flag_tangent_product(flag, w)))
+            for flag, r in zip(enumerate_fixed_flags(),
+                               _residues_for(w, relations))]
 
 
 def three_planes_demo():

@@ -232,12 +232,14 @@ def tables_cmd(output):
 @click.option("--chart", "chart_id", default=None,
               help="Restrict to one parameter chart pipeline.")
 @click.option("--stage", type=int, default=None,
-              help="Print the transformed forms of one stage.")
+              help="Print the transformed forms of one stage of --chart.")
 @click.option("--check-tables", "check_tables", is_flag=True,
               help="Cross-check every published cell against the pipelines.")
 def resolve_cmd(chart_id, stage, check_tables):
     """Run the blowup pipelines and their division ledger."""
     from . import resolve
+    if stage is not None and chart_id is None:
+        raise click.UsageError("--stage needs --chart")
     if check_tables:
         reports = resolve.check_tables()
         counts = {}
@@ -253,6 +255,11 @@ def resolve_cmd(chart_id, stage, check_tables):
         raise click.UsageError(
             "unknown chart %r; choose from %s"
             % (chart_id, ", ".join(resolve.CHART_IDS)))
+    if stage is not None:
+        last = len(resolve.CHARTS[chart_id]["stages"])
+        if not 0 <= stage <= last:
+            raise click.UsageError("chart %s has stages 0 to %d, not %d"
+                                   % (chart_id, last, stage))
     try:
         if chart_id is None:
             entries = resolve.divisibility_ledger()

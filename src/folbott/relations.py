@@ -201,15 +201,19 @@ def rref(rows):
 
 
 class RelationSystem:
-    """The 23 flag-difference equations at a given weight vector, and
-    the raw residue sums of the 24 flags at ``power`` they come from."""
+    """The 23 flag-difference equations at a given weight vector, the
+    raw residue sums of the 24 flags at ``power`` they come from, and
+    the flags' FlagResidues (``residues``), from which the sums at any
+    other power of the same weights are read without a second pass."""
 
-    __slots__ = ("w", "power", "flags", "flag_sums", "equations")
+    __slots__ = ("w", "power", "flags", "residues", "flag_sums",
+                 "equations")
 
-    def __init__(self, w, power, flags, flag_sums, equations):
+    def __init__(self, w, power, flags, residues, flag_sums, equations):
         self.w = w
         self.power = power
         self.flags = flags
+        self.residues = residues
         self.flag_sums = flag_sums
         self.equations = equations
 
@@ -271,15 +275,18 @@ def build_system(w):
     """Symbolic power-7 sums for all 24 flags and their differences.
 
     The sums are kept raw (``bottsum.contribution_sum``), so the fiber
-    degree can reuse them; the published orientation would only negate
-    every equation, which leaves the reduced echelon form unchanged.
+    degree can reuse them, and so are the flags' FlagResidues, so the
+    component degree at power 13 reads its sums off them; the published
+    orientation would only negate every equation, which leaves the
+    reduced echelon form unchanged.
     """
     w = tuple(validate_weights(w))
     flags = enumerate_fixed_flags()
-    flag_sums = [bottsum.contribution_sum(flag, w, 7) for flag in flags]
+    residues = [bottsum.flag_residues(flag, w) for flag in flags]
+    flag_sums = [r.at(7) for r in residues]
     base = flag_sums[0]
     equations = [s - base for s in flag_sums[1:]]
-    return RelationSystem(w, 7, flags, flag_sums, equations)
+    return RelationSystem(w, 7, flags, residues, flag_sums, equations)
 
 
 def solve_relations(system):

@@ -3,7 +3,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from folbott import bottsum
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
@@ -11,7 +11,8 @@ from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
                              three_planes_demo)
 from folbott.fixlocus import build_catalog
 from folbott.relations import build_system, solve_relations
-from folbott.torus import DivByZeroWeight, WeightError, enumerate_fixed_flags
+from folbott.torus import (DivByZeroWeight, WeightError,
+                           enumerate_fixed_flags, validate_weights)
 from oracle import (DualClass, FractionLinear, line_contribution, line_term,
                     normal_values, point_contribution, point_term)
 
@@ -245,6 +246,16 @@ def test_rejects_resonant_weights():
         fiber_degree((0, 1, 2, 3), 7, solved())
 
 
+def _oracle_sum(catalog, w, power):
+    """One flag's sum record by record through the oracle."""
+    total = TwistLinear()
+    for rec in catalog.points:
+        total = total + point_contribution(rec, w, power)
+    for rec in catalog.lines:
+        total = total + line_contribution(rec, w, power)
+    return total
+
+
 @pytest.mark.parametrize("w", [W0, (0, 1, 7, 37),
                                (12345678, -98765432, 55555555, 3)])
 def test_integer_sum_matches_the_dual_class_route(w):
@@ -253,12 +264,42 @@ def test_integer_sum_matches_the_dual_class_route(w):
     for flag in enumerate_fixed_flags():
         catalog = build_catalog(flag)
         for power in (7, 13):
-            oracle = TwistLinear()
-            for rec in catalog.points:
-                oracle = oracle + point_contribution(rec, w, power)
-            for rec in catalog.lines:
-                oracle = oracle + line_contribution(rec, w, power)
-            assert contribution_sum(flag, w, power) == oracle, (flag, power)
+            assert contribution_sum(flag, w, power) \
+                == _oracle_sum(catalog, w, power), (flag, power)
+
+
+def _admissible(w):
+    try:
+        validate_weights(w)
+    except WeightError:
+        return False
+    return True
+
+
+# Each example runs 15 oracle sums, so a failure is reported unshrunk.
+@settings(max_examples=6, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.tuples(*[st.integers(-40, 40)] * 4).filter(_admissible),
+       st.sampled_from(enumerate_fixed_flags()))
+def test_flag_residues_at_every_power_match_the_oracle(w, flag):
+    residues = bottsum.flag_residues(flag, w)
+    catalog = build_catalog(flag)
+    for power in range(15):
+        assert residues.at(power) == _oracle_sum(catalog, w, power), power
+
+
+def test_component_degree_computes_residues_for_other_weights():
+    # The relations were solved at W0, so these weights' residues are
+    # computed, not read off the relation system.
+    assert component_degree((0, 1, 7, 37), 13, solved()) == 168208
+
+
+def test_per_flag_degrees_reuse_equals_recompute():
+    wide = (67208900, -31429501, 99121929, -3756357)
+    reused = per_flag_degrees(wide, solve_relations(build_system(wide)))
+    computed = per_flag_degrees(wide, solved())
+    assert reused == computed
+    assert sum(v for _, v in reused) == 168208
 
 
 def _with_zero_weight(catalog, record_id):
@@ -314,18 +355,25 @@ def test_degree_path_reads_the_catalog_once(monkeypatch):
 
 
 def test_one_power_7_pass_per_weight_vector(monkeypatch):
+    # One weight vector costs one pass of flag_residues over the 24
+    # flags, whatever the powers read off it afterwards.
     calls = []
-    engine = bottsum.contribution_sum
+    engine = bottsum.flag_residues
 
-    def counting(flag, w, power):
-        calls.append(power)
-        return engine(flag, w, power)
+    def counting(flag, w):
+        calls.append(w)
+        return engine(flag, w)
 
-    monkeypatch.setattr(bottsum, "contribution_sum", counting)
+    monkeypatch.setattr(bottsum, "flag_residues", counting)
     rel = solve_relations(build_system(W0))
     assert fiber_degree(W0, 7, rel) == 21
     assert component_degree(W0, 13, rel) == 168208
-    assert calls == [7] * 24 + [13] * 24
+    assert calls == [W0] * 24
+    with pytest.raises(ArithmeticError):
+        fiber_degree(W0, 13, rel)
+    assert sum(v for _, v in per_flag_degrees(W0, rel)) == 168208
+    assert len(bottsum.per_flag_fiber_values(W0, rel, 13)) == 24
+    assert calls == [W0] * 24
     calls.clear()
     assert fiber_degree((0, 1, 7, 37), 7, rel) == 21
-    assert calls == [7] * 24
+    assert calls == [(0, 1, 7, 37)] * 24

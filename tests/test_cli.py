@@ -65,17 +65,17 @@ def test_fiber_degree_per_flag():
 
 def test_fiber_degree_per_flag_makes_one_power_7_pass(monkeypatch):
     calls = []
-    engine = bottsum.contribution_sum
+    engine = bottsum.flag_residues
 
-    def counting(flag, w, power):
-        calls.append(power)
-        return engine(flag, w, power)
+    def counting(flag, w):
+        calls.append(w)
+        return engine(flag, w)
 
-    monkeypatch.setattr(bottsum, "contribution_sum", counting)
+    monkeypatch.setattr(bottsum, "flag_residues", counting)
     res = run("fiber-degree", "--per-flag")
     assert res.exit_code == 0
     assert res.output.splitlines()[-1] == "flag 3,2,0,1: 21"
-    assert calls == [7] * 24
+    assert calls == [(0, 1, 5, 25)] * 24
 
 
 def test_fiber_degree_symbolic():
@@ -213,6 +213,21 @@ def test_resolve_stage_forms():
     ledger = [l for l in lines if "divide by" in l]
     assert len(ledger) == 6
     assert all(l.startswith("b3=a6=1 stage 1 (C)") for l in ledger)
+
+
+def test_resolve_stage_without_chart_is_a_usage_error():
+    res = run("resolve", "--stage", "1")
+    assert res.exit_code == 2
+    assert "--stage needs --chart" in res.output
+
+
+@pytest.mark.parametrize("stage", ["-1", "5"])
+def test_resolve_stage_the_chart_lacks_is_a_usage_error(stage):
+    # Chart b2=1 has its initial stage 0 only.
+    res = run("resolve", "--chart", "b2=1", "--stage", stage)
+    assert res.exit_code == 2
+    assert "chart b2=1 has stages 0 to 0, not %s" % stage in res.output
+    assert run("resolve", "--chart", "b2=1", "--stage", "0").exit_code == 0
 
 
 def test_three_planes_text():
