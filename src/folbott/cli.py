@@ -234,10 +234,15 @@ def tables_cmd(output):
 @click.option("--stage", type=int, default=None,
               help="Print the transformed forms of one stage of --chart.")
 @click.option("--check-tables", "check_tables", is_flag=True,
-              help="Cross-check every published cell against the pipelines.")
+              help="Cross-check every published cell against all the "
+                   "pipelines; takes neither --chart nor --stage.")
 def resolve_cmd(chart_id, stage, check_tables):
     """Run the blowup pipelines and their division ledger."""
     from . import resolve
+    if check_tables and (chart_id is not None or stage is not None):
+        raise click.UsageError(
+            "--check-tables covers every chart; it takes neither --chart "
+            "nor --stage")
     if stage is not None and chart_id is None:
         raise click.UsageError("--stage needs --chart")
     if check_tables:

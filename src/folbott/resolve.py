@@ -2,30 +2,35 @@
 
 Each chart of the parameter space carries a generic cubic/quadric pair
 (f, g).  The attached generator form is transformed through a fixed
-sequence of blowup stages.  A stage is recorded as data: a list of
-center equations e_0..e_{k-1} together with substitution templates, one
-per equation.  Template i rewrites its variable as
+sequence of blowup stages.  A stage is recorded as data: its center
+equations e_0..e_{k-1}, and nothing that restates them.  Each e_i
+solves for the first variable written in it: with var_i that variable
+and c_i = de_i/dvar_i, a nonzero constant, e_i = c_i*var_i - offset_i
+where offset_i does not contain var_i.  Template i then rewrites
 
-    var_i  ->  scale_i * (new_i * EXC + offset_i)
+    var_i  ->  (new_i * EXC + offset_i) / c_i
 
-which turns e_i into new_i * EXC exactly.  Working on chart c of the
-stage means EXC := e_c, template c is dropped (its variable survives as
-the chart coordinate and new_c is never introduced), and the pulled-back
-form is divided by e_c once.  The center equations are fixtures, checked
-by the invariance assertion (e_c must be unchanged by the substitution)
-and by the divisibility of the form itself; no elimination theory runs
-at import time.
+which turns e_i into new_i * EXC exactly; new_i is the kind's fiber
+letter plus i.  Working on chart c of the stage means EXC := e_c,
+template c is dropped (its variable survives as the chart coordinate
+and new_c is never introduced), and the pulled-back form is divided by
+e_c once.  The center equations are fixtures, checked by the solving
+rule, by the invariance assertion (e_c must be unchanged by the
+substitution) and by the divisibility of the form itself; no
+elimination theory runs at import time.
 
 Fixed-point rows of the exceptional tables are evaluated by a single
 recipe: every stage-new variable is set to zero (except a family
 partner kept symbolic), surviving older variables keep their propagated
 anchor values, and the chart coordinate var_c anchors to its own
-template offset evaluated at the current anchors.  The rows and their
-printed cells are read from ``tables``.  ``check_tables`` decides the
-status of every printed cell, base or exceptional, by one rule, and
-all its comparisons are up to a nonzero rational scalar.
+template offset evaluated at the current anchors.  The initial anchors
+are the parameters of f and g, each at 0.  The rows and their printed
+cells are read from ``tables``.  ``check_tables`` decides the status of
+every printed cell, base or exceptional, by one rule, and all its
+comparisons are up to a nonzero rational scalar.
 """
 
+import re
 from fractions import Fraction
 
 from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, NotDivisible
@@ -38,65 +43,44 @@ from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
 # Chart pipeline fixtures
 # ---------------------------------------------------------------------------
 
+# Chart record fields: the cubic f, the quadric g and the stages.
 # Stage record fields:
-#   kind     one of "C", "E", "R", "L" naming the center type
+#   kind     one of "C", "E", "R", "L" naming the center type; its
+#            FIBER_LETTERS entry names the stage's fiber coordinates
 #   parent   (stage index, chart index) to continue from; stage 0 is the
 #            initial chart with its single state (0, 0)
-#   eqs      center equations on the parent chart
-#   templates aligned with eqs: (variable, scale, offset source)
-#   new      fiber coordinates introduced by the stage, aligned with eqs
+#   eqs      center equations on the parent chart, each c*var - offset
+#            in the first variable var written in it (module docstring)
 #   table    key of the exceptional-locus table this stage produces
-#   family   pair of chart indices carrying a fixed curve, or None
+
+FIBER_LETTERS = {"C": "s", "E": "t", "R": "v", "L": "z"}
 
 CHARTS = {
     "b3=a6=1": {
         "g": "b0*x0^2 + b1*x0*x1 + b2*x0*x2 + x1^2",
         "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + 3/2*b1*x0*x1^2 + 3/2*b2*x0*x1*x2 + x1^3"),
-        "params": ["a0", "a1", "a2", "a3", "b0", "b1", "b2"],
         "stages": [
             {
                 "kind": "C",
                 "parent": (0, 0),
                 "eqs": ["8*a0 - b1^3", "a2", "b2", "a3",
                         "4*b0 - b1^2", "4*a1 - 3*b1^2"],
-                "templates": [("a0", Fraction(1, 8), "b1^3"),
-                              ("a2", Fraction(1), "0"),
-                              ("b2", Fraction(1), "0"),
-                              ("a3", Fraction(1), "0"),
-                              ("b0", Fraction(1, 4), "b1^2"),
-                              ("a1", Fraction(1, 4), "3*b1^2")],
-                "new": ["s0", "s1", "s2", "s3", "s4", "s5"],
                 "table": "cube",
-                "family": (4, 5),
             },
             {
                 "kind": "R",
                 "parent": (1, 2),
                 "eqs": ["3*s4 - 2*s5", "s3", "s0 - b1*s5",
                         "4*s1 - 3*b1", "b2"],
-                "templates": [("s4", Fraction(1, 3), "2*s5"),
-                              ("s3", Fraction(1), "0"),
-                              ("s0", Fraction(1), "b1*s5"),
-                              ("s1", Fraction(1, 4), "3*b1"),
-                              ("b2", Fraction(1), "0")],
-                "new": ["v0", "v1", "v2", "v3", "v4"],
                 "table": "cube-res",
-                "family": None,
             },
             {
                 "kind": "R",
                 "parent": (1, 4),
                 "eqs": ["2*s5 - 3", "s3", "2*s0 - 3*b1",
                         "4*s1 - 3*b1*s2", "4*b0 - b1^2"],
-                "templates": [("s5", Fraction(1, 2), "3"),
-                              ("s3", Fraction(1), "0"),
-                              ("s0", Fraction(1, 2), "3*b1"),
-                              ("s1", Fraction(1, 4), "3*b1*s2"),
-                              ("b0", Fraction(1, 4), "b1^2")],
-                "new": ["v0", "v1", "v2", "v3", "v4"],
                 "table": "cube-end",
-                "family": None,
             },
         ],
     },
@@ -104,90 +88,45 @@ CHARTS = {
         "g": "x0^2 + b1*x0*x1 + u2*b1*x0*x2 + u3*b1*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a4*x0*x1^2 + a4*u2*x0*x1*x2 + 2/3*a4*u3*x1^3"),
-        "params": ["a1", "a2", "a3", "a4", "b1", "u2", "u3"],
         "stages": [
             {
                 "kind": "C",
                 "parent": (0, 0),
                 "eqs": ["b1 - 4*u3", "a1 - 6*u3", "a2", "a3",
                         "a4 - 12*u3^2", "u2"],
-                "templates": [("b1", Fraction(1), "4*u3"),
-                              ("a1", Fraction(1), "6*u3"),
-                              ("a2", Fraction(1), "0"),
-                              ("a3", Fraction(1), "0"),
-                              ("a4", Fraction(1), "12*u3^2"),
-                              ("u2", Fraction(1), "0")],
-                "new": ["s0", "s1", "s2", "s3", "s4", "s5"],
                 "table": "axis1",
-                "family": (0, 1),
             },
             {
                 "kind": "E",
                 "parent": (1, 5),
                 "eqs": ["s3", "s2", "3*s0 - 2*s1",
                         "6*u3 + s1*u2", "3*s4 + s1^2*u2"],
-                "templates": [("s3", Fraction(1), "0"),
-                              ("s2", Fraction(1), "0"),
-                              ("s0", Fraction(1, 3), "2*s1"),
-                              ("u3", Fraction(1, 6), "-s1*u2"),
-                              ("s4", Fraction(1, 3), "-s1^2*u2")],
-                "new": ["t0", "t1", "t2", "t3", "t4"],
                 "table": "axis1-res",
-                "family": (1, 3),
             },
             {
                 "kind": "E",
                 "parent": (1, 0),
                 "eqs": ["s4 - 3*u3", "s3", "s2", "2*s1 - 3", "b1"],
-                "templates": [("s4", Fraction(1), "3*u3"),
-                              ("s3", Fraction(1), "0"),
-                              ("s2", Fraction(1), "0"),
-                              ("s1", Fraction(1, 2), "3"),
-                              ("b1", Fraction(1), "0")],
-                "new": ["t0", "t1", "t2", "t3", "t4"],
                 "table": "axis1-end",
-                "family": (0, 4),
             },
             {
                 "kind": "R",
                 "parent": (2, 1),
                 "eqs": ["u2", "t3 - 1", "t2", "t0", "3*s1 - 2*t4"],
-                "templates": [("u2", Fraction(1), "0"),
-                              ("t3", Fraction(1), "1"),
-                              ("t2", Fraction(1), "0"),
-                              ("t0", Fraction(1), "0"),
-                              ("s1", Fraction(1, 3), "2*t4")],
-                "new": ["v0", "v1", "v2", "v3", "v4"],
                 "table": "axis1-res-end",
-                "family": None,
             },
             {
                 "kind": "R",
                 "parent": (3, 0),
                 "eqs": ["3*t4 - 8", "t3", "t1", "t2 - 4*s5",
                         "2*s4 - 9*u3"],
-                "templates": [("t4", Fraction(1, 3), "8"),
-                              ("t3", Fraction(1), "0"),
-                              ("t1", Fraction(1), "0"),
-                              ("t2", Fraction(1), "4*s5"),
-                              ("s4", Fraction(1, 2), "9*u3")],
-                "new": ["v0", "v1", "v2", "v3", "v4"],
                 "table": "axis1-end-end",
-                "family": None,
             },
             {
                 "kind": "L",
                 "parent": (4, 0),
                 "eqs": ["s2", "v1", "v2", "v3", "v4", "t4"],
-                "templates": [("s2", Fraction(1), "0"),
-                              ("v1", Fraction(1), "0"),
-                              ("v2", Fraction(1), "0"),
-                              ("v3", Fraction(1), "0"),
-                              ("v4", Fraction(1), "0"),
-                              ("t4", Fraction(1), "0")],
-                "new": ["z0", "z1", "z2", "z3", "z4", "z5"],
                 "table": "axis1-res-end-res",
-                "family": None,
             },
         ],
     },
@@ -195,35 +134,19 @@ CHARTS = {
         "g": "x0^2 + u1*b2*x0*x1 + b2*x0*x2 + u3*b2*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a5*u1*x0*x1^2 + a5*x0*x1*x2 + 2/3*a5*u3*x1^3"),
-        "params": ["a1", "a2", "a3", "a5", "b2", "u1", "u3"],
         "stages": [
             {
                 "kind": "E",
                 "parent": (0, 0),
                 "eqs": ["a1", "a2", "a3", "a5", "b2"],
-                "templates": [("a1", Fraction(1), "0"),
-                              ("a2", Fraction(1), "0"),
-                              ("a3", Fraction(1), "0"),
-                              ("a5", Fraction(1), "0"),
-                              ("b2", Fraction(1), "0")],
-                "new": ["t0", "t1", "t2", "t3", "t4"],
                 "table": "axis2",
-                "family": (1, 4),
             },
             {
                 "kind": "L",
                 "parent": (1, 4),
                 "eqs": ["u3", "t3", "t2", "2*t1 - 3",
                         "2*t0 - 3*u1", "b2"],
-                "templates": [("u3", Fraction(1), "0"),
-                              ("t3", Fraction(1), "0"),
-                              ("t2", Fraction(1), "0"),
-                              ("t1", Fraction(1, 2), "3"),
-                              ("t0", Fraction(1, 2), "3*u1"),
-                              ("b2", Fraction(1), "0")],
-                "new": ["z0", "z1", "z2", "z3", "z4", "z5"],
                 "table": "axis2-end",
-                "family": None,
             },
         ],
     },
@@ -231,20 +154,12 @@ CHARTS = {
         "g": "x0^2 + u1*b3*x0*x1 + u2*b3*x0*x2 + b3*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + 3/2*a6*u1*x0*x1^2 + 3/2*a6*u2*x0*x1*x2 + a6*x1^3"),
-        "params": ["a1", "a2", "a3", "a6", "b3", "u1", "u2"],
         "stages": [
             {
                 "kind": "E",
                 "parent": (0, 0),
                 "eqs": ["b3", "a1", "a2", "a3", "a6"],
-                "templates": [("b3", Fraction(1), "0"),
-                              ("a1", Fraction(1), "0"),
-                              ("a2", Fraction(1), "0"),
-                              ("a3", Fraction(1), "0"),
-                              ("a6", Fraction(1), "0")],
-                "new": ["t0", "t1", "t2", "t3", "t4"],
                 "table": "tangent",
-                "family": None,
             },
         ],
     },
@@ -252,7 +167,6 @@ CHARTS = {
         "g": "b0*x0^2 + b1*x0*x1 + x0*x2 + b3*x1^2",
         "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a5*b1*x0*x1^2 + a5*x0*x1*x2 + 2/3*a5*b3*x1^3"),
-        "params": ["a0", "a1", "a2", "a3", "a5", "b0", "b1", "b3"],
         "stages": [],
     },
 }
@@ -338,19 +252,42 @@ class StructureError(AssertionError):
     """A pipeline fixture failed one of its structural invariants."""
 
 
-def _apply_stage_chart(chart_id, stage_index, stage, eqs, offsets, parent,
+def _fiber_coordinate(stage, index):
+    return "%s%d" % (FIBER_LETTERS[stage["kind"]], index)
+
+
+_FIRST_NAME = re.compile(r"[A-Za-z]\w*")
+
+
+def _templates(chart_id, stage_index, stage, eqs):
+    """(var, 1/c, offset, new) for each parsed center equation eq.
+
+    var is the first variable written in eq, c = d eq/d var must be a
+    nonzero constant, so eq is c*var - offset with offset free of var,
+    and new is the fiber coordinate that the template introduces.
+    """
+    templates = []
+    for j, (text, eq) in enumerate(zip(stage["eqs"], eqs)):
+        name = _FIRST_NAME.search(text)
+        c = eq.partial(name.group()) if name else Polynomial.zero()
+        if not c.is_constant() or c.is_zero():
+            raise StructureError(
+                "center equation %s of %s stage %d does not solve for its "
+                "first variable" % (text, chart_id, stage_index))
+        var, c = name.group(), c.constant_value()
+        templates.append((var, 1 / c, c * Polynomial.variable(var) - eq,
+                          _fiber_coordinate(stage, j)))
+    return templates
+
+
+def _apply_stage_chart(chart_id, stage_index, stage, eqs, templates, parent,
                        chart_index):
     """One chart of one stage, from the stage's parsed center equations
-    and template offsets."""
+    and their templates."""
     exc = eqs[chart_index]
-    subs = {}
-    for j, (var, scale, _) in enumerate(stage["templates"]):
-        if j == chart_index:
-            continue
-        repl = scale * (Polynomial.variable(stage["new"][j]) * exc
-                        + offsets[j])
-        subs[var] = repl
-    kept_var, kept_scale, _ = stage["templates"][chart_index]
+    subs = {var: scale * (Polynomial.variable(new) * exc + offset)
+            for j, (var, scale, offset, new) in enumerate(templates)
+            if j != chart_index}
     if exc.substitute(subs) != exc:
         raise StructureError(
             "center equation %s not invariant on chart %d of %s stage %d"
@@ -363,12 +300,13 @@ def _apply_stage_chart(chart_id, stage_index, stage, eqs, offsets, parent,
             "radial contraction broke on chart %d of %s stage %d"
             % (chart_index, chart_id, stage_index))
     anchors = dict(parent.anchors)
-    for j, (var, _, _) in enumerate(stage["templates"]):
+    for var, _, _, _ in templates:
         anchors.pop(var, None)
-    for j, nv in enumerate(stage["new"]):
+    for j, (_, _, _, new) in enumerate(templates):
         if j != chart_index:
-            anchors[nv] = Fraction(0)
-    offset_val = offsets[chart_index].substitute(parent.anchors)
+            anchors[new] = Fraction(0)
+    kept_var, kept_scale, kept_offset, _ = templates[chart_index]
+    offset_val = kept_offset.substitute(parent.anchors)
     anchors[kept_var] = kept_scale * offset_val.constant_value()
     return ChartState(divided, anchors)
 
@@ -379,24 +317,24 @@ def run_chart(chart_id):
     Divisibility must hold on all charts of each stage (the vanishing
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
-    later stages.  Each stage's center equations and offsets are parsed
-    once and shared by its charts.
+    later stages.  Each stage's center equations are parsed, and its
+    templates derived, once and shared by its charts.
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
     g = parse_poly(chart["g"])
     form = build_omega(f, g)
-    anchors = {p: Fraction(0) for p in chart["params"]}
-    states = {(0, 0): ChartState(form, anchors)}
+    params = (f.variables() | g.variables()) - set(COORDS)
+    states = {(0, 0): ChartState(form, dict.fromkeys(params, Fraction(0)))}
     ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0", True)]
     for si, stage in enumerate(chart["stages"], start=1):
         parent = states[stage["parent"]]
         eqs = [parse_poly(e) for e in stage["eqs"]]
-        offsets = [parse_poly(t[2]) for t in stage["templates"]]
-        for ci in range(len(stage["eqs"])):
+        templates = _templates(chart_id, si, stage, eqs)
+        for ci in range(len(eqs)):
             try:
                 states[(si, ci)] = _apply_stage_chart(
-                    chart_id, si, stage, eqs, offsets, parent, ci)
+                    chart_id, si, stage, eqs, templates, parent, ci)
             except NotDivisible:
                 ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
                                           stage["eqs"][ci], False))
@@ -445,14 +383,15 @@ def evaluate_fixed(table_key, row_index):
     """
     chart_id, stage_index = TABLE_STAGE[table_key]
     states = get_run(chart_id).states
-    new = CHARTS[chart_id]["stages"][stage_index - 1]["new"]
+    stage = CHARTS[chart_id]["stages"][stage_index - 1]
     row = EXCEPTIONAL[table_key]["rows"][row_index]
     if row["kind"] != "family":
         return [(_point_evaluation(states[(stage_index, row["chart"])]),
                  None)]
     c1, c2 = row["chart"]
     return [(_point_evaluation(states[(stage_index, c)],
-                               symbolic=(new[other],)), new[c])
+                               symbolic=(_fiber_coordinate(stage, other),)),
+             _fiber_coordinate(stage, c))
             for c, other in ((c1, c2), (c2, c1))]
 
 

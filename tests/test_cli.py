@@ -198,6 +198,21 @@ def test_resolve_check_tables_failure_exits_1(monkeypatch):
                                        "summary: mismatch=1"]
 
 
+@pytest.mark.parametrize("extra", [
+    ("--chart", "bogus"),
+    ("--chart", "b3=a6=1"),
+    ("--stage", "1"),
+    ("--chart", "b3=a6=1", "--stage", "1"),
+], ids=["unknown-chart", "valid-chart", "stage", "chart-and-stage"])
+def test_resolve_check_tables_takes_no_chart_or_stage(extra):
+    # The check always covers every chart, so a restriction is refused
+    # before any pipeline runs.
+    res = run("resolve", "--check-tables", *extra)
+    assert res.exit_code == 2
+    assert ("--check-tables covers every chart; it takes neither --chart "
+            "nor --stage") in res.output
+
+
 def test_resolve_unknown_chart():
     res = run("resolve", "--chart", "bogus")
     assert res.exit_code == 2

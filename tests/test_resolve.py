@@ -201,11 +201,49 @@ def test_certificate_fails_off_the_degenerate_locus():
     assert not report.certified
 
 
-def test_fixture_center_equations_stay_invariant():
-    # run_chart would raise StructureError otherwise; touching one chart
-    # is enough to prove the guard is active
-    run = resolve.get_run("b2=1")
-    assert run.ledger[0].ok
+def test_fixture_center_equations_stay_invariant(monkeypatch):
+    """A broken center equation raises StructureError naming the chart
+    and stage before any division runs."""
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    for eqs, message in [
+            # b3 + a1 holds a1, which the second template solves for, so
+            # the substitution moves the first chart's exceptional
+            # equation.
+            (["b3 + a1", "a1", "a2", "a3", "a6"],
+             r"center equation b3 \+ a1 not invariant on chart 0 of "),
+            # b3^2 has a nonconstant derivative in its first variable.
+            (["b3^2", "a1", "a2", "a3", "a6"],
+             r"center equation b3\^2 of ")]:
+        monkeypatch.setitem(stage, "eqs", eqs)
+        with pytest.raises(resolve.StructureError,
+                           match=message + "b0=a0=u3=1 stage 1"):
+            resolve.run_chart("b0=a0=u3=1")
+
+
+def _row_charts(row):
+    return row["chart"] if row["kind"] == "family" else (row["chart"],)
+
+
+def test_stage_parents_agree_with_the_table_parents():
+    """A stage's parent (stage, chart) is its table's parent (table, row)
+    seen through TABLE_STAGE: the parent table's stage (0 for base) and
+    the parent row's chart, or one chart of a family row's pair.  Every
+    row's chart lies in range for its stage."""
+    for key, table in tables.EXCEPTIONAL.items():
+        chart_id, stage_index = resolve.TABLE_STAGE[key]
+        stage = resolve.CHARTS[chart_id]["stages"][stage_index - 1]
+        for row in table["rows"]:
+            assert all(0 <= c < len(stage["eqs"])
+                       for c in _row_charts(row)), key
+        parent_table, parent_row = table["parent"]
+        if parent_table == "base":
+            assert stage["parent"] == (0, 0), key
+            continue
+        parent_chart_id, parent_stage = resolve.TABLE_STAGE[parent_table]
+        row = tables.EXCEPTIONAL[parent_table]["rows"][parent_row]
+        assert parent_chart_id == chart_id, key
+        assert stage["parent"][0] == parent_stage, key
+        assert stage["parent"][1] in _row_charts(row), key
 
 
 def test_unknown_chart_is_an_error():
