@@ -2,7 +2,9 @@
 
 A form is a 4-tuple of coefficient polynomials (A0, A1, A2, A3) against
 dx0..dx3.  Coefficients may involve fiber parameters as well as the
-coordinates; only x0..x3 are differentiated.
+coordinates; only x0..x3 are differentiated.  A printed form is read
+by ``parse_form`` with the polynomial grammar: dx0..dx3 are variables
+of the ``ratpoly`` alphabet, and the text must be linear in them.
 
 The central construction is ``build_omega``: for a cubic f and a quadric
 g it forms 3*f*dg - 2*g*df and removes the factor x0 exactly.
@@ -16,6 +18,7 @@ from fractions import Fraction
 from .ratpoly import Polynomial, parse_poly, substitute_all
 
 COORDS = ("x0", "x1", "x2", "x3")
+DIFFERENTIALS = ("dx0", "dx1", "dx2", "dx3")
 
 
 class OneForm:
@@ -32,18 +35,10 @@ class OneForm:
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(a + b for a, b in zip(self.comps, other.comps))
-
     def __sub__(self, other):
         if not isinstance(other, OneForm):
             return NotImplemented
         return OneForm(a - b for a, b in zip(self.comps, other.comps))
-
-    def __neg__(self):
-        return OneForm(-c for c in self.comps)
 
     def __mul__(self, other):
         return OneForm(c * other for c in self.comps)
@@ -156,47 +151,18 @@ def vanishes_on(form, parametrization):
 
 
 def parse_form(text):
-    """Parse 'P0*dx0 + P1*dx1 + ...' with polynomial coefficients.
+    """Parse 'P0*dx0 + P1*dx1 + ...' as a polynomial linear in dx0..dx3.
 
-    The dx symbols split the expression; each summand must end in dxi,
-    optionally preceded by '*'.  Used for table fixtures.
+    Any ``parse_poly`` text is read, so ``x0*(dx0 + dx1)`` equals
+    ``x0*dx0 + x0*dx1``.  Raises ValueError unless every term holds
+    exactly one differential, to the first power.  Used for the printed
+    forms and table cells.
     """
-    comps = [Polynomial.zero()] * 4
-    # Split into signed chunks ending in dx<i>.
-    chunks = []
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and pos > start:
-            chunks.append(text[start:pos])
-            start = pos
-    chunks.append(text[start:])
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        hit = None
-        for i in range(4):
-            tag = "dx%d" % i
-            if chunk.endswith(tag):
-                hit = i
-                body = chunk[:-len(tag)].rstrip()
-                break
-        if hit is None:
-            raise ValueError("summand %r lacks a dx factor" % chunk)
-        if body.endswith("*"):
-            body = body[:-1]
-        if body in ("", "+"):
-            poly = Polynomial.constant(1)
-        elif body == "-":
-            poly = Polynomial.constant(-1)
-        else:
-            poly = parse_poly(body)
-        comps[hit] = comps[hit] + poly
+    parts = parse_poly(text).coefficients_in(DIFFERENTIALS)
+    comps = [parts.pop(tuple(int(i == j) for j in range(4)),
+                       Polynomial.zero()) for i in range(4)]
+    if parts:
+        raise ValueError("%r is not linear in dx0..dx3" % text)
     return OneForm(comps)
 
 

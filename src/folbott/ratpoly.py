@@ -2,7 +2,9 @@
 
 A polynomial is a sparse dictionary from monomials to nonzero integer
 numerators over one positive denominator, in lowest terms; ``terms``
-gives the Fraction coefficients.  The variable alphabet is closed, so a
+gives the Fraction coefficients.  The variable alphabet is closed
+(coordinates, blowup parameters, the differentials dx0..dx3 and curve
+symbols, so one grammar reads polynomials and one-forms), and a
 monomial is one int: each variable owns a FIELD_BITS-wide exponent
 field, earlier variables in higher fields, and the total degree sits
 above them all.  Graded-lex comparison is then ``<`` on ints,
@@ -20,7 +22,9 @@ from fractions import Fraction
 
 
 # Closed variable alphabet.  Order matters: it defines the graded-lex
-# term order used by exact division and by the printer.
+# term order used by exact division and by the printer.  dx0..dx3 are
+# the differentials, so a printed one-form parses as a polynomial
+# linear in them (``extforms.parse_form``).
 VARIABLE_NAMES = (
     "x0", "x1", "x2", "x3",
     "a0", "a1", "a2", "a3", "a4", "a5", "a6",
@@ -30,7 +34,7 @@ VARIABLE_NAMES = (
     "t0", "t1", "t2", "t3", "t4",
     "v0", "v1", "v2", "v3", "v4",
     "z0", "z1", "z2", "z3", "z4", "z5",
-    "w0", "w1", "w2", "w3",
+    "dx0", "dx1", "dx2", "dx3",
     "h",
     "y0", "y1", "y2", "y3",
 )
@@ -261,9 +265,6 @@ class Polynomial:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    def __hash__(self):
-        return hash((frozenset(self.nums.items()), self.den))
-
     # ---- substitution and evaluation ----
 
     def substitute(self, mapping):
@@ -320,11 +321,6 @@ class Polynomial:
         d when (m | guards) - d keeps every guard bit set.  Raises
         NotDivisible the moment a leading term fails to reduce.
         """
-        if isinstance(divisor, (int, Fraction)):
-            d = _as_fraction(divisor)
-            if d == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / d)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         content = math.gcd(*divisor.nums.values())

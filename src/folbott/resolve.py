@@ -33,7 +33,7 @@ comparisons are up to a nonzero rational scalar.
 import re
 from fractions import Fraction
 
-from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, NotDivisible
+from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly
 from .extforms import COORDS, build_omega, parse_form
 from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
                      EXCEPTIONAL, base_cubics, base_pair)
@@ -224,19 +224,23 @@ class ChartState:
 
 
 class LedgerEntry:
+    """One exact division that succeeded; a failed one raises
+    NotDivisible instead, so ``ok`` is always true."""
+
+    ok = True
+
     def __init__(self, chart_id, stage_index, stage_kind, chart_index,
-                 divisor, ok):
+                 divisor):
         self.chart_id = chart_id
         self.stage_index = stage_index
         self.stage_kind = stage_kind
         self.chart_index = chart_index
         self.divisor = divisor
-        self.ok = ok
 
     def describe(self):
-        return "%s stage %d (%s) chart %d: divide by %s -> %s" % (
+        return "%s stage %d (%s) chart %d: divide by %s -> ok" % (
             self.chart_id, self.stage_index, self.stage_kind,
-            self.chart_index, self.divisor, "ok" if self.ok else "FAILED")
+            self.chart_index, self.divisor)
 
 
 class ChartRun:
@@ -317,8 +321,9 @@ def run_chart(chart_id):
     Divisibility must hold on all charts of each stage (the vanishing
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
-    later stages.  Each stage's center equations are parsed, and its
-    templates derived, once and shared by its charts.
+    later stages; a failed division raises NotDivisible with context
+    (chart, stage, chart index).  Each stage's center equations are
+    parsed, and its templates derived, once and shared by its charts.
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
@@ -326,21 +331,16 @@ def run_chart(chart_id):
     form = build_omega(f, g)
     params = (f.variables() | g.variables()) - set(COORDS)
     states = {(0, 0): ChartState(form, dict.fromkeys(params, Fraction(0)))}
-    ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0", True)]
+    ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0")]
     for si, stage in enumerate(chart["stages"], start=1):
         parent = states[stage["parent"]]
         eqs = [parse_poly(e) for e in stage["eqs"]]
         templates = _templates(chart_id, si, stage, eqs)
         for ci in range(len(eqs)):
-            try:
-                states[(si, ci)] = _apply_stage_chart(
-                    chart_id, si, stage, eqs, templates, parent, ci)
-            except NotDivisible:
-                ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
-                                          stage["eqs"][ci], False))
-                raise
+            states[(si, ci)] = _apply_stage_chart(
+                chart_id, si, stage, eqs, templates, parent, ci)
             ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
-                                      stage["eqs"][ci], True))
+                                      stage["eqs"][ci]))
     return ChartRun(chart_id, states, ledger)
 
 

@@ -13,6 +13,8 @@ import folbott
 from folbott import bottsum
 from folbott.cli import fraction_to_json, main
 
+W0 = (0, 1, 5, 25)
+
 EXPECTED_RELATIONS = [
     "2*d1 + d2 + 2*d4 + 2 = 0",
     "d3 - 1 = 0",
@@ -85,6 +87,26 @@ def test_fiber_degree_symbolic():
     assert res.output.endswith("+ 49642909/3974400\n")
 
 
+@pytest.mark.parametrize("cmd", ["fiber-degree", "component-degree"])
+def test_symbolic_d_takes_no_per_flag(cmd):
+    res = run(cmd, "--symbolic-d", "--per-flag")
+    assert res.exit_code == 2
+    assert "--symbolic-d takes no --per-flag" in res.output
+
+
+def test_component_degree_symbolic():
+    from folbott import relations
+    form = bottsum.component_degree(W0, 13)
+    res = run("component-degree", "--symbolic-d")
+    assert res.exit_code == 0
+    assert res.output == "%s\n" % -form
+    doc = json.loads(run("component-degree", "--symbolic-d",
+                         "--output", "json").output)
+    assert doc["constant"]["den"] == "4660731252777600000000000"
+    solved = relations.solve_relations(relations.build_system(W0))
+    assert solved.substitute(form) == 168208
+
+
 def test_fiber_degree_honest_failure_on_wrong_power():
     res = run("fiber-degree", "--power", "13")
     assert res.exit_code == 1
@@ -111,6 +133,9 @@ def test_weights_validation():
     res = run("fiber-degree", "--weights", "1,2,3")
     assert res.exit_code == 2
     assert "four comma-separated integers" in res.output
+    res = run("fiber-degree", "--weights", "0,1,5,x")
+    assert res.exit_code == 2
+    assert "entries must be integers" in res.output
 
 
 def test_component_degree_text():
@@ -196,6 +221,21 @@ def test_resolve_check_tables_failure_exits_1(monkeypatch):
     assert res.exit_code == 1
     assert res.output.splitlines() == ["cube-res r4: mismatch",
                                        "summary: mismatch=1"]
+
+
+@pytest.mark.parametrize("args", [
+    ("resolve", "--chart", "b0=a0=u3=1"),
+    ("resolve",),
+], ids=["chart", "all-charts"])
+def test_resolve_failed_division_exits_1(monkeypatch, args):
+    # b3 - 1 does not divide the pulled-back form on chart 0 of stage 1.
+    from folbott import resolve
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    monkeypatch.setitem(stage, "eqs", ["b3 - 1"] + stage["eqs"][1:])
+    monkeypatch.setattr(resolve, "_RUN_CACHE", {})
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.output == "division failed: ('b0=a0=u3=1', 1, 0)\n"
 
 
 @pytest.mark.parametrize("extra", [

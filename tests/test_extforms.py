@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from folbott.extforms import (build_omega, is_integrable, parse_form,
@@ -75,3 +76,14 @@ def test_parse_form_reads_a_bare_differential():
     form = parse_form("dx0")
     assert form.comps[0] == Polynomial.constant(1)
     assert all(c.is_zero() for c in form.comps[1:])
+
+
+@pytest.mark.parametrize("text", ["x0", "x0*dx0 + 1", "x0*dx0^2",
+                                  "dx0*dx1"])
+def test_parse_form_rejects_terms_not_linear_in_the_differentials(text):
+    with pytest.raises(ValueError):
+        parse_form(text)
+
+
+def test_parse_form_distributes_over_parentheses():
+    assert parse_form("x0*(dx0 + dx1)") == parse_form("x0*dx0 + x0*dx1")

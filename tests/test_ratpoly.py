@@ -95,6 +95,13 @@ def test_parse_fraction_coefficients():
     assert p.evaluate({"x1": 3}) == 9
 
 
+@pytest.mark.parametrize("text", ["x0 x1", "(x0", "x0^", "x0^y", "1/",
+                                  "1/x0", "$", "", "x0 +"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
 def test_format_is_graded_lex():
     assert format_poly(parse_poly("2*x1 + x0^2 - 1/2")) == "x0^2 + 2*x1 - 1/2"
 

@@ -274,6 +274,13 @@ def test_constant_pivot_mod_p_is_not_an_inconsistency():
     assert rref([[P, 1]]) == ((1, Fraction(1, P)),)
 
 
+def test_unlucky_prime_is_skipped():
+    # Mod P the pivot is column 0 and 1/P2 needs more primes to lift;
+    # mod P2 the row reads (0, 1, 0), a later pivot, so P2 is skipped.
+    p2 = 2305843009213693921  # 2^61 - 31, the second prime
+    assert rref([[p2, 1, 0]]) == ((1, Fraction(1, p2), 0),)
+
+
 def test_rank_drop_mod_p_gives_the_rational_form():
     rows = [[1, 2, 3], [2, 4 + P, 6 + P]]
     assert rref(rows) == _reference_rref(rows) == ((1, 0, 1), (0, 1, 1))
