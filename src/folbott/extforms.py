@@ -15,7 +15,8 @@ to assert, so the blowup pipelines re-check them after every step.
 
 from fractions import Fraction
 
-from .ratpoly import Polynomial, parse_poly, substitute_all
+from .ratpoly import (Polynomial, parse_poly, substitute_all,
+                      variable_combination)
 
 COORDS = ("x0", "x1", "x2", "x3")
 DIFFERENTIALS = ("dx0", "dx1", "dx2", "dx3")
@@ -82,10 +83,7 @@ class OneForm:
 
     def euler_pairing(self):
         """Contraction against the Euler vector field, sum x_i * A_i."""
-        acc = Polynomial.zero()
-        for name, comp in zip(COORDS, self.comps):
-            acc = acc + Polynomial.variable(name) * comp
-        return acc
+        return variable_combination(COORDS, self.comps)
 
     def __str__(self):
         parts = []

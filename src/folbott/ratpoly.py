@@ -18,6 +18,7 @@ exponent) pairs only by ``leading``, ``monomials``, the printer and
 
 import heapq
 import math
+import re
 from fractions import Fraction
 
 
@@ -93,11 +94,10 @@ def _decode(mono):
 
 
 def _mul_into(acc, a, b):
-    """acc += a*b on numerator dicts; zero sums are left for the caller."""
+    """acc += a*b on numerator dicts; zero sums and the degree check are
+    left for the caller."""
     if len(a) < len(b):
         a, b = b, a
-    if b:
-        _check_degree((max(a) >> _DEG_SHIFT) + (max(b) >> _DEG_SHIFT))
     for m2, c2 in b.items():
         for m1, c1 in a.items():
             m = m1 + m2
@@ -238,7 +238,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc = {}
-        _mul_into(acc, self.nums, other.nums)
+        if self.nums and other.nums:
+            _check_degree((max(self.nums) >> _DEG_SHIFT)
+                          + (max(other.nums) >> _DEG_SHIFT))
+            _mul_into(acc, self.nums, other.nums)
         return _reduced(acc, self.den * other.den)
 
     __rmul__ = __mul__
@@ -319,10 +322,23 @@ class Polynomial:
         max-heap, and each quotient term subtracts its multiple of the
         divisor's tail in place.  m is divisible by the leading monomial
         d when (m | guards) - d keeps every guard bit set.  Raises
-        NotDivisible the moment a leading term fails to reduce.
+        NotDivisible the moment a leading term fails to reduce.  A
+        one-term divisor has no tail, so it takes one pass without the
+        heap: every monomial must pass the guard test.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        if len(divisor.nums) == 1:
+            (dmono, dlead), = divisor.nums.items()
+            # The primitive part of c*m is sign(c)*m, with content |c|.
+            scale = divisor.den if dlead > 0 else -divisor.den
+            quotient = {}
+            for mono, c in self.nums.items():
+                if ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
+                    raise NotDivisible("%s does not divide %s"
+                                       % (divisor, self), context=context)
+                quotient[mono - dmono] = c * scale
+            return _reduced(quotient, self.den * abs(dlead))
         content = math.gcd(*divisor.nums.values())
         dmono = max(divisor.nums)
         dlead = divisor.nums[dmono] // content
@@ -380,68 +396,146 @@ class Polynomial:
         return "Polynomial(%s)" % format_poly(self)
 
 
+def _product(a, b):
+    """(numerators, denominator) of a product of two such pairs."""
+    acc = {}
+    _mul_into(acc, a[0], b[0])
+    return acc, a[1] * b[1]
+
+
 def substitute_all(polys, mapping):
     """``Polynomial.substitute`` of one mapping into several polynomials.
 
-    Values with one term fold into each term's monomial.  The other
-    terms are grouped by their exponents in the fields of the remaining
-    values, and each group is multiplied once by its product of powers;
-    those products are shared by all the polynomials.
+    Values with at most one term fold into each term's monomial: zero
+    drops the term, a rational scales it, a one-term polynomial scales
+    and shifts it.  The other terms are grouped by their exponents in
+    the fields of the remaining values.  The group of key 0 has the
+    factor 1 and is added as it is; each other group is multiplied once
+    by its product of powers, a numerator dict shared by all the
+    polynomials.  What a term's exponents in the replaced fields do to
+    it is worked out once per distinct pattern of those exponents, and
+    the degree is checked once per output, on the largest monomial any
+    product reached.
     """
-    folds, fields, mask, zeros = [], [], 0, 0
+    folds, fields, mask, zeros, touched = [], [], 0, 0, 0
     for name, val in mapping.items():
-        if not isinstance(val, Polynomial):
-            val = Polynomial.constant(val)
-        shift = _SHIFT[VARIABLE_INDEX[name]]
-        if not val.nums:
-            zeros |= _FIELD << shift
-        elif len(val.nums) == 1:
-            (m, c), = val.nums.items()
-            folds.append((shift, m - _VARIABLE_MONO[VARIABLE_INDEX[name]],
-                          c, val.den))
+        index = VARIABLE_INDEX[name]
+        shift = _SHIFT[index]
+        touched |= _FIELD << shift
+        if isinstance(val, Polynomial):
+            nums, den = val.nums, val.den
+        elif isinstance(val, (int, Fraction)):
+            nums, den = {0: val.numerator} if val else {}, val.denominator
         else:
-            fields.append((shift, val))
+            raise TypeError("expected an int or Fraction, got %r" % (val,))
+        if len(nums) > 1:
+            fields.append((shift, (nums, den)))
             mask |= _FIELD << shift
-    # Products of powers by key, each built on the key's leading fields.
+        elif nums:
+            (m, c), = nums.items()
+            folds.append((shift, m - _VARIABLE_MONO[index], c, den))
+        else:
+            zeros |= _FIELD << shift
+    moves = {}  # exponents in the replaced fields -> _move of them
+    # Products of powers by key as (numerators, denominator), each built
+    # on the key's leading fields.
     powers = {(shift, 1): val for shift, val in fields}
-    factors, out = {0: (Polynomial.constant(1), 0)}, []
+    factors, out = {0: ({0: 1}, 1)}, []
     for poly in polys:
         groups = {}
         for mono, c in poly.nums.items():
-            if mono & zeros:
+            part = mono & touched
+            move = moves.get(part)
+            if move is None:
+                move = moves[part] = _move(part, mask, zeros, fields, folds)
+            if not move:
                 continue
-            key, den = mono & mask, poly.den
-            rest = mono - key
-            for shift, step, num, vden in folds:
-                e = (mono >> shift) & _FIELD
-                if e:
-                    rest += e * step
-                    c *= num ** e
-                    den *= vden ** e
-            group = groups.setdefault((key, den), {})
-            group[rest] = group.get(rest, 0) + c
+            group_key, delta, mult = move
+            group = groups.get(group_key)
+            if group is None:
+                group = groups[group_key] = {}
+            mono += delta
+            group[mono] = group.get(mono, 0) + c * mult
         for key, _ in groups:
+            if key in factors:
+                continue
             prefix = 0
             for shift, val in fields:
                 e = (key >> shift) & _FIELD
                 if e and prefix + (e << shift) not in factors:
                     for k in range(2, e + 1):
                         if (shift, k) not in powers:
-                            powers[shift, k] = powers[shift, k - 1] * val
-                    factor, degree = factors[prefix]
+                            powers[shift, k] = _product(powers[shift, k - 1],
+                                                        val)
+                    factor = powers[shift, e]
                     factors[prefix + (e << shift)] = (
-                        factor * powers[shift, e], degree + e)
+                        _product(factors[prefix], factor) if prefix
+                        else factor)
                 prefix += e << shift
-        common = math.lcm(*(factors[k][0].den * den for k, den in groups))
+        common = poly.den * math.lcm(*(factors[key][1] * den
+                                       for key, den in groups))
         acc = {}
         for (key, den), group in groups.items():
-            factor, degree = factors[key]
-            # The rest still carries the key's share of the degree field.
-            scale, degree = common // (factor.den * den), degree << _DEG_SHIFT
-            _mul_into(acc, factor.nums,
-                      {m - degree: c * scale for m, c in group.items()})
+            nums, fden = factors[key]
+            scale = common // (fden * den * poly.den)
+            if scale != 1:
+                group = {m: c * scale for m, c in group.items()}
+            if key:
+                _mul_into(acc, nums, group)
+            elif not acc:
+                acc = group
+            else:
+                for m, c in group.items():
+                    if m in acc:
+                        acc[m] += c
+                    else:
+                        acc[m] = c
+        if acc:
+            _check_degree(max(acc) >> _DEG_SHIFT)
         out.append(_reduced(acc, common))
     return out
+
+
+def _move(part, mask, zeros, fields, folds):
+    """What ``substitute_all`` does to a term whose exponents in the
+    replaced fields are ``part``: ((group key, denominator factor),
+    monomial shift, coefficient factor), or () when a zero value kills
+    the term.  The shift leaves the key's variables out of the monomial,
+    degree included, and folds the one-term values into it."""
+    if part & zeros:
+        return ()
+    key = part & mask
+    delta = -key
+    for shift, _ in fields:
+        delta -= ((key >> shift) & _FIELD) << _DEG_SHIFT
+    num = den = 1
+    for shift, step, vnum, vden in folds:
+        e = (part >> shift) & _FIELD
+        if e:
+            delta += e * step
+            num *= vnum ** e
+            den *= vden ** e
+    return (key, den), delta, num
+
+
+def variable_combination(names, polys):
+    """The sum of name * poly over the pairs: each poly's numerators,
+    shifted by its variable's monomial, accumulate over one common
+    denominator."""
+    den = math.lcm(*(p.den for p in polys))
+    acc = {}
+    for name, poly in zip(names, polys):
+        step = _VARIABLE_MONO[VARIABLE_INDEX[name]]
+        scale = den // poly.den
+        for m, c in poly.nums.items():
+            m += step
+            if m in acc:
+                acc[m] += c * scale
+            else:
+                acc[m] = c * scale
+    if acc:
+        _check_degree(max(acc) >> _DEG_SHIFT)
+    return _reduced(acc, den)
 
 
 def format_poly(poly):
@@ -474,30 +568,40 @@ def format_poly(poly):
     return "".join(out)
 
 
+# An integer, a name, or any other single character; whitespace between
+# tokens is skipped.  Left to ``re`` to compile on first use, so that
+# importing the module does no work.
+_TOKEN = r"\d+|[^\W\d_]\w*|\S"
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
+        found = list(re.finditer(_TOKEN, text))
+        self.tokens = [m.group() for m in found] + [None]
+        self.starts = [m.start() for m in found] + [len(text)]
         self.pos = 0
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        return self.tokens[self.pos]
 
-    def take_name(self):
-        start = self.pos
-        while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def take_int(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+    def take_int(self, what):
+        tok = self.tokens[self.pos]
+        if tok is None or not tok[0].isdigit():
+            raise self.error("expected %s" % what)
+        self.pos += 1
+        return int(tok)
+
+    def error(self, what, at=None):
+        """ValueError naming the text and the position of token ``at``,
+        by default the next one."""
+        at = self.pos if at is None else at
+        return ValueError("%s in %r at position %d"
+                          % (what, self.text, self.starts[at]))
 
 
 def parse_poly(text):
@@ -505,79 +609,90 @@ def parse_poly(text):
 
     Accepts things like ``3*x0^2*x1 - 1/2*b1^3`` and ``(1/8)*(s0*b1 + 4)``.
     Division is only allowed immediately after an integer literal, so
-    fractions parse but general rational functions are rejected.
+    fractions parse but general rational functions are rejected.  Every
+    malformed text, an unknown name or a zero denominator among them,
+    raises ValueError naming the text.
     """
     toks = _Tokens(text)
     poly = _parse_sum(toks)
     if toks.peek() is not None:
-        raise ValueError("trailing input in %r at position %d" % (text, toks.pos))
+        raise toks.error("trailing input")
     return poly
 
 
 def _parse_sum(toks):
-    ch = toks.peek()
-    negate = False
-    if ch in ("+", "-"):
-        toks.pos += 1
-        negate = ch == "-"
-    acc = _parse_product(toks)
-    if negate:
-        acc = -acc
+    """Products between top-level signs, added over one denominator."""
+    terms, polys = [], []
+    sign = 1
+    if toks.peek() in ("+", "-"):
+        sign = -1 if toks.take() == "-" else 1
     while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.pos += 1
-            acc = acc + _parse_product(toks)
-        elif ch == "-":
-            toks.pos += 1
-            acc = acc - _parse_product(toks)
-        else:
-            return acc
+        mono, coeff, parens = _parse_product(toks)
+        coeff *= sign
+        if not parens:
+            terms.append((mono, coeff))
+        elif coeff:
+            term = Polynomial({mono: coeff.numerator}, coeff.denominator)
+            for factor in parens:
+                term = term * factor
+            polys.append(term)
+        if toks.peek() not in ("+", "-"):
+            break
+        sign = -1 if toks.take() == "-" else 1
+    den = math.lcm(*(c.denominator for _, c in terms),
+                   *(p.den for p in polys))
+    acc = {}
+    for mono, c in terms:
+        acc[mono] = acc.get(mono, 0) + c.numerator * (den // c.denominator)
+    for p in polys:
+        scale = den // p.den
+        for mono, c in p.nums.items():
+            acc[mono] = acc.get(mono, 0) + c * scale
+    return _reduced(acc, den)
 
 
 def _parse_product(toks):
-    acc = _parse_power(toks)
+    """Factors joined by '*', as (packed monomial, rational coefficient,
+    [parenthesised factors]): atoms build one term, and only the
+    parenthesised factors stay Polynomials."""
+    mono, coeff, parens = 0, 1, []
     while True:
-        ch = toks.peek()
-        if ch == "*":
-            toks.pos += 1
-            acc = acc * _parse_power(toks)
+        tok = toks.peek()
+        if tok is None:
+            raise toks.error("unexpected end of input")
+        if tok == "(":
+            toks.take()
+            inner = _parse_sum(toks)
+            if toks.peek() != ")":
+                raise toks.error("unbalanced parenthesis")
+            toks.take()
+            parens.append(inner ** _parse_exponent(toks))
+        elif tok[0].isdigit():
+            value = int(toks.take())
+            if toks.peek() == "/":
+                toks.take()
+                den = toks.take_int("denominator")
+                if not den:
+                    raise toks.error("zero denominator", toks.pos - 1)
+                value = Fraction(value, den)
+            coeff *= value ** _parse_exponent(toks)
+        elif tok in VARIABLE_INDEX:
+            toks.take()
+            mono += _VARIABLE_MONO[VARIABLE_INDEX[tok]] * _parse_exponent(toks)
+        elif tok[0].isalpha():
+            raise toks.error("unknown variable %r" % tok)
         else:
-            return acc
+            raise toks.error("unexpected character %r" % tok)
+        if toks.peek() != "*":
+            break
+        toks.take()
+    _check_degree(mono >> _DEG_SHIFT)
+    return mono, coeff, parens
 
 
-def _parse_power(toks):
-    base = _parse_atom(toks)
-    if toks.peek() == "^":
-        toks.pos += 1
-        if toks.peek() is None or not toks.peek().isdigit():
-            raise ValueError("expected integer exponent")
-        return base ** toks.take_int()
-    return base
-
-
-def _parse_atom(toks):
-    ch = toks.peek()
-    if ch is None:
-        raise ValueError("unexpected end of input")
-    if ch == "(":
-        toks.pos += 1
-        inner = _parse_sum(toks)
-        if toks.peek() != ")":
-            raise ValueError("unbalanced parenthesis")
-        toks.pos += 1
-        return inner
-    if ch.isdigit():
-        num = toks.take_int()
-        if toks.peek() == "/":
-            toks.pos += 1
-            if toks.peek() is None or not toks.peek().isdigit():
-                raise ValueError("expected denominator")
-            den = toks.take_int()
-            return Polynomial.constant(Fraction(num, den))
-        return Polynomial.constant(num)
-    if ch.isalpha():
-        name = toks.take_name()
-        return Polynomial.variable(name)
-    raise ValueError("unexpected character %r" % ch)
-
+def _parse_exponent(toks):
+    """The integer after an optional '^'; 1 without one."""
+    if toks.peek() != "^":
+        return 1
+    toks.take()
+    return toks.take_int("integer exponent")

@@ -33,8 +33,8 @@ comparisons are up to a nonzero rational scalar.
 import re
 from fractions import Fraction
 
-from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly
-from .extforms import COORDS, build_omega, parse_form
+from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, substitute_all
+from .extforms import COORDS, OneForm, build_omega, parse_form
 from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
                      EXCEPTIONAL, base_cubics, base_pair)
 
@@ -292,11 +292,14 @@ def _apply_stage_chart(chart_id, stage_index, stage, eqs, templates, parent,
     subs = {var: scale * (Polynomial.variable(new) * exc + offset)
             for j, (var, scale, offset, new) in enumerate(templates)
             if j != chart_index}
-    if exc.substitute(subs) != exc:
+    # The invariance check rides in the form's substitution, so the two
+    # share their products of powers.
+    *pulled, moved = substitute_all(parent.form.comps + (exc,), subs)
+    if moved != exc:
         raise StructureError(
             "center equation %s not invariant on chart %d of %s stage %d"
             % (stage["eqs"][chart_index], chart_index, chart_id, stage_index))
-    pulled = parent.form.substitute(subs)
+    pulled = OneForm(pulled)
     context = (chart_id, stage_index, chart_index)
     divided = pulled.exact_divide(exc, context=context)
     if not divided.euler_pairing().is_zero():
@@ -310,7 +313,9 @@ def _apply_stage_chart(chart_id, stage_index, stage, eqs, templates, parent,
         if j != chart_index:
             anchors[new] = Fraction(0)
     kept_var, kept_scale, kept_offset, _ = templates[chart_index]
-    offset_val = kept_offset.substitute(parent.anchors)
+    offset_val = kept_offset.substitute(
+        {v: parent.anchors[v] for v in kept_offset.variables()
+         if v in parent.anchors})
     anchors[kept_var] = kept_scale * offset_val.constant_value()
     return ChartState(divided, anchors)
 
@@ -439,9 +444,13 @@ def check_tables():
     """
     reports = []
     quadrics = [parse_poly(m) for m in B_MONOS]
+    cubics = {}  # the base groups share four of their five cubics
     for row, cell in enumerate(BASE_CELLS):
         q, k, i = base_pair(row)
-        form = build_omega(parse_poly(base_cubics(k)[i]), quadrics[q])
+        text = base_cubics(k)[i]
+        if text not in cubics:
+            cubics[text] = parse_poly(text)
+        form = build_omega(cubics[text], quadrics[q])
         reports.append(CellReport(
             "base", row, _status("base", row, [(form, None)], cell)))
     for key, table in EXCEPTIONAL.items():

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folbott.extforms import (build_omega, is_integrable, parse_form,
-                              sample_foliation_report, vanishes_on)
+from folbott.extforms import (COORDS, OneForm, build_omega, is_integrable,
+                              parse_form, sample_foliation_report,
+                              vanishes_on)
 from folbott.ratpoly import Polynomial, parse_poly
 
 
@@ -43,6 +44,28 @@ def test_omega_is_projective_and_integrable(pair):
     assert is_integrable(form)
 
 
+def form_components():
+    """Coefficients in the coordinates and one chart parameter."""
+    names = ("x0", "x1", "x3", "b1")
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    expo = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+
+    def build(terms):
+        return sum((Polynomial.monomial(dict(zip(names, e)), c)
+                    for e, c in terms), Polynomial.zero())
+
+    return st.lists(st.tuples(expo, coeff), max_size=3).map(build)
+
+
+@settings(max_examples=60)
+@given(st.lists(form_components(), min_size=4, max_size=4))
+def test_euler_pairing_is_the_sum_of_coordinate_products(comps):
+    reference = Polynomial.zero()
+    for name, comp in zip(COORDS, comps):
+        reference = reference + Polynomial.variable(name) * comp
+    assert OneForm(comps).euler_pairing() == reference
+
+
 def test_omega_is_bilinear():
     f, g = parse_poly("x0^2*x3"), parse_poly("x0*x2")
     lhs = build_omega(5 * f, -3 * g)
@@ -79,7 +102,7 @@ def test_parse_form_reads_a_bare_differential():
 
 
 @pytest.mark.parametrize("text", ["x0", "x0*dx0 + 1", "x0*dx0^2",
-                                  "dx0*dx1"])
+                                  "dx0*dx1", "q*dx0"])
 def test_parse_form_rejects_terms_not_linear_in_the_differentials(text):
     with pytest.raises(ValueError):
         parse_form(text)

@@ -96,10 +96,18 @@ def test_parse_fraction_coefficients():
 
 
 @pytest.mark.parametrize("text", ["x0 x1", "(x0", "x0^", "x0^y", "1/",
-                                  "1/x0", "$", "", "x0 +"])
+                                  "1/x0", "$", "", "x0 +", "q", "1/0"])
 def test_parse_rejects_malformed_text(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_poly(text)
+    assert repr(text) in str(err.value)
+
+
+def test_unknown_names_are_parse_errors_but_variable_key_errors():
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        parse_poly("x0 + q")
+    with pytest.raises(KeyError):
+        Polynomial.variable("q")
 
 
 def test_format_is_graded_lex():
@@ -146,6 +154,34 @@ def test_exact_divide_failure_carries_context():
     assert err.value.context == ("here", 3)
 
 
+exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+nonzero_fractions = st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4).filter(bool)
+
+
+@settings(max_examples=60)
+@given(small_polys(), nonzero_fractions, exponents)
+def test_one_term_divisor_inverts_multiplication(p, c, exps):
+    divisor = Polynomial.monomial(dict(zip(SMALL_VARIABLES, exps)), c)
+    assert (p * divisor).exact_divide(divisor) == p
+
+
+@settings(max_examples=60)
+@given(small_polys(), nonzero_fractions, exponents, st.data())
+def test_one_term_divisor_rejects_a_term_it_does_not_divide(p, c, exps,
+                                                            data):
+    assume(any(exps))
+    # Lower one exponent of m: that term is no multiple of m, and every
+    # term of p*c*m is one, so nothing cancels it.
+    low = data.draw(st.sampled_from([i for i, e in enumerate(exps) if e]))
+    other = [e - (i == low) for i, e in enumerate(exps)]
+    divisor = Polynomial.monomial(dict(zip(SMALL_VARIABLES, exps)), c)
+    stray = Polynomial.monomial(dict(zip(SMALL_VARIABLES, other)), c)
+    with pytest.raises(NotDivisible) as err:
+        (p * divisor + stray).exact_divide(divisor, context=("chart", 1))
+    assert err.value.context == ("chart", 1)
+
+
 @settings(max_examples=60)
 @given(small_polys(), small_polys())
 def test_substitution_is_a_homomorphism(p, q):
@@ -168,17 +204,40 @@ def expand_term_by_term(p, mapping):
     return out
 
 
-@settings(max_examples=60)
-@given(small_polys(), small_polys(),
-       st.dictionaries(st.sampled_from(SMALL_VARIABLES), small_polys()))
+def one_term_values():
+    """Values that fold into each monomial: ints, Fractions and one-term
+    polynomials, zero among each."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    monomials = st.tuples(exponents, coeff).map(
+        lambda t: Polynomial.monomial(dict(zip(SMALL_VARIABLES, t[0])), t[1]))
+    return st.one_of(st.integers(min_value=-2, max_value=2), coeff,
+                     monomials)
+
+
+substitution_mappings = st.one_of(
+    st.dictionaries(st.sampled_from(SMALL_VARIABLES),
+                    st.one_of(small_polys(), one_term_values())),
+    st.dictionaries(st.sampled_from(SMALL_VARIABLES), one_term_values()))
+
+
+@settings(max_examples=100)
+@given(small_polys(), small_polys(), substitution_mappings)
 def test_substitute_matches_term_by_term_expansion(p, q, mapping):
-    # Values may be zero, one term (folded into each monomial) or
-    # several terms (grouped), and may contain the replaced variables;
-    # p and q share their products of powers.
+    # Values may be zero, rationals, one term (folded into each
+    # monomial) or several terms (grouped), and may contain the replaced
+    # variables; p and q share their products of powers.  A mapping of
+    # folded values only leaves every term in the unmultiplied group.
     expected = [expand_term_by_term(p, mapping),
                 expand_term_by_term(q, mapping)]
     assert substitute_all((p, q), mapping) == expected
     assert p.substitute(mapping) == expected[0]
+
+
+def test_one_term_values_replace_simultaneously():
+    x0, x1 = Polynomial.variable("x0"), Polynomial.variable("x1")
+    p = parse_poly("x0^2*x1 + 3*x0 - x1^3")
+    assert p.substitute({"x0": x1, "x1": 2 * x0}) == \
+        parse_poly("2*x0*x1^2 + 3*x1 - 8*x0^3")
 
 
 def test_coefficients_in_groups_by_exponent():
