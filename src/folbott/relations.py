@@ -3,11 +3,11 @@
 The fiber integral at power 7 must be flag independent, so equating
 the symbolic per-flag sums produces 23 linear equations in d1..d30.
 One exact elimination reduces them to a rank-18 echelon system:
-the rows are reduced modulo a 61-bit prime, lifted back to fractions by
-rational reconstruction and certified with integer arithmetic, and a
+the rows are reduced modulo a prime below 2^30, lifted back to fractions
+by rational reconstruction and certified with integer arithmetic, and a
 failed lift or check brings in the next prime.  The equations go in
-as TwistLinear's integer rows.  Substituting the system into any
-per-flag sum collapses the unknowns and leaves the numeric fiber
+as TwistLinear's integer rows, unscaled.  Substituting the system into
+any per-flag sum collapses the unknowns and leaves the numeric fiber
 degree: with the echelon rows scaled once to an integer matrix over
 the lcm of their denominators, that is one integer dot product per
 free column.
@@ -39,7 +39,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 def _is_prime(n):
     """Miller-Rabin on the first twelve prime bases, which decides
     primality exactly for every odd n from 39 to 3.3e24 (Sorenson and
-    Webster, Math. Comp. 2017); the candidates here are close to 2^61."""
+    Webster, Math. Comp. 2017); the candidates here are just below 2^30."""
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
@@ -57,8 +57,14 @@ def _is_prime(n):
 
 
 def _primes():
-    """2^61 - 1, then the primes below it in descending order."""
-    p = (1 << 61) - 1
+    """2^30 - 35, the largest prime below 2^30, then the primes below it
+    in descending order.
+
+    CPython stores an int in 30-bit digits, so below 2^30 every residue,
+    pivot and row entry mod p is a one-digit int and every product of
+    two is at most two digits, whatever the size of the input rows.
+    """
+    p = (1 << 30) - 35
     while True:
         yield p
         p -= 2
@@ -161,15 +167,17 @@ def rref(rows):
     InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
     rows dropped.
 
-    Every row is scaled to a primitive integer row, reduced modulo
-    p = 2^61 - 1 and brought to reduced form over F_p, so no entry
-    grows past p.  Each entry is lifted back to the rationals by
-    rational reconstruction, and the candidate is certified with
-    integers only (see ``_certified``): every input row lies in its
-    span, and its rank, the rank mod p, is at most the rank over the
-    rationals, so the two spans are equal and the candidate is the
-    unique reduced form.  When a lift or the check fails, the next
-    prime of ``_primes`` joins by CRT.  An unlucky prime, one dividing
+    Rows of ints, such as TwistLinear's numerators, go in as they are;
+    any other row is scaled to a primitive integer row first.  The rows
+    are reduced modulo p, the first prime of ``_primes`` (below 2^30),
+    and brought to reduced form over F_p, so no entry grows past p.
+    Each entry is lifted back to the rationals by rational
+    reconstruction, and the candidate is certified with integers only
+    (see ``_certified``): every input row lies in its span, and its
+    rank, the rank mod p, is at most the rank over the rationals, so
+    the two spans are equal and the candidate is the unique reduced
+    form.  When a lift or the check fails, the next prime of
+    ``_primes`` joins by CRT.  An unlucky prime, one dividing
     a minor, shows fewer pivots or later pivot columns than the
     rationals: a prime whose pivots are worse than the best seen so far
     is skipped, and one whose pivots are better replaces the residues.
@@ -179,7 +187,7 @@ def rref(rows):
     counts as an inconsistency only once its candidate has passed the
     check.
     """
-    mat = [_integer_row(r) for r in rows]
+    mat = [r if {*map(type, r)} == {int} else _integer_row(r) for r in rows]
     if not mat:
         return ()
     best = None

@@ -1,12 +1,15 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
                              fiber_degree)
+from folbott import relations
 from folbott.relations import (InconsistentSystem, ResidualUnknowns,
                                build_system, integer_rows, normal_twist_check,
                                relation_strings, row_space_equal, rref,
@@ -16,7 +19,8 @@ from oracle import FractionLinear, substitute_rows
 
 W0 = (0, 1, 5, 25)
 W_WIDE = (67208900, -31429501, 99121929, -3756357)
-P = (1 << 61) - 1  # the first prime of the multimodular elimination
+# The first two primes of the multimodular elimination.
+P, P2 = islice(relations._primes(), 2)
 
 # Reference echelon relations, grouped by the line whose twist slots
 # they pin down, listed bottom group first inside each group.
@@ -258,15 +262,40 @@ def rational_systems(draw):
     return rows
 
 
+def _scaled_to_ints(row):
+    denom = lcm(*(c.denominator for c in row))
+    return [int(c * denom) for c in row]
+
+
 @settings(max_examples=100, deadline=None)
 @given(rational_systems())
+@example([[Fraction(1, 2), Fraction(-3, 4), Fraction(5)],
+          [Fraction(2), Fraction(0), Fraction(7, 3)]])
 def test_rref_equals_the_fraction_reference(rows):
+    """Also for the rows scaled to ints, which skip the rescaling pass,
+    and for those same ints written as Fractions."""
+    ints = [_scaled_to_ints(row) for row in rows]
+    as_fractions = [[Fraction(c) for c in row] for row in ints]
     expected = _reference_rref(rows)
-    if expected is None:
-        with pytest.raises(InconsistentSystem):
-            rref(rows)
-    else:
-        assert rref(rows) == expected
+    for case in (rows, ints, as_fractions):
+        if expected is None:
+            with pytest.raises(InconsistentSystem):
+                rref(case)
+        else:
+            assert rref(case) == expected
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_elimination_primes_are_the_largest_below_2_30():
+    assert P == (1 << 30) - 35
+    assert P2 < P
+    assert _is_prime_by_trial_division(P)
+    assert _is_prime_by_trial_division(P2)
+    assert not any(_is_prime_by_trial_division(n)
+                   for n in range(P2 + 1, 1 << 30) if n != P)
 
 
 def test_constant_pivot_mod_p_is_not_an_inconsistency():
@@ -277,8 +306,25 @@ def test_constant_pivot_mod_p_is_not_an_inconsistency():
 def test_unlucky_prime_is_skipped():
     # Mod P the pivot is column 0 and 1/P2 needs more primes to lift;
     # mod P2 the row reads (0, 1, 0), a later pivot, so P2 is skipped.
-    p2 = 2305843009213693921  # 2^61 - 31, the second prime
-    assert rref([[p2, 1, 0]]) == ((1, Fraction(1, p2), 0),)
+    assert rref([[P2, 1, 0]]) == ((1, Fraction(1, P2), 0),)
+
+
+def test_entry_past_the_one_prime_bound_is_joined_by_crt(monkeypatch):
+    # x = -23171 and y = 23171: one past isqrt((P - 1)/2) = 23170, the
+    # largest numerator one prime lifts, so a second prime joins by CRT.
+    assert isqrt((P - 1) // 2) == 23170
+    joins = []
+    crt = relations._crt
+
+    def counting(residues, modulus, more, p):
+        joins.append((modulus, p))
+        return crt(residues, modulus, more, p)
+
+    monkeypatch.setattr(relations, "_crt", counting)
+    rows = [[1, 1, 0], [1, -1, 46342]]
+    assert rref(rows) == _reference_rref(rows) == ((1, 0, 23171),
+                                                    (0, 1, -23171))
+    assert joins == [(P, P2)]
 
 
 def test_rank_drop_mod_p_gives_the_rational_form():

@@ -66,6 +66,28 @@ def test_cross_check_statuses():
     assert flagged == [("cube-res", 4)]
 
 
+def test_check_tables_builds_each_base_pair_once(monkeypatch):
+    """30 base rows, 22 distinct (quadric, cubic) pairs: one form per
+    pair in every call, none kept from the call before."""
+    resolve.divisibility_ledger()  # chart runs build forms too: not counted
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return build_omega(f, g)
+
+    monkeypatch.setattr(resolve, "build_omega", counting)
+    statuses = []
+    for _ in range(2):
+        calls.clear()
+        statuses.append([(r.table, r.row, r.status)
+                         for r in resolve.check_tables()])
+        assert len(calls) == 22
+        assert len({(str(f), str(g)) for f, g in calls}) == 22
+    assert statuses[0] == statuses[1]
+    assert len(statuses[0]) == 89
+
+
 def _set_base_cell(monkeypatch, row, cell):
     cells = list(tables.BASE_CELLS)
     cells[row] = cell
