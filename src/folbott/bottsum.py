@@ -29,9 +29,11 @@ Only nu^p and the fiber powers depend on the power p.  So
 ``flag_residues(flag, w)`` computes the rest once, as a FlagResidues:
 the common denominator D of every point and line term, each nu value
 with its integer numerator over D, and each line's fiber value with
-one integer numerator over D per twist slot.  Its ``at(p)`` is the
-flag's sum at power p, a dozen powers and one integer row, and
-``contribution_sum(flag, w, p)`` is ``flag_residues(flag, w).at(p)``.
+one integer numerator over D per twist slot.  Its ``row(p)`` is the
+flag's raw sum at power p, a dozen powers and one integer row over D
+that is not reduced; ``at(p)`` is that row in lowest terms, a
+TwistLinear, and ``contribution_sum(flag, w, p)`` is
+``flag_residues(flag, w).at(p)``.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -43,17 +45,29 @@ at weights (0, 1, 5, 25)) are stated.
 
 One weight vector costs one pass over the 24 flags, whatever the
 powers: ``relations.build_system`` keeps the 24 FlagResidues next to
-its power-7 sums.  ``per_flag_fiber_values``, behind ``fiber_degree``
-and ``fiber-degree --per-flag``, reuses those sums when its weights
-and power match, and ``component_degree``, ``per_flag_degrees`` and
-the fiber values at any other power read their sums off the kept
-FlagResidues when the weights match; only other weights cost a pass
-of their own.  ``component_degree`` adds its 24 summands over one
-common denominator, in one integer row.  The flag sums always run
+their raw power-7 rows.  ``per_flag_fiber_values``, behind
+``fiber_degree`` and ``fiber-degree --per-flag``, reuses those rows
+when its weights and power match, and ``component_degree``,
+``per_flag_degrees`` and the fiber values at any other power read
+their rows off the kept FlagResidues when the weights match; only other
+weights cost a pass of their own.
+
+The degree path stays on raw integer rows until a value leaves it.
+Each flag's raw row is substituted on its own, through the solved
+relations' integer primitive ``reduce_row``, which leaves the constant
+and the free columns; a per-flag value is that constant, checked to
+have no free unknowns, as a Fraction.  ``component_degree`` reduces
+each flag's power-13 row over its six flag-tangent weights first and
+then adds the 24 reduced rows over their common denominator, so only
+the constant and the free columns, zero at power 13, are scaled; the
+check for leftover free unknowns runs once, on the summed free
+columns, and the sum goes to lowest terms once, as the result.
+Without relations (``--symbolic-d``) the same sum runs over all 31
+columns and ends in one TwistLinear.  The flag sums always run
 serially: they are pure-Python arithmetic, which threads do not speed
-up under the interpreter lock.  Only
-``component_degree`` still takes a ``jobs`` argument, and ignores it,
-because the jobs probe of ``perfbench`` passes one.
+up under the interpreter lock.  Only ``component_degree`` still takes a
+``jobs`` argument, and ignores it, because the jobs probe of
+``perfbench`` passes one.
 """
 
 from fractions import Fraction
@@ -238,8 +252,8 @@ class FlagResidues:
     product and every line's denominator prod(n) * lcm(n), ``points``
     holds (nu value, sum of den // prod(t) over the points with that
     nu), and ``lines`` holds (fiber value, (slot index, den // (prod(n)
-    * n_i)) per slot).  ``at(power)`` is then the flag's sum at that
-    power: a few powers and products, and one integer row.
+    * n_i)) per slot).  ``row(power)`` is then the flag's sum at that
+    power: a few powers and products, and one integer row over ``den``.
     """
 
     __slots__ = ("den", "points", "lines")
@@ -249,8 +263,9 @@ class FlagResidues:
         self.points = points
         self.lines = lines
 
-    def at(self, power):
-        """The raw residue sum at ``power`` (see ``contribution_sum``)."""
+    def row(self, power):
+        """The raw residue sum at ``power`` as an integer row (d1..d30,
+        then the constant) over ``den``, not reduced."""
         _check_power(power)
         row = [0] * WIDTH
         row[NUM_SLOTS] = -sum(nu ** power * q for nu, q in self.points)
@@ -259,7 +274,12 @@ class FlagResidues:
             if top:
                 for j, value in entries:
                     row[j] = top * value
-        return TwistLinear.from_row(row, self.den)
+        return row
+
+    def at(self, power):
+        """The raw residue sum at ``power`` in lowest terms (see
+        ``contribution_sum``)."""
+        return TwistLinear.from_row(self.row(power), self.den)
 
 
 def _check_power(power):
@@ -355,41 +375,59 @@ def fiber_degree(w, power, relations):
 
 
 def per_flag_fiber_values(w, relations, power=7):
-    """The 24 flag sums at ``power``, substituted.  The sums of the
+    """The 24 flag sums at ``power``, substituted.  The raw rows of the
     relations' own system are reused when its weights and power are
     these, and its FlagResidues when only the weights are."""
     w = tuple(validate_weights(w))
     system = relations.system
     if (system.w, system.power) == (w, power):
-        sums = system.flag_sums
+        rows = system.sum_rows
     else:
-        sums = [r.at(power) for r in _residues_for(w, relations)]
-    return [(flag, relations.substitute(s))
-            for flag, s in zip(enumerate_fixed_flags(), sums)]
+        rows = [(r.row(power), r.den) for r in _residues_for(w, relations)]
+    return [(flag, relations.collapse(*relations.reduce_row(row, den)))
+            for flag, (row, den) in zip(enumerate_fixed_flags(), rows)]
+
+
+def _summands(w, power, relations):
+    """Each flag's raw row at ``power`` over its denominator times its
+    six flag-tangent weights."""
+    return [(r.row(power), r.den * flag_tangent_product(flag, w))
+            for flag, r in zip(enumerate_fixed_flags(),
+                               _residues_for(w, relations))]
+
+
+def _add_rows(summands):
+    """The sum of integer rows over denominators, as one integer row
+    over the lcm of the denominators; zero entries are not scaled."""
+    den = lcm(*(d for _, d in summands))
+    total = [0] * WIDTH
+    for row, d in summands:
+        scale = den // d
+        for j, n in enumerate(row):
+            if n:
+                total[j] += n * scale
+    return total, den
 
 
 def component_degree(w, power=13, relations=None, jobs=1):
-    """Global residue sum: flag sums over their six flag-tangent
-    weights, added across all 24 flags over one common denominator."""
+    """Global residue sum: each flag's sum over its six flag-tangent
+    weights, substituted flag by flag, then added across all 24 flags
+    over one common denominator.  Without relations the unsubstituted
+    sum comes back as a TwistLinear."""
     w = tuple(validate_weights(w))
-    sums = [r.at(power) for r in _residues_for(w, relations)]
-    summands = [(s.nums, s.den * flag_tangent_product(flag, w))
-                for flag, s in zip(enumerate_fixed_flags(), sums)]
-    den = lcm(*(d for _, d in summands))
-    rows = [[n * (den // d) for n in nums] for nums, d in summands]
-    total = TwistLinear.from_row([sum(col) for col in zip(*rows)], den)
+    summands = _summands(w, power, relations)
     if relations is None:
-        return total
-    return relations.substitute(total)
+        return TwistLinear.from_row(*_add_rows(summands))
+    return relations.collapse(*_add_rows(
+        [relations.reduce_row(row, den) for row, den in summands]))
 
 
 def per_flag_degrees(w, relations, power=13):
     """The 24 flag summands of the global degree, substituted."""
     w = tuple(validate_weights(w))
-    return [(flag, relations.substitute(
-                r.at(power) / flag_tangent_product(flag, w)))
-            for flag, r in zip(enumerate_fixed_flags(),
-                               _residues_for(w, relations))]
+    return [(flag, relations.collapse(*relations.reduce_row(row, den)))
+            for flag, (row, den) in zip(enumerate_fixed_flags(),
+                                        _summands(w, power, relations))]
 
 
 def three_planes_demo():

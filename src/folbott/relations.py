@@ -6,11 +6,20 @@ One exact elimination reduces them to a rank-18 echelon system:
 the rows are reduced modulo a prime below 2^30, lifted back to fractions
 by rational reconstruction and certified with integer arithmetic, and a
 failed lift or check brings in the next prime.  The equations go in
-as TwistLinear's integer rows, unscaled.  Substituting the system into
-any per-flag sum collapses the unknowns and leaves the numeric fiber
-degree: with the echelon rows scaled once to an integer matrix over
-the lcm of their denominators, that is one integer dot product per
-free column.
+as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
+and nothing on the way is put in lowest terms: scaling a row does not
+change the space it spans.  The certificate scales the echelon rows
+once to an integer matrix over the lcm of their denominators, and the
+solved relations keep that matrix.
+
+Substitution is one integer primitive, ``SolvedRelations.reduce_row``:
+a raw row over any denominator goes to its free columns and constant,
+one integer dot product per free column, over that denominator times
+the matrix's.  ``collapse`` turns such a row into its constant, as a
+Fraction in lowest terms, once every free column is checked to be
+zero.  ``reduce`` and ``substitute`` are those two steps on a
+TwistLinear, and the degree path in ``bottsum`` calls them on raw rows,
+so a value is put in lowest terms only when it leaves the engine.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
@@ -107,9 +116,10 @@ def _crt(residues, modulus, more, p):
 
 
 def _reconstruct(u, m, bound):
-    """The fraction n/d = u mod m with |n|, d <= bound, or None (Wang,
-    SYMSAC 1981): the extended Euclidean algorithm on (m, u), stopped
-    at the first remainder within the bound."""
+    """The fraction n/d = u mod m with |n|, d <= bound, as the pair
+    (n, d) with d > 0, or None (Wang, SYMSAC 1981): the extended
+    Euclidean algorithm on (m, u), stopped at the first remainder
+    within the bound."""
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -117,44 +127,77 @@ def _reconstruct(u, m, bound):
         t0, t1 = t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _lift(residues, m):
     """Every residue mod m as the fraction with numerator and
-    denominator at most sqrt(m/2) that it reduces from, or None when
-    one has none.  Zeros and ones, the pivots among them, lift as
-    themselves."""
+    denominator at most sqrt(m/2) that it reduces from, in integer form
+    (see ``_scale``), or None when one has none.  Zeros and ones, the
+    pivots among them, lift as themselves."""
     bound = isqrt((m - 1) // 2)
     lifted = []
     for row in residues:
         out = []
         for u in row:
-            q = (_ONE if u == 1 else _ZERO if u == 0 else
-                 _reconstruct(u, m, bound))
+            q = (u, 1) if u < 2 else _reconstruct(u, m, bound)
             if q is None:
                 return None
             out.append(q)
-        lifted.append(tuple(out))
-    return lifted
+        lifted.append(out)
+    return _scale(lifted)
 
 
-def _certified(mat, rref_rows, pivots):
+def _scale(rows):
+    """Rows of (numerator, denominator) pairs in integer form: the lcm D
+    of the denominators, and the rows times D as lists of ints."""
+    denom = lcm(*{d for row in rows for _, d in row})
+    return denom, [[n * (denom // d) for n, d in row] for row in rows]
+
+
+class Echelon(tuple):
+    """What ``rref`` returns: the reduced rows, a tuple of tuples of
+    Fractions, built from the integer form they were certified in and
+    keeping it.  ``denom`` is the lcm of the entries' denominators and
+    ``scaled`` the rows times ``denom``, as lists of ints."""
+
+    def __new__(cls, denom, scaled):
+        out = super().__new__(cls, (
+            tuple(_ZERO if not n else _ONE if n == denom else
+                  Fraction(n, denom) for n in row)
+            for row in scaled))
+        out.denom, out.scaled = denom, scaled
+        return out
+
+    @classmethod
+    def of_rows(cls, rows):
+        """The Echelon of rows of Fractions or ints."""
+        return cls(*_scale([[(c.numerator, c.denominator) for c in row]
+                            for row in rows]))
+
+
+def _certified(mat, denom, scaled, pivots):
     """Whether every integer row lies in the span of the candidate rows.
 
-    With D the lcm of the candidate's denominators and C_k = D*R_k,
-    each row must satisfy D*row = sum_k row[pivot_k]*C_k.  The pivot
-    columns hold the identity, so only the other columns are compared.
+    With D = ``denom`` the lcm of the candidate's denominators and
+    C_k = D*R_k the rows of ``scaled``, each row must satisfy
+    D*row = sum_k row[pivot_k]*C_k.  The pivot columns hold the
+    identity, so only the other columns are compared.
     """
-    denom = lcm(*(c.denominator for row in rref_rows for c in row))
-    scaled = [[c.numerator * (denom // c.denominator) for c in row]
-              for row in rref_rows]
     pivot_set = set(pivots)
     columns = [(j, [(pivots[k], row[j]) for k, row in enumerate(scaled)
                     if row[j]])
                for j in range(len(mat[0])) if j not in pivot_set]
-    return all(denom * row[j] == sum(row[pc] * c for pc, c in terms)
-               for row in mat for j, terms in columns)
+    # Plain loops: a generator per (row, column) pair would cost more
+    # than the few products it adds.
+    for row in mat:
+        for j, terms in columns:
+            total = 0
+            for pc, c in terms:
+                total += row[pc] * c
+            if denom * row[j] != total:
+                return False
+    return True
 
 
 def rref(rows):
@@ -165,10 +208,12 @@ def rref(rows):
     constant (for the 31-wide relation rows: the 30 unknown columns);
     a system whose rows combine to (0, ..., 0, c) with c nonzero raises
     InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
-    rows dropped.
+    rows dropped, as an Echelon that keeps the integer form the
+    certificate checked.
 
-    Rows of ints, such as TwistLinear's numerators, go in as they are;
-    any other row is scaled to a primitive integer row first.  The rows
+    Rows of ints, such as the raw equation rows of ``build_system``, go
+    in as they are; any other row is scaled to a primitive integer row
+    first.  The rows
     are reduced modulo p, the first prime of ``_primes`` (below 2^30),
     and brought to reduced form over F_p, so no entry grows past p.
     Each entry is lifted back to the rationals by rational
@@ -189,7 +234,7 @@ def rref(rows):
     """
     mat = [r if {*map(type, r)} == {int} else _integer_row(r) for r in rows]
     if not mat:
-        return ()
+        return Echelon(1, [])
     best = None
     for p in _primes():
         pivots, reduced = _rref_mod(mat, p)
@@ -200,108 +245,145 @@ def rref(rows):
             modulus *= p
         else:
             continue
-        lifted = _lift(residues, modulus)
-        if lifted is not None and _certified(mat, lifted, best):
+        candidate = _lift(residues, modulus)
+        if candidate is not None and _certified(mat, *candidate, best):
             break
     if best and best[-1] == len(mat[0]) - 1:
         raise InconsistentSystem("equations force 1 = 0")
-    return tuple(lifted)
+    return Echelon(*candidate)
 
 
 class RelationSystem:
     """The 23 flag-difference equations at a given weight vector, the
     raw residue sums of the 24 flags at ``power`` they come from, and
     the flags' FlagResidues (``residues``), from which the sums at any
-    other power of the same weights are read without a second pass."""
+    other power of the same weights are read without a second pass.
 
-    __slots__ = ("w", "power", "flags", "residues", "flag_sums",
-                 "equations")
+    Sums and equations are kept as (integer row, denominator) pairs,
+    not reduced: ``sum_rows`` and ``equation_rows``.  ``flag_sums`` and
+    ``equations`` are the same as TwistLinear forms, built on access.
+    """
 
-    def __init__(self, w, power, flags, residues, flag_sums, equations):
+    __slots__ = ("w", "power", "flags", "residues", "sum_rows",
+                 "equation_rows")
+
+    def __init__(self, w, power, flags, residues, sum_rows, equation_rows):
         self.w = w
         self.power = power
         self.flags = flags
         self.residues = residues
-        self.flag_sums = flag_sums
-        self.equations = equations
+        self.sum_rows = sum_rows
+        self.equation_rows = equation_rows
+
+    @property
+    def flag_sums(self):
+        return [TwistLinear.from_row(*pair) for pair in self.sum_rows]
+
+    @property
+    def equations(self):
+        return [TwistLinear.from_row(*pair) for pair in self.equation_rows]
 
 
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
-    ``system`` is the RelationSystem it was solved from."""
+    ``system`` is the RelationSystem it was solved from.  ``rows`` are
+    the reduced rows as an Echelon; plain rows of Fractions are
+    scaled to one."""
 
-    __slots__ = ("rows", "rank", "pivots", "assignments", "system",
-                 "_denom", "_columns")
+    __slots__ = ("rows", "rank", "pivots", "system", "_denom", "_columns")
 
     def __init__(self, rows, system):
+        if not isinstance(rows, Echelon):
+            rows = Echelon.of_rows(rows)
         self.rows = rows
         self.system = system
         self.rank = len(rows)
-        denom = lcm(*(c.denominator for row in rows for c in row))
-        scaled = [[c.numerator * (denom // c.denominator) for c in row]
-                  for row in rows]
         cols = [next(j for j in range(NUM_SLOTS) if row[j])
-                for row in scaled]
+                for row in rows.scaled]
         self.pivots = {col + 1: col for col in cols}
-        self.assignments = {
-            col + 1: TwistLinear.from_row(
-                [0 if j == col else -c for j, c in enumerate(row)], denom)
-            for col, row in zip(cols, scaled)}
-        self._denom = denom
+        self._denom = rows.denom
         self._columns = tuple(
-            (j, tuple((col, row[j]) for col, row in zip(cols, scaled)
+            (j, tuple((col, row[j]) for col, row in zip(cols, rows.scaled)
                       if row[j]))
             for j in range(WIDTH) if j not in cols)
 
-    def reduce(self, tl):
-        """Substitute the pivot assignments, keeping free unknowns.
+    @property
+    def assignments(self):
+        """{pivot slot: the TwistLinear it equals in the free unknowns}."""
+        return {col + 1: TwistLinear.from_row(
+                    [0 if j == col else -c for j, c in enumerate(row)],
+                    self._denom)
+                for col, row in zip(self.pivots.values(), self.rows.scaled)}
 
-        With D the lcm of the rows' denominators, M = D*rows and c the
-        numerators of ``tl``, free column j of the result is
-        D*c_j - sum_k c_{pivot_k}*M[k][j] over D times the denominator
-        of ``tl``; the pivot columns become zero.
+    def reduce_row(self, nums, den=1):
+        """Substitute the pivot assignments into the integer row
+        ``nums`` over ``den``, keeping free unknowns: the integer row
+        and its denominator, not reduced.
+
+        With D the lcm of the rows' denominators and M = D*rows, free
+        column j of the result is D*c_j - sum_k c_{pivot_k}*M[k][j] over
+        D*den, with c = ``nums``; the pivot columns are zero.
         """
-        c, denom = tl.nums, self._denom
+        denom = self._denom
         out = [0] * WIDTH
         for j, terms in self._columns:
-            out[j] = denom * c[j] - sum(c[col] * m for col, m in terms)
-        return TwistLinear.from_row(out, denom * tl.den)
+            out[j] = denom * nums[j] - sum(nums[col] * m for col, m in terms)
+        return out, denom * den
 
-    def substitute(self, tl):
-        """Collapse a linear form to its constant; the free-unknown
-        coefficients must all cancel or ResidualUnknowns is raised."""
-        acc = self.reduce(tl)
-        leftover = [j + 1 for j in range(NUM_SLOTS) if acc.nums[j]]
+    def collapse(self, row, den):
+        """The constant of a reduced integer row over ``den``, as a
+        Fraction; nonzero free columns raise ResidualUnknowns naming
+        their slots."""
+        leftover = [j + 1 for j in range(NUM_SLOTS) if row[j]]
         if leftover:
             raise ResidualUnknowns(
                 "unresolved twist unknowns: %s"
                 % ", ".join("d%d" % s for s in leftover))
-        return acc.constant_part()
+        return Fraction(row[NUM_SLOTS], den)
+
+    def reduce(self, tl):
+        """Substitute the pivot assignments into a TwistLinear, keeping
+        free unknowns: ``reduce_row`` on its numerators, in lowest terms."""
+        return TwistLinear.from_row(*self.reduce_row(tl.nums, tl.den))
+
+    def substitute(self, tl):
+        """Collapse a linear form to its constant: ``reduce_row`` on its
+        numerators, then ``collapse``; the free-unknown coefficients
+        must all cancel or ResidualUnknowns is raised."""
+        return self.collapse(*self.reduce_row(tl.nums, tl.den))
 
 
 def build_system(w):
     """Symbolic power-7 sums for all 24 flags and their differences.
 
-    The sums are kept raw (``bottsum.contribution_sum``), so the fiber
-    degree can reuse them, and so are the flags' FlagResidues, so the
-    component degree at power 13 reads its sums off them; the published
-    orientation would only negate every equation, which leaves the
-    reduced echelon form unchanged.
+    The sums are kept raw (``FlagResidues.row``), so the fiber degree
+    can reuse them, and so are the flags' FlagResidues, so the component
+    degree at power 13 reads its rows off them.  Each equation is a
+    flag's row minus the first flag's, cross-multiplied over the lcm of
+    their denominators; the denominators share most of their factors,
+    so that lcm keeps the rows shorter than the product would.  The
+    published orientation would only negate every equation, which
+    leaves the reduced echelon form unchanged.
     """
     w = tuple(validate_weights(w))
     flags = enumerate_fixed_flags()
     residues = [bottsum.flag_residues(flag, w) for flag in flags]
-    flag_sums = [r.at(7) for r in residues]
-    base = flag_sums[0]
-    equations = [s - base for s in flag_sums[1:]]
-    return RelationSystem(w, 7, flags, residues, flag_sums, equations)
+    sum_rows = [(r.row(7), r.den) for r in residues]
+    base, base_den = sum_rows[0]
+    equation_rows = []
+    for row, den in sum_rows[1:]:
+        g = gcd(den, base_den)
+        a, b = base_den // g, den // g
+        equation_rows.append(([x * a - y * b for x, y in zip(row, base)],
+                              den * a))
+    return RelationSystem(w, 7, flags, residues, sum_rows, equation_rows)
 
 
 def solve_relations(system):
     """Exact elimination of a RelationSystem's flag-difference
     equations.  The system stays on the result, so its flag sums can be
     reused."""
-    return SolvedRelations(rref([eq.nums for eq in system.equations]),
+    return SolvedRelations(rref([row for row, _ in system.equation_rows]),
                            system)
 
 

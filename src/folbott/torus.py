@@ -23,31 +23,38 @@ class DivByZeroWeight(ZeroDivisionError):
     """An equivariant denominator vanished at the chosen weights."""
 
 
+# The index tuples of the monomials of degree 1, 2 and 3, by degree.
+_MONOMIALS = tuple(tuple(combinations_with_replacement(range(4), size))
+                   for size in (1, 2, 3))
+
+
 def validate_weights(w):
     """Require distinct sums of one, two and three weights.
 
     Repetitions are allowed inside a sum (w_i + w_i is a valid pair), so
     these are the degree <= 3 monomial weights.  Raises WeightError with
-    every colliding pair of sums named.
+    every colliding pair of sums named; the sums are labelled only when
+    a collision exists.
     """
     w = tuple(w)
     if len(w) != 4:
         raise ValueError("expected four weights")
+    sums = [[sum(w[i] for i in combo) for combo in combos]
+            for combos in _MONOMIALS]
+    if all(len(set(totals)) == len(totals) for totals in sums):
+        return w
     collisions = []
-    for size in (1, 2, 3):
+    for combos, totals in zip(_MONOMIALS, sums):
+        # All combos of a size checked against each other before growing.
         seen = {}
-        for combo in combinations_with_replacement(range(4), size):
-            total = sum(w[i] for i in combo)
+        for combo, total in zip(combos, totals):
             label = "+".join("w%d" % i for i in combo)
             if total in seen:
                 collisions.append(
                     "%s = %s = %s" % (seen[total], label, total))
             else:
                 seen[total] = label
-        # All combos of a size checked against each other before growing.
-    if collisions:
-        raise WeightError(collisions)
-    return w
+    raise WeightError(collisions)
 
 
 def enumerate_fixed_flags():

@@ -11,12 +11,19 @@ but the catalog records, so the tests compare the two.
 ``FractionLinear`` is the plain {slot: Fraction} affine-linear form that
 TwistLinear's integer rows are checked against, and ``substitute_rows``
 substitutes reduced echelon rows into one the Fraction way.
+
+``component_degree`` is the global sum the sum-then-substitute way,
+the reference for the engine's reduce-before-sum route, and
+``substituted_flag_sums`` gives the per-flag values through
+``substitute_rows``.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from folbott.bottsum import TwistLinear
-from folbott.torus import DivByZeroWeight
+from folbott.bottsum import TwistLinear, flag_residues
+from folbott.torus import (DivByZeroWeight, enumerate_fixed_flags,
+                           flag_tangent_product)
 
 NUM_SLOTS = 30
 
@@ -95,6 +102,39 @@ def substitute_rows(rows, form):
                 slot = j + 1 if j < NUM_SLOTS else 0
                 out[slot] = out.get(slot, 0) - c * v
     return FractionLinear(out)
+
+
+def component_degree(w, power=13, relations=None):
+    """The global residue sum, summed first and substituted once.
+
+    Each flag's sum, in lowest terms, goes over its six flag-tangent
+    weights; all 24 rows are scaled to one common denominator and
+    added, and the total is substituted with ``relations.substitute``,
+    or returned as a TwistLinear when ``relations`` is None.
+    """
+    summands = []
+    for flag in enumerate_fixed_flags():
+        s = flag_residues(flag, w).at(power)
+        summands.append((s.nums, s.den * flag_tangent_product(flag, w)))
+    den = lcm(*(d for _, d in summands))
+    rows = [[n * (den // d) for n in nums] for nums, d in summands]
+    total = TwistLinear.from_row([sum(col) for col in zip(*rows)], den)
+    if relations is None:
+        return total
+    return relations.substitute(total)
+
+
+def substituted_flag_sums(w, rows, power, tangents=False):
+    """Each flag's sum at ``power`` (over its six flag-tangent weights
+    when ``tangents``) with the echelon ``rows`` substituted by
+    ``substitute_rows``: (flag, FractionLinear) per flag."""
+    out = []
+    for flag in enumerate_fixed_flags():
+        form = FractionLinear(flag_residues(flag, w).at(power).coeffs)
+        if tangents:
+            form = form / flag_tangent_product(flag, w)
+        out.append((flag, substitute_rows(rows, form)))
+    return out
 
 
 def evaluate(ew, w):

@@ -3,20 +3,24 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
+import oracle
 from folbott import bottsum
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
                              display_sum, fiber_degree, per_flag_degrees,
                              three_planes_demo)
 from folbott.fixlocus import build_catalog
-from folbott.relations import build_system, solve_relations
+from folbott.relations import (ResidualUnknowns, SolvedRelations,
+                               build_system, solve_relations)
 from folbott.torus import (DivByZeroWeight, WeightError,
                            enumerate_fixed_flags, validate_weights)
 from oracle import (DualClass, FractionLinear, line_contribution, line_term,
-                    normal_values, point_contribution, point_term)
+                    normal_values, point_contribution, point_term,
+                    substituted_flag_sums)
 
 W0 = (0, 1, 5, 25)
+W_WIDE = (67208900, -31429501, 99121929, -3756357)
 REF_FLAG = (0, 1, 2, 3)
 
 _SOLVED = None
@@ -377,3 +381,50 @@ def test_one_power_7_pass_per_weight_vector(monkeypatch):
     calls.clear()
     assert fiber_degree((0, 1, 7, 37), 7, rel) == 21
     assert calls == [(0, 1, 7, 37)] * 24
+
+
+def _constants(values):
+    """The constants of substituted FractionLinear forms, which must
+    have no unknowns left."""
+    assert all(set(form.coeffs) <= {0} for _, form in values)
+    return [(flag, form.coeffs.get(0, Fraction(0))) for flag, form in values]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.tuples(*[st.integers(-10**8, 10**8)] * 4).filter(_admissible))
+@example(W_WIDE)
+def test_degree_path_equals_the_sum_then_substitute_reference(w):
+    rel = solve_relations(build_system(w))
+    assert component_degree(w, 13, rel) \
+        == oracle.component_degree(w, 13, rel) == 168208
+    symbolic = component_degree(w, 13)
+    assert symbolic == oracle.component_degree(w, 13)
+    assert gcd(symbolic.den, *symbolic.nums) == 1
+    assert per_flag_degrees(w, rel) \
+        == _constants(substituted_flag_sums(w, rel.rows, 13, tangents=True))
+    fiber = _constants(substituted_flag_sums(w, rel.rows, 7))
+    assert bottsum.per_flag_fiber_values(w, rel) == fiber
+    assert fiber_degree(w, 7, rel) == fiber[0][1] == 21
+
+
+def test_component_degree_with_a_row_missing_raises_like_substitute():
+    # Dropping a row frees its pivot unknown; the global sum either
+    # cancels it (d23) or raises, the same way on both routes.
+    rel = solved()
+    total = oracle.component_degree(W0, 13)
+    outcomes = []
+    for k in range(rel.rank):
+        short = SolvedRelations(rel.rows[:k] + rel.rows[k + 1:], rel.system)
+        try:
+            want = short.substitute(total)
+        except ResidualUnknowns as err:
+            want = str(err)
+        try:
+            got = component_degree(W0, 13, short)
+        except ResidualUnknowns as err:
+            got = str(err)
+        assert got == want, k
+        outcomes.append(got)
+    assert outcomes[17] == "unresolved twist unknowns: d29"
+    assert outcomes[14] == 168208
+    assert outcomes.count(168208) == 1

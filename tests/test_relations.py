@@ -99,6 +99,27 @@ def test_system_shape():
     assert len(sys.equations) == 23
 
 
+def test_system_views_equal_the_lowest_terms_forms():
+    sys = system()
+    sums = [contribution_sum(flag, W0, 7) for flag in sys.flags]
+    assert sys.flag_sums == sums
+    assert sys.equations == [s - sums[0] for s in sums[1:]]
+    assert [row for row, _ in sys.equation_rows] \
+        != [eq.nums for eq in sys.equations]
+
+
+def test_rref_carries_its_certified_integer_form():
+    rows = rref([row for row, _ in system().equation_rows])
+    denom = lcm(*(c.denominator for row in rows for c in row))
+    assert rows.denom == denom
+    assert rows.scaled == [[int(c * denom) for c in row] for row in rows]
+    rel = solved()
+    plain = relations.SolvedRelations(tuple(map(tuple, rel.rows)), None)
+    assert plain.rows.denom == rel.rows.denom
+    assert plain.rows.scaled == rel.rows.scaled
+    assert plain.assignments == rel.assignments
+
+
 def test_rank_and_pivots():
     rel = solved()
     assert rel.rank == 18
@@ -206,6 +227,25 @@ def test_reduce_equals_the_fraction_substitution(coeffs):
     rel = solved()
     oracle = substitute_rows(rel.rows, FractionLinear(coeffs))
     assert rel.reduce(TwistLinear(coeffs)).coeffs == oracle.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=30),
+                       st.fractions(max_denominator=1000), max_size=8),
+       st.integers(min_value=-10**6, max_value=10**6).filter(bool))
+def test_reduce_row_does_not_depend_on_the_scale_of_its_row(coeffs, k):
+    rel = solved()
+    tl = TwistLinear(coeffs)
+    row, den = rel.reduce_row([n * k for n in tl.nums], tl.den * k)
+    assert TwistLinear.from_row(row, den) == rel.reduce(tl)
+    outcomes = []
+    for collapse in (lambda: rel.collapse(row, den),
+                     lambda: rel.substitute(tl)):
+        try:
+            outcomes.append(collapse())
+        except ResidualUnknowns as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_free_unknowns_are_reported():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,57 @@ def test_validate_rejects_pair_collision():
 def test_validate_rejects_repeated_weight():
     with pytest.raises(WeightError):
         validate_weights((1, 1, 5, 25))
+
+
+@pytest.mark.parametrize("w, message", [
+    ((0, 1, 2, 3),
+     "w0+w2 = w1+w1 = 2; w0+w3 = w1+w2 = 3; w1+w3 = w2+w2 = 4; "
+     "w0+w0+w2 = w0+w1+w1 = 2; w0+w0+w3 = w0+w1+w2 = 3; "
+     "w0+w1+w3 = w0+w2+w2 = 4; w0+w0+w3 = w1+w1+w1 = 3; "
+     "w0+w1+w3 = w1+w1+w2 = 4; w0+w2+w3 = w1+w1+w3 = 5; "
+     "w0+w2+w3 = w1+w2+w2 = 5; w0+w3+w3 = w1+w2+w3 = 6; "
+     "w0+w3+w3 = w2+w2+w2 = 6; w1+w3+w3 = w2+w2+w3 = 7"),
+    ((1, 1, 5, 25),
+     "w0 = w1 = 1; w0+w0 = w0+w1 = 2; w0+w0 = w1+w1 = 2; "
+     "w0+w2 = w1+w2 = 6; w0+w3 = w1+w3 = 26; w0+w0+w0 = w0+w0+w1 = 3; "
+     "w0+w0+w0 = w0+w1+w1 = 3; w0+w0+w2 = w0+w1+w2 = 7; "
+     "w0+w0+w3 = w0+w1+w3 = 27; w0+w0+w0 = w1+w1+w1 = 3; "
+     "w0+w0+w2 = w1+w1+w2 = 7; w0+w0+w3 = w1+w1+w3 = 27; "
+     "w0+w2+w2 = w1+w2+w2 = 11; w0+w2+w3 = w1+w2+w3 = 31; "
+     "w0+w3+w3 = w1+w3+w3 = 51"),
+])
+def test_validate_names_every_collision_in_order(w, message):
+    with pytest.raises(WeightError) as err:
+        validate_weights(w)
+    assert str(err.value) == "weight vector is too special: " + message
+    assert err.value.collisions == message.split("; ")
+
+
+def _labelled_collisions(w):
+    """Every pair of equal monomial sums of one size, labelled."""
+    out = []
+    for size in (1, 2, 3):
+        seen = {}
+        for combo in combinations_with_replacement(range(4), size):
+            total = sum(w[i] for i in combo)
+            label = "+".join("w%d" % i for i in combo)
+            if total in seen:
+                out.append("%s = %s = %s" % (seen[total], label, total))
+            else:
+                seen[total] = label
+    return out
+
+
+@settings(max_examples=200)
+@given(st.tuples(*[st.integers(-6, 6)] * 4))
+def test_validate_rejects_exactly_the_labelled_collisions(w):
+    expected = _labelled_collisions(w)
+    if not expected:
+        assert validate_weights(w) == w
+        return
+    with pytest.raises(WeightError) as err:
+        validate_weights(w)
+    assert err.value.collisions == expected
 
 
 def test_flag_enumeration():
