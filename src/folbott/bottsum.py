@@ -5,11 +5,12 @@ lines of ``fixlocus.build_catalog``.  Its records do not depend on the
 flag, so the catalog is read once, on first use, into plain ints: the
 54 distinct weights as 4-tuples in the local frame, and per point (nu,
 7 tangent weights), per line (fiber weight, 6 normal weights, 6 twist
-slots) as indices into them.  On a flag each distinct weight is one int
-dot product with the local weight vector ``[w[i] for i in flag]``.
+slots) as indices into them.  On a flag each nu and fiber weight, and
+each primitive form of the denominators (below), is one int dot
+product with the local weight vector ``[w[i] for i in flag]``.
 
 A point contributes -nu^p / prod(t); the 72 of them are added as one
-integer fraction, and points sharing a nu value share one numerator.
+integer fraction, and points sharing a nu weight share one numerator.
 A line's residue is the h-coefficient of
 -nu^p * prod(n_i + d_i h)^-1 with h*h = 0, where d1..d30 are the
 unknown twist degrees of the line normal bundles.  Since
@@ -27,13 +28,26 @@ check of this one, next to a {slot: Fraction} reference TwistLinear.
 
 Only nu^p and the fiber powers depend on the power p.  So
 ``flag_residues(flag, w)`` computes the rest once, as a FlagResidues:
-the common denominator D of every point and line term, each nu value
+a common denominator D of every point and line term, each nu value
 with its integer numerator over D, and each line's fiber value with
 one integer numerator over D per twist slot.  Its ``row(p)`` is the
 flag's raw sum at power p, a dozen powers and one integer row over D
 that is not reduced; ``at(p)`` is that row in lowest terms, a
 TwistLinear, and ``contribution_sum(flag, w, p)`` is
 ``flag_residues(flag, w).at(p)``.
+
+D comes from the catalog's weight arrangement (``_Arrangement``),
+derived once from ``_integer_catalog``.  Each of the 54 local weights
+is an integer s times a primitive form L, and 18 forms occur in the
+denominators, each at most M times in one term (the M sum to 29); K =
+12 is the lcm of the terms' integer constants c, the products of their
+s.  On a flag D is K * prod(L^M) at the flag's weights: a common
+multiple of every term's denominator, not their lcm, found with no
+gcd.  A term with exponents e has the share (K / c) * prod(L^(M - e))
+of it, an integer and a product of powers of the 18 form values, and
+the factors a group of terms (the points of one nu weight, the slots
+of one line) all carry are multiplied in once per group, so no term
+needs a division.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -244,16 +258,147 @@ def _flag_label(flag):
     return ",".join(map(str, flag))
 
 
+def _primitive(coeffs):
+    """A weight 4-tuple as (L, s) with coeffs = s * L, L primitive and
+    its first nonzero entry positive.  The zero tuple is its own form,
+    with s = 1."""
+    s = gcd(*coeffs) or 1
+    if next((c for c in coeffs if c), 0) < 0:
+        s = -s
+    return tuple(c // s for c in coeffs), s
+
+
+def _largest(exponents):
+    """Each form's largest exponent over {form: exponent} dicts."""
+    out = {}
+    for exps in exponents:
+        for form, k in exps.items():
+            if k > out.get(form, 0):
+                out[form] = k
+    return out
+
+
+class _Arrangement:
+    """The catalog's denominators written over its primitive forms.
+
+    Every tangent and normal weight is an integer s times a primitive
+    form L (``_primitive``).  ``forms`` holds the forms that occur in a
+    denominator, in order of first appearance (points, then lines, in
+    catalog order), ``first`` the kind ("tangent" or "normal") and id
+    of the record where each first appears, and ``powers`` each form's
+    largest exponent M in one point's tangent product or one line
+    slot's prod(n) * n_i.  ``scale`` is K, the lcm of those terms'
+    integer constants c (the products of their s).  So a term with
+    constant c and exponents e has a denominator that divides
+    K * prod(L^M), and its share of that common multiple is the
+    integer (K / c) * prod(L^(M - e)).
+
+    The shares are grouped as the sums need them: points by their nu
+    weight, line slots by their line.  A group's smallest cofactor,
+    prod(L^(M - e_max)) with e_max the group's largest exponents, is
+    ``common``, and each member keeps K / c and the indices of its
+    remaining factors.  Factors are indices into the list of the form
+    values' powers v, v^2, .., v^M, form by form (``flag_residues``).
+    On the reference catalog: 18 forms, exponents summing to 29, K = 12.
+    """
+
+    __slots__ = ("catalog", "forms", "first", "powers", "scale", "points",
+                 "lines")
+
+    def __init__(self, catalog):
+        weights, points, lines = catalog
+        split = [_primitive(t) for t in weights]
+        first = {}
+
+        def factor(indices, kind, rid):
+            exps, const = {}, 1
+            for i in indices:
+                form, s = split[i]
+                exps[form] = exps.get(form, 0) + 1
+                const *= s
+                first.setdefault(form, (kind, rid))
+            return exps, const
+
+        point_terms = [(nu,) + factor(tangents, "tangent", rid)
+                       for rid, nu, tangents in points]
+        line_terms = []
+        for rid, fiber, normals, slots in lines:
+            exps, const = factor(normals, "normal", rid)
+            slot_terms = []
+            for i, slot in zip(normals, slots):
+                form, s = split[i]
+                slot_exps = dict(exps)
+                slot_exps[form] += 1
+                slot_terms.append((slot - 1, slot_exps, const * s))
+            line_terms.append((fiber, slot_terms))
+        terms = [t[1:] for t in point_terms] + \
+            [t[1:] for _, slot_terms in line_terms for t in slot_terms]
+        forms = tuple(first)
+        top = _largest(exps for exps, _ in terms)
+        scale = lcm(*(const for _, const in terms))
+        offset, n = {}, 0
+        for form in forms:
+            offset[form] = n
+            n += top[form]
+
+        def factors(more, less):
+            # The power-list indices of prod(L^(more - less)).
+            return tuple(offset[form] + k - 1 for form, k0 in more.items()
+                         for k in [k0 - less.get(form, 0)] if k)
+
+        def group(members):
+            # Pull out the factors every member's share carries.
+            most = _largest(exps for exps, _ in members)
+            return factors(top, most), tuple(
+                (scale // const, factors(most, exps))
+                for exps, const in members)
+
+        by_nu = {}
+        for nu, exps, const in point_terms:
+            by_nu.setdefault(nu, []).append((exps, const))
+        self.catalog = catalog
+        self.forms = forms
+        self.first = tuple(first.values())
+        self.powers = tuple(top[form] for form in forms)
+        self.scale = scale
+        self.points = tuple((weights[nu],) + group(members)
+                            for nu, members in by_nu.items())
+        lines = []
+        for fiber, slot_terms in line_terms:
+            common, shares = group([t[1:] for t in slot_terms])
+            lines.append((weights[fiber], common, tuple(
+                (j, coef, idx)
+                for (j, _, _), (coef, idx) in zip(slot_terms, shares))))
+        self.lines = tuple(lines)
+
+
+_last_arrangement = None
+
+
+def _arrangement(catalog):
+    """The _Arrangement of an ``_integer_catalog`` result, derived on
+    first use and again only for another catalog object (a re-read or
+    substituted catalog).  The catalog is matched by identity, not
+    hashed: a hash walks its thousand-odd nested entries on every call."""
+    global _last_arrangement
+    plan = _last_arrangement
+    if plan is None or plan.catalog is not catalog:
+        plan = _last_arrangement = _Arrangement(catalog)
+    return plan
+
+
 class FlagResidues:
     """One flag's residue sum with the power left open.
 
     Everything but the powers of the nu and fiber values is fixed once
-    the weights are: ``den`` is the lcm of every point's tangent
-    product and every line's denominator prod(n) * lcm(n), ``points``
-    holds (nu value, sum of den // prod(t) over the points with that
-    nu), and ``lines`` holds (fiber value, (slot index, den // (prod(n)
-    * n_i)) per slot).  ``row(power)`` is then the flag's sum at that
-    power: a few powers and products, and one integer row over ``den``.
+    the weights are: ``den`` is K * prod(L^M) over the catalog's
+    arrangement (``_Arrangement``), a common multiple of every point's
+    tangent product and every line's prod(n) * n_i, though not always
+    their lcm; ``points`` holds (nu value, sum of den // prod(t) over
+    the points with that nu weight), and ``lines`` holds (fiber value,
+    (slot index, den // (prod(n) * n_i)) per slot).  ``row(power)`` is
+    then the flag's sum at that power: a few powers and products, and
+    one integer row over ``den``.
     """
 
     __slots__ = ("den", "points", "lines")
@@ -290,49 +435,51 @@ def _check_power(power):
 def flag_residues(flag, w):
     """The power-free part of one flag's residue sum (FlagResidues).
 
-    Each distinct weight is evaluated once, and a zero tangent or
-    normal weight raises DivByZeroWeight naming its record and the
-    flag.  Points sharing a nu value share one entry.  See the module
-    docstring.
+    Each form of the arrangement is evaluated once.  A zero value
+    raises DivByZeroWeight naming the first record, in catalog order,
+    whose denominator carries that form, and the flag.  Each share of
+    the common denominator is a product of powers of the form values:
+    no gcd and no division.  See the module docstring.
     """
-    weights, points, lines = _integer_catalog()
+    plan = _arrangement(_integer_catalog())
     a, b, c, d = [w[i] for i in flag]
-    vals = [t0 * a + t1 * b + t2 * c + t3 * d for t0, t1, t2, t3 in weights]
-    point_rows = []
-    for rid, nu, tangents in points:
-        prod = 1
-        for i in tangents:
-            prod *= vals[i]
-        if not prod:
-            raise DivByZeroWeight("zero tangent weight in %s on flag %s"
-                                  % (rid, _flag_label(flag)))
-        point_rows.append((vals[nu], prod))
-    line_rows = []
-    for rid, fiber, normals, slots in lines:
-        values = [vals[i] for i in normals]
-        prod = 1
-        for n in values:
-            prod *= n
-        if not prod:
-            raise DivByZeroWeight("zero normal weight in %s on flag %s"
-                                  % (rid, _flag_label(flag)))
-        # 1 / (prod * n_i) = (m // n_i) / (prod * m)
-        m = lcm(*values)
-        line_rows.append((vals[fiber], prod * m,
-                          [(slot - 1, m // n) for n, slot in zip(values,
-                                                                 slots)]))
-    den = 1
-    for _, prod in point_rows:
-        den *= prod // gcd(den, prod)
-    den = lcm(den, *(line_den for _, line_den, _ in line_rows))
-    by_nu = {}
-    for nu, prod in point_rows:
-        by_nu[nu] = by_nu.get(nu, 0) + den // prod
-    return FlagResidues(
-        den, tuple(by_nu.items()),
-        tuple((fiber, tuple((j, value * (den // line_den))
-                            for j, value in entries))
-              for fiber, line_den, entries in line_rows))
+    vals = [t0 * a + t1 * b + t2 * c + t3 * d
+            for t0, t1, t2, t3 in plan.forms]
+    if not all(vals):
+        kind, rid = plan.first[vals.index(0)]
+        raise DivByZeroWeight("zero %s weight in %s on flag %s"
+                              % (kind, rid, _flag_label(flag)))
+    pw = []
+    den = plan.scale
+    for v, top in zip(vals, plan.powers):
+        x = v
+        pw.append(x)
+        for _ in range(1, top):
+            x *= v
+            pw.append(x)
+        den *= x
+    points = []
+    for (t0, t1, t2, t3), common, members in plan.points:
+        total = 0
+        for share, factors in members:
+            for i in factors:
+                share *= pw[i]
+            total += share
+        for i in common:
+            total *= pw[i]
+        points.append((t0 * a + t1 * b + t2 * c + t3 * d, total))
+    lines = []
+    for (t0, t1, t2, t3), common, members in plan.lines:
+        g = 1
+        for i in common:
+            g *= pw[i]
+        entries = []
+        for j, share, factors in members:
+            for i in factors:
+                share *= pw[i]
+            entries.append((j, share * g))
+        lines.append((t0 * a + t1 * b + t2 * c + t3 * d, tuple(entries)))
+    return FlagResidues(den, tuple(points), tuple(lines))
 
 
 def contribution_sum(flag, w, power):

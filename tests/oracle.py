@@ -16,6 +16,10 @@ substitutes reduced echelon rows into one the Fraction way.
 the reference for the engine's reduce-before-sum route, and
 ``substituted_flag_sums`` gives the per-flag values through
 ``substitute_rows``.
+
+``zero_weight_message`` scans one flag's catalog record by record for
+a zero tangent or normal weight, the reference for the engine's check
+on its arrangement forms.
 """
 
 from fractions import Fraction
@@ -135,6 +139,24 @@ def substituted_flag_sums(w, rows, power, tangents=False):
             form = form / flag_tangent_product(flag, w)
         out.append((flag, substitute_rows(rows, form)))
     return out
+
+
+def zero_weight_message(catalog, w):
+    """The DivByZeroWeight text for the first record of a flag's
+    ``fixlocus`` catalog (points, then lines) with a zero tangent or
+    normal weight at ``w``, or None when every denominator is
+    nonzero."""
+    local = [w[i] for i in catalog.flag]
+    for kind, records in (("tangent", [(rec.id, rec.tangent)
+                                       for rec in catalog.points]),
+                          ("normal", [(rec.id, rec.normals)
+                                      for rec in catalog.lines])):
+        for rid, weights in records:
+            if any(sum(c * x for c, x in zip(ew.coeffs, local)) == 0
+                   for ew in weights):
+                return "zero %s weight in %s on flag %s" % (
+                    kind, rid, ",".join(map(str, catalog.flag)))
+    return None
 
 
 def evaluate(ew, w):

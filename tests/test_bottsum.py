@@ -1,6 +1,7 @@
+import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -334,6 +335,141 @@ def test_zero_weights_name_their_record_and_flag(monkeypatch):
         contribution_sum(REF_FLAG, W0, 13)
     with pytest.raises(ValueError):
         contribution_sum(REF_FLAG, W0, -1)
+
+
+def _split(coeffs):
+    """A weight 4-tuple as (L, s): coeffs = s * L with L primitive and
+    its first nonzero entry positive."""
+    s = gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        s = -s
+    return tuple(c // s for c in coeffs), s
+
+
+def _global_forms(plan, tangents=False):
+    """The arrangement's local forms placed on each of the 24 flags, as
+    forms in w: {form: its largest exponent on one flag}.  With
+    ``tangents`` each flag's six tangent weights w[flag[j]] - w[flag[i]]
+    add one to their form's exponent on that flag."""
+    out = {}
+    for flag in enumerate_fixed_flags():
+        exps = {}
+        for local, power in zip(plan.forms, plan.powers):
+            form = [0] * 4
+            for position, i in enumerate(flag):
+                form[i] = local[position]
+            exps[_split(form)[0]] = power
+        if tangents:
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    form = [0] * 4
+                    form[flag[j]], form[flag[i]] = 1, -1
+                    form = _split(form)[0]
+                    exps[form] = exps.get(form, 0) + 1
+        for form, power in exps.items():
+            out[form] = max(out.get(form, 0), power)
+    return out
+
+
+def test_the_weight_arrangement_of_the_catalog():
+    catalog = bottsum._integer_catalog()
+    plan = bottsum._arrangement(catalog)
+    assert (len(plan.forms), sum(plan.powers), plan.scale) == (18, 29, 12)
+    top = dict(zip(plan.forms, plan.powers))
+    weights, points, lines = catalog
+
+    def term(indices):
+        exps, const = {}, 1
+        for i in indices:
+            form, s = _split(weights[i])
+            exps[form] = exps.get(form, 0) + 1
+            const *= s
+        return exps, const
+
+    terms = [term(tangents) for _, _, tangents in points]
+    terms += [term(normals + (i,)) for _, _, normals, _ in lines
+              for i in normals]
+    assert len(terms) == 72 + 30
+    for exps, const in terms:
+        # The term's denominator divides K * prod(L^M).
+        assert plan.scale % const == 0
+        assert all(k <= top[form] for form, k in exps.items()), exps
+    # Over the 24 flags (ROADMAP item 1): 45 distinct forms in w, whose
+    # lcm has degree 87, or 93 with the flag-tangent factors.
+    forms = _global_forms(plan)
+    assert (len(forms), sum(forms.values())) == (45, 87)
+    forms = _global_forms(plan, tangents=True)
+    assert (len(forms), sum(forms.values())) == (45, 93)
+
+
+def test_each_vanishing_form_names_the_first_record_that_carries_it():
+    # One vector on each of the 45 forms, w = (g.g) r - (g.r) g, and
+    # three on several forms at once, where the order of the records
+    # decides, past validate_weights: every flag raises what a
+    # record-by-record scan finds first, or passes when it finds none.
+    rng = random.Random(18)
+    catalogs = [build_catalog(flag) for flag in enumerate_fixed_flags()]
+    vectors = []
+    for g in _global_forms(bottsum._arrangement(
+            bottsum._integer_catalog())):
+        r = [rng.randint(-1000, 1000) for _ in range(4)]
+        gg = sum(x * x for x in g)
+        gr = sum(x * y for x, y in zip(g, r))
+        vectors.append(tuple(gg * ri - gr * gi for ri, gi in zip(r, g)))
+    vectors += [(0, 1, 2, 3), (0, 0, 1, 2), (1, 1, 1, 1)]
+    for w in vectors:
+        raised = 0
+        for catalog in catalogs:
+            want = oracle.zero_weight_message(catalog, w)
+            try:
+                bottsum.flag_residues(catalog.flag, w)
+                got = None
+            except DivByZeroWeight as err:
+                got = str(err)
+                raised += 1
+            assert got == want, (w, catalog.flag)
+        assert raised, w
+
+
+def _oracle_sums(catalog, w, powers):
+    """``_oracle_sum`` at each power.  Every record's term at power p is
+    its fiber or nu value to the p times its term at power 0, so the
+    records' power-0 terms are added once per value."""
+    by_nu = {}
+    for nu, term in [(oracle.nu_value(rec, w), point_contribution(rec, w, 0))
+                     for rec in catalog.points] + \
+            [(oracle.wfiber_value(rec, w), line_contribution(rec, w, 0))
+             for rec in catalog.lines]:
+        by_nu[nu] = by_nu.get(nu, TwistLinear()) + term
+    return [sum((t * nu ** p for nu, t in by_nu.items()), TwistLinear())
+            for p in powers]
+
+
+@pytest.mark.parametrize("w", [(0, 6, 30, 210), (0, 60, 84, 210),
+                               (0, 2, 8, 32)])
+def test_residues_are_exact_where_the_denominator_overshoots_the_lcm(w):
+    # The form values share many small primes here, so K * prod(L^M)
+    # has at least 1.5 times the bits of the lcm of the terms'
+    # denominators on every flag.
+    for flag in enumerate_fixed_flags():
+        catalog = build_catalog(flag)
+        dens = []
+        for rec in catalog.points:
+            dens.append(reduce(lambda x, y: x * y,
+                               oracle.tangent_values(rec, w)).numerator)
+        for rec in catalog.lines:
+            normals = normal_values(rec, w)
+            prod = reduce(lambda x, y: x * y, normals)
+            dens += [(prod * n).numerator for n in normals]
+        least = lcm(*dens)
+        residues = bottsum.flag_residues(flag, w)
+        assert residues.den % least == 0
+        assert residues.den.bit_length() >= 1.5 * least.bit_length(), flag
+        assert [residues.at(p) for p in range(15)] \
+            == _oracle_sums(catalog, w, range(15)), flag
+    rel = solve_relations(build_system(w))
+    assert fiber_degree(w, 7, rel) == 21
+    assert component_degree(w, 13, rel) == 168208
 
 
 def test_flag_disagreement_names_both_flags():
