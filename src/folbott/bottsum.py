@@ -2,12 +2,11 @@
 
 The sum of one flag runs over the 72 isolated points and the 5 fixed
 lines of ``fixlocus.build_catalog``.  Its records do not depend on the
-flag, so the catalog is read once, on first use, into plain ints: the
-54 distinct weights as 4-tuples in the local frame, and per point (nu,
-7 tangent weights), per line (fiber weight, 6 normal weights, 6 twist
-slots) as indices into them.  On a flag each nu and fiber weight, and
-each primitive form of the denominators (below), is one int dot
-product with the local weight vector ``[w[i] for i in flag]``.
+flag, so the reference flag's catalog is read once, on first use, into
+the weight arrangement below: the denominators as primitive forms,
+and each nu and fiber weight as a 4-tuple in the local frame.  On a
+flag each of those is one int dot product with the local weight vector
+``[w[i] for i in flag]``.
 
 A point contributes -nu^p / prod(t); the 72 of them are added as one
 integer fraction, and points sharing a nu weight share one numerator.
@@ -19,12 +18,12 @@ coefficient is sum(nu^p / (N n_i) * d_i): no constant, and one
 closed-form coefficient per twist slot.  The result is an
 affine-linear form in d1..d30 (TwistLinear), stored as one integer
 row, 30 twist numerators and then the constant, over one positive
-denominator in lowest terms; its arithmetic cross-multiplies rows.
+denominator in lowest terms.
 
 This is the only residue arithmetic in the package.  The generic
-route, a first-order dual class evaluated record by record with
-Fraction dot products, lives in ``tests/oracle.py`` as the independent
-check of this one, next to a {slot: Fraction} reference TwistLinear.
+route, a first-order dual class carrying {slot: Fraction} linear forms
+and evaluated record by record with Fraction dot products, lives in
+``tests/oracle.py`` as the independent check of this one.
 
 Only nu^p and the fiber powers depend on the power p.  So
 ``flag_residues(flag, w)`` computes the rest once, as a FlagResidues:
@@ -36,18 +35,17 @@ that is not reduced; ``at(p)`` is that row in lowest terms, a
 TwistLinear, and ``contribution_sum(flag, w, p)`` is
 ``flag_residues(flag, w).at(p)``.
 
-D comes from the catalog's weight arrangement (``_Arrangement``),
-derived once from ``_integer_catalog``.  Each of the 54 local weights
-is an integer s times a primitive form L, and 18 forms occur in the
-denominators, each at most M times in one term (the M sum to 29); K =
-12 is the lcm of the terms' integer constants c, the products of their
-s.  On a flag D is K * prod(L^M) at the flag's weights: a common
-multiple of every term's denominator, not their lcm, found with no
-gcd.  A term with exponents e has the share (K / c) * prod(L^(M - e))
-of it, an integer and a product of powers of the 18 form values, and
-the factors a group of terms (the points of one nu weight, the slots
-of one line) all carry are multiplied in once per group, so no term
-needs a division.
+D comes from the catalog's weight arrangement (``_arrangement``).
+Each tangent and normal weight is an integer s times a primitive form
+L, and 18 forms occur in the denominators, each at most M times in
+one term (the M sum to 29); K = 12 is the lcm of the terms' integer
+constants c, the products of their s.  On a flag D is K * prod(L^M)
+at the flag's weights: a common multiple of every term's denominator,
+not their lcm, found with no gcd.  A term with exponents e has the
+share (K / c) * prod(L^(M - e)) of it, an integer and a product of
+powers of the 18 form values, and the factors a group of terms (the
+points of one nu weight, the slots of one line) all carry are
+multiplied in once per group, so no term needs a division.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -102,8 +100,8 @@ class TwistLinear:
     Stored as 31 integer numerators ``nums`` (d1..d30, then the
     constant) over one positive denominator ``den``, in lowest terms.
     ``coeffs`` is a fresh {slot: Fraction} view with slot 0 holding the
-    constant and zero entries left out.  Supports addition and scaling
-    by rationals.
+    constant and zero entries left out.  The engine builds forms from
+    integer rows (``from_row``); negation is their only arithmetic.
     """
 
     __slots__ = ("nums", "den")
@@ -137,12 +135,6 @@ class TwistLinear:
     def constant(cls, value):
         return cls({0: value})
 
-    @classmethod
-    def unknown(cls, slot, coeff=1):
-        if not 1 <= slot <= NUM_SLOTS:
-            raise ValueError("twist slot out of range: %r" % slot)
-        return cls({slot: coeff})
-
     @property
     def coeffs(self):
         nums, den = self.nums, self.den
@@ -161,58 +153,13 @@ class TwistLinear:
     def coefficient(self, slot):
         return self.coeffs.get(slot, Fraction(0))
 
-    def _combine(self, other, sign):
-        if isinstance(other, (int, Fraction)):
-            other = TwistLinear.constant(other)
-        if not isinstance(other, TwistLinear):
-            return NotImplemented
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        sa, sb = db // g, sign * (da // g)
-        return TwistLinear.from_row(
-            [x * sa + y * sb for x, y in zip(self.nums, other.nums)],
-            da * (db // g))
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        num = other.numerator
-        return TwistLinear.from_row([n * num for n in self.nums],
-                                    self.den * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Fraction(other)
-        if not other:
-            raise ZeroDivisionError("TwistLinear division by zero")
-        den = other.denominator
-        return TwistLinear.from_row([n * den for n in self.nums],
-                                    self.den * other.numerator)
+        return TwistLinear.from_row([-n for n in self.nums], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TwistLinear.constant(other)
         if not isinstance(other, TwistLinear):
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         out = ""
@@ -228,30 +175,6 @@ class TwistLinear:
 
     def __repr__(self):
         return "TwistLinear(%s)" % self
-
-
-@cache
-def _integer_catalog():
-    """The reference-flag catalog as plain ints, read on first use.
-
-    ``weights`` holds each distinct weight once, as a coefficient
-    4-tuple in the local frame: 54 of them for the 72 points and 5
-    lines.  Points are (id, nu, tangents) and lines (id, wfiber,
-    normals, slots), with every weight an index into ``weights``.  The
-    records do not depend on the flag, so one read serves all 24.
-    """
-    catalog = build_catalog((0, 1, 2, 3))
-    index = {}
-
-    def at(ew):
-        return index.setdefault(ew.coeffs, len(index))
-
-    points = tuple((rec.id, at(rec.nu), tuple(map(at, rec.tangent)))
-                   for rec in catalog.points)
-    lines = tuple((rec.id, at(rec.wfiber), tuple(map(at, rec.normals)),
-                   rec.slots)
-                  for rec in catalog.lines)
-    return tuple(index), points, lines
 
 
 def _flag_label(flag):
@@ -302,35 +225,35 @@ class _Arrangement:
     On the reference catalog: 18 forms, exponents summing to 29, K = 12.
     """
 
-    __slots__ = ("catalog", "forms", "first", "powers", "scale", "points",
-                 "lines")
+    __slots__ = ("forms", "first", "powers", "scale", "points", "lines")
 
     def __init__(self, catalog):
-        weights, points, lines = catalog
-        split = [_primitive(t) for t in weights]
-        first = {}
+        first, split = {}, {}
 
-        def factor(indices, kind, rid):
+        def factor(weights, kind, rid):
             exps, const = {}, 1
-            for i in indices:
-                form, s = split[i]
+            for ew in weights:
+                if ew.coeffs not in split:  # 42 distinct of 534 weights
+                    split[ew.coeffs] = _primitive(ew.coeffs)
+                form, s = split[ew.coeffs]
                 exps[form] = exps.get(form, 0) + 1
                 const *= s
                 first.setdefault(form, (kind, rid))
             return exps, const
 
-        point_terms = [(nu,) + factor(tangents, "tangent", rid)
-                       for rid, nu, tangents in points]
+        point_terms = [
+            (rec.nu.coeffs,) + factor(rec.tangent, "tangent", rec.id)
+            for rec in catalog.points]
         line_terms = []
-        for rid, fiber, normals, slots in lines:
-            exps, const = factor(normals, "normal", rid)
+        for rec in catalog.lines:
+            exps, const = factor(rec.normals, "normal", rec.id)
             slot_terms = []
-            for i, slot in zip(normals, slots):
-                form, s = split[i]
+            for ew, slot in zip(rec.normals, rec.slots):
+                form, s = split[ew.coeffs]
                 slot_exps = dict(exps)
                 slot_exps[form] += 1
                 slot_terms.append((slot - 1, slot_exps, const * s))
-            line_terms.append((fiber, slot_terms))
+            line_terms.append((rec.wfiber.coeffs, slot_terms))
         terms = [t[1:] for t in point_terms] + \
             [t[1:] for _, slot_terms in line_terms for t in slot_terms]
         forms = tuple(first)
@@ -356,35 +279,26 @@ class _Arrangement:
         by_nu = {}
         for nu, exps, const in point_terms:
             by_nu.setdefault(nu, []).append((exps, const))
-        self.catalog = catalog
         self.forms = forms
         self.first = tuple(first.values())
         self.powers = tuple(top[form] for form in forms)
         self.scale = scale
-        self.points = tuple((weights[nu],) + group(members)
+        self.points = tuple((nu,) + group(members)
                             for nu, members in by_nu.items())
         lines = []
         for fiber, slot_terms in line_terms:
             common, shares = group([t[1:] for t in slot_terms])
-            lines.append((weights[fiber], common, tuple(
+            lines.append((fiber, common, tuple(
                 (j, coef, idx)
                 for (j, _, _), (coef, idx) in zip(slot_terms, shares))))
         self.lines = tuple(lines)
 
 
-_last_arrangement = None
-
-
-def _arrangement(catalog):
-    """The _Arrangement of an ``_integer_catalog`` result, derived on
-    first use and again only for another catalog object (a re-read or
-    substituted catalog).  The catalog is matched by identity, not
-    hashed: a hash walks its thousand-odd nested entries on every call."""
-    global _last_arrangement
-    plan = _last_arrangement
-    if plan is None or plan.catalog is not catalog:
-        plan = _last_arrangement = _Arrangement(catalog)
-    return plan
+@cache
+def _arrangement():
+    """The _Arrangement of the reference-flag catalog, derived on first
+    use.  The records do not depend on the flag, so it serves all 24."""
+    return _Arrangement(build_catalog((0, 1, 2, 3)))
 
 
 class FlagResidues:
@@ -441,7 +355,7 @@ def flag_residues(flag, w):
     the common denominator is a product of powers of the form values:
     no gcd and no division.  See the module docstring.
     """
-    plan = _arrangement(_integer_catalog())
+    plan = _arrangement()
     a, b, c, d = [w[i] for i in flag]
     vals = [t0 * a + t1 * b + t2 * c + t3 * d
             for t0, t1, t2, t3 in plan.forms]
@@ -498,9 +412,8 @@ def display_sum(flag, w, power):
 def _residues_for(w, relations):
     """The 24 FlagResidues at ``w``: the relations' own when their
     system was built at ``w``, otherwise computed."""
-    system = relations.system if relations is not None else None
-    if system is not None and system.w == w:
-        return system.residues
+    if relations is not None and relations.system.w == w:
+        return relations.system.residues
     return [flag_residues(flag, w) for flag in enumerate_fixed_flags()]
 
 

@@ -10,7 +10,9 @@ as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
 and nothing on the way is put in lowest terms: scaling a row does not
 change the space it spans.  The certificate scales the echelon rows
 once to an integer matrix over the lcm of their denominators, and the
-solved relations keep that matrix.
+solved relations keep that matrix; the printed relations
+(``integer_rows``) are its rows, each divided by its gcd.  ``rref``
+takes integer rows only.
 
 Substitution is one integer primitive, ``SolvedRelations.reduce_row``:
 a raw row over any denominator goes to its free columns and constant,
@@ -169,12 +171,6 @@ class Echelon(tuple):
         out.denom, out.scaled = denom, scaled
         return out
 
-    @classmethod
-    def of_rows(cls, rows):
-        """The Echelon of rows of Fractions or ints."""
-        return cls(*_scale([[(c.numerator, c.denominator) for c in row]
-                            for row in rows]))
-
 
 def _certified(mat, denom, scaled, pivots):
     """Whether every integer row lies in the span of the candidate rows.
@@ -200,9 +196,9 @@ def _certified(mat, denom, scaled, pivots):
     return True
 
 
-def rref(rows):
-    """Reduced row echelon form over the rationals, certified
-    multimodular.
+def rref(mat):
+    """Reduced row echelon form over the rationals of integer rows,
+    certified multimodular.
 
     Pivots are searched in every column but the last, which holds the
     constant (for the 31-wide relation rows: the 30 unknown columns);
@@ -211,9 +207,9 @@ def rref(rows):
     rows dropped, as an Echelon that keeps the integer form the
     certificate checked.
 
-    Rows of ints, such as the raw equation rows of ``build_system``, go
-    in as they are; any other row is scaled to a primitive integer row
-    first.  The rows
+    The rows, such as the raw equation rows of ``build_system``, are
+    lists or tuples of ints; a row of fractions is scaled to integers
+    by its caller, which leaves the space it spans unchanged.  They
     are reduced modulo p, the first prime of ``_primes`` (below 2^30),
     and brought to reduced form over F_p, so no entry grows past p.
     Each entry is lifted back to the rationals by rational
@@ -232,7 +228,6 @@ def rref(rows):
     counts as an inconsistency only once its candidate has passed the
     check.
     """
-    mat = [r if {*map(type, r)} == {int} else _integer_row(r) for r in rows]
     if not mat:
         return Echelon(1, [])
     best = None
@@ -260,24 +255,18 @@ class RelationSystem:
     other power of the same weights are read without a second pass.
 
     Sums and equations are kept as (integer row, denominator) pairs,
-    not reduced: ``sum_rows`` and ``equation_rows``.  ``flag_sums`` and
-    ``equations`` are the same as TwistLinear forms, built on access.
+    not reduced: ``sum_rows`` and ``equation_rows``.  ``equations`` are
+    the equations as TwistLinear forms, built on access.
     """
 
-    __slots__ = ("w", "power", "flags", "residues", "sum_rows",
-                 "equation_rows")
+    __slots__ = ("w", "power", "residues", "sum_rows", "equation_rows")
 
-    def __init__(self, w, power, flags, residues, sum_rows, equation_rows):
+    def __init__(self, w, power, residues, sum_rows, equation_rows):
         self.w = w
         self.power = power
-        self.flags = flags
         self.residues = residues
         self.sum_rows = sum_rows
         self.equation_rows = equation_rows
-
-    @property
-    def flag_sums(self):
-        return [TwistLinear.from_row(*pair) for pair in self.sum_rows]
 
     @property
     def equations(self):
@@ -287,14 +276,11 @@ class RelationSystem:
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
     ``system`` is the RelationSystem it was solved from.  ``rows`` are
-    the reduced rows as an Echelon; plain rows of Fractions are
-    scaled to one."""
+    the reduced rows, the Echelon that ``rref`` returns."""
 
     __slots__ = ("rows", "rank", "pivots", "system", "_denom", "_columns")
 
     def __init__(self, rows, system):
-        if not isinstance(rows, Echelon):
-            rows = Echelon.of_rows(rows)
         self.rows = rows
         self.system = system
         self.rank = len(rows)
@@ -366,8 +352,8 @@ def build_system(w):
     leaves the reduced echelon form unchanged.
     """
     w = tuple(validate_weights(w))
-    flags = enumerate_fixed_flags()
-    residues = [bottsum.flag_residues(flag, w) for flag in flags]
+    residues = [bottsum.flag_residues(flag, w)
+                for flag in enumerate_fixed_flags()]
     sum_rows = [(r.row(7), r.den) for r in residues]
     base, base_den = sum_rows[0]
     equation_rows = []
@@ -376,7 +362,7 @@ def build_system(w):
         a, b = base_den // g, den // g
         equation_rows.append(([x * a - y * b for x, y in zip(row, base)],
                               den * a))
-    return RelationSystem(w, 7, flags, residues, sum_rows, equation_rows)
+    return RelationSystem(w, 7, residues, sum_rows, equation_rows)
 
 
 def solve_relations(system):
@@ -399,8 +385,11 @@ def _integer_row(row):
 
 
 def integer_rows(solved):
-    """Echelon rows rescaled to integer entries with gcd one."""
-    return [tuple(_integer_row(row)) for row in solved.rows]
+    """Echelon rows as integer rows with gcd one: the certified integer
+    form, each row divided by its gcd.  A row's first nonzero entry,
+    its pivot, stays positive."""
+    return [tuple(n // g for n in row)
+            for row in solved.rows.scaled for g in [gcd(*row)]]
 
 
 def relation_strings(solved):

@@ -5,15 +5,15 @@ dot product and writes the line residues in closed form.  This module
 gets the same residues through generic ring arithmetic instead: each
 eigenweight is evaluated record by record with Fraction dot products,
 and a line's residue is the h-coefficient of a first-order dual class
-carrying TwistLinear forms.  It shares nothing with the integer engine
-but the catalog records, so the tests compare the two.
-
-``FractionLinear`` is the plain {slot: Fraction} affine-linear form that
-TwistLinear's integer rows are checked against, and ``substitute_rows``
-substitutes reduced echelon rows into one the Fraction way.
+carrying ``FractionLinear`` forms, plain {slot: Fraction} affine-linear
+forms.  That route shares nothing with the integer engine but the
+catalog records, not even its TwistLinear value type, so the tests
+compare the two.  ``substitute_rows`` substitutes reduced echelon rows
+into a FractionLinear the Fraction way.
 
 ``component_degree`` is the global sum the sum-then-substitute way,
-the reference for the engine's reduce-before-sum route, and
+from the engine's per-flag sums, the reference for the engine's
+reduce-before-sum route, and
 ``substituted_flag_sums`` gives the per-flag values through
 ``substitute_rows``.
 
@@ -72,9 +72,6 @@ class FractionLinear:
         if isinstance(other, (int, Fraction)):
             other = FractionLinear({0: other})
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
         """Unknowns by slot, then the constant: "2*d1 - d4 + 1/2"."""
@@ -189,10 +186,10 @@ def normal_values(line, w):
 class DualClass:
     """Truncated class a + b*h with h*h = 0.
 
-    ``a`` is a Fraction; ``b`` may be a Fraction or any value supporting
-    addition and scaling, which lets the h-part carry linear expressions
-    in unknown twist degrees.  Inversion needs a nonzero pure part and
-    raises DivByZeroWeight otherwise.
+    ``a`` is a Fraction; ``b`` may be a Fraction or a FractionLinear,
+    which lets the h-part carry linear expressions in unknown twist
+    degrees.  Inversion needs a nonzero pure part and raises
+    DivByZeroWeight otherwise.
     """
 
     __slots__ = ("a", "b")
@@ -232,9 +229,7 @@ class DualClass:
     def __eq__(self, other):
         if isinstance(other, DualClass):
             return self.a == other.a and self.b == other.b
-        return self.a == other and (self.b == 0 or
-                                    (hasattr(self.b, "is_zero")
-                                     and self.b.is_zero()))
+        return self.a == other and self.b == 0
 
     def __repr__(self):
         return "DualClass(%s, %s)" % (self.a, self.b)
@@ -255,17 +250,17 @@ def line_term(nu_class, normal_pairs, power):
 
     ``nu_class`` is the fiber weight as a DualClass (its h-part is zero
     for the catalog lines).  ``normal_pairs`` is a list of (weight,
-    twist) with the twist a Fraction or TwistLinear.  Returns the
+    twist) with the twist a Fraction or FractionLinear.  Returns the
     h-coefficient of -nu_class^power * prod(weight + twist*h)^(-1).
     """
-    symbolic = any(isinstance(t, TwistLinear) for _, t in normal_pairs)
-    zero = TwistLinear() if symbolic else Fraction(0)
+    symbolic = any(isinstance(t, FractionLinear) for _, t in normal_pairs)
+    zero = FractionLinear() if symbolic else Fraction(0)
     prod = DualClass(Fraction(1), zero)
     for weight, twist in normal_pairs:
         if weight == 0:
             raise DivByZeroWeight("zero normal weight in a line term")
         if symbolic and isinstance(twist, (int, Fraction)):
-            twist = TwistLinear.constant(twist)
+            twist = FractionLinear({0: twist})
         prod = prod * DualClass(Fraction(weight), twist)
     total = (-(nu_class ** power)) * prod.inverse()
     return total.h_coefficient()
@@ -278,7 +273,7 @@ def point_contribution(point, w, power):
 
 def line_contribution(line, w, power):
     """Residue of one cataloged line, linear in its six twist slots."""
-    nu = DualClass(wfiber_value(line, w), TwistLinear())
-    pairs = [(n, TwistLinear.unknown(slot))
+    nu = DualClass(wfiber_value(line, w), FractionLinear())
+    pairs = [(n, FractionLinear({slot: 1}))
              for n, slot in zip(normal_values(line, w), line.slots)]
     return line_term(nu, pairs, power)

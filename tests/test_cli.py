@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from folbott import bottsum
 from folbott.cli import fraction_to_json, main
 
 W0 = (0, 1, 5, 25)
+W_WIDE = "67208900,-31429501,99121929,-3756357"
 
 EXPECTED_RELATIONS = [
     "2*d1 + d2 + 2*d4 + 2 = 0",
@@ -105,6 +107,36 @@ def test_component_degree_symbolic():
     assert doc["constant"]["den"] == "4660731252777600000000000"
     solved = relations.solve_relations(relations.build_system(W0))
     assert solved.substitute(form) == 168208
+
+
+# SHA-256 of each --symbolic-d output in full: the one path of a command
+# that prints a TwistLinear, through its text, negation and JSON view.
+SYMBOLIC_D_DIGESTS = {
+    ("fiber-degree", "0,1,5,25", "text"):
+        "15933f1f01be134a4ef5d460eb759e8fdeaa9b027c4182ca0817b718410c9d31",
+    ("fiber-degree", "0,1,5,25", "json"):
+        "5f0149b2410f43c38a3b9c20fb3e4ec17091b791daf780a5ac57b8b77f7d32d6",
+    ("component-degree", "0,1,5,25", "text"):
+        "524dff4f8b546e65be62bb9a6eaf4fc43b5d5a0c722cfd5058a8e1ed2a8ea3fc",
+    ("component-degree", "0,1,5,25", "json"):
+        "38a9254374ed335be7622b6d23c5579e519e86a9601661198bd4225e18301567",
+    ("fiber-degree", W_WIDE, "text"):
+        "4193fbfcbafd8077e66b98f672f66226ea540c9f2b0c133a9f3e78e5ac840b8a",
+    ("fiber-degree", W_WIDE, "json"):
+        "91b6d4bd8716877a8a2a5c2ec85b7b4e8c1f056485f293f0d088f331afae143e",
+    ("component-degree", W_WIDE, "text"):
+        "1b2c707ef3f4e44872f5978ebfdc062107bb66f796cae3ef9c1c2e6e1b08924b",
+    ("component-degree", W_WIDE, "json"):
+        "2959d91a44065fd1d3a25fe77c458340b08dd3dbc27643e56b5d019c23efe3bc",
+}
+
+
+@pytest.mark.parametrize("cmd,weights,output", sorted(SYMBOLIC_D_DIGESTS))
+def test_symbolic_d_output_is_pinned(cmd, weights, output):
+    res = run(cmd, "--symbolic-d", "--weights", weights, "--output", output)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() \
+        == SYMBOLIC_D_DIGESTS[cmd, weights, output]
 
 
 def test_fiber_degree_honest_failure_on_wrong_power():

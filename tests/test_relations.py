@@ -94,16 +94,18 @@ def _tl(coeffs):
 
 def test_system_shape():
     sys = system()
-    assert len(sys.flags) == 24
-    assert len(sys.flag_sums) == 24
+    assert len(sys.residues) == 24
+    assert len(sys.sum_rows) == 24
     assert len(sys.equations) == 23
 
 
 def test_system_views_equal_the_lowest_terms_forms():
     sys = system()
-    sums = [contribution_sum(flag, W0, 7) for flag in sys.flags]
-    assert sys.flag_sums == sums
-    assert sys.equations == [s - sums[0] for s in sums[1:]]
+    sums = [contribution_sum(flag, W0, 7) for flag in enumerate_fixed_flags()]
+    assert [TwistLinear.from_row(*pair) for pair in sys.sum_rows] == sums
+    reference = [FractionLinear(s.coeffs) for s in sums]
+    assert [FractionLinear(eq.coeffs) for eq in sys.equations] \
+        == [s - reference[0] for s in reference[1:]]
     assert [row for row, _ in sys.equation_rows] \
         != [eq.nums for eq in sys.equations]
 
@@ -113,11 +115,8 @@ def test_rref_carries_its_certified_integer_form():
     denom = lcm(*(c.denominator for row in rows for c in row))
     assert rows.denom == denom
     assert rows.scaled == [[int(c * denom) for c in row] for row in rows]
-    rel = solved()
-    plain = relations.SolvedRelations(tuple(map(tuple, rel.rows)), None)
-    assert plain.rows.denom == rel.rows.denom
-    assert plain.rows.scaled == rel.rows.scaled
-    assert plain.assignments == rel.assignments
+    assert relations.SolvedRelations(rows, None).assignments \
+        == solved().assignments
 
 
 def test_rank_and_pivots():
@@ -153,12 +152,17 @@ def test_relation_strings():
 
 def test_integer_rows_are_primitive():
     from math import gcd
-    for row in integer_rows(solved()):
+    rel = solved()
+    for row, echelon_row in zip(integer_rows(rel), rel.rows, strict=True):
         assert all(isinstance(c, int) for c in row)
         g = 0
         for c in row:
             g = gcd(g, abs(c))
         assert g == 1
+        # A positive multiple of the Fraction row, led by its pivot.
+        lead = next(c for c in row if c)
+        assert lead > 0
+        assert [Fraction(c, lead) for c in row] == list(echelon_row)
 
 
 def test_relations_do_not_depend_on_the_weights():
@@ -251,7 +255,7 @@ def test_reduce_row_does_not_depend_on_the_scale_of_its_row(coeffs, k):
 def test_free_unknowns_are_reported():
     rel = solved()
     with pytest.raises(ResidualUnknowns) as err:
-        rel.substitute(TwistLinear.unknown(26))
+        rel.substitute(_tl({26: 1}))
     assert "unresolved twist unknowns: d26" in str(err.value)
 
 
@@ -312,17 +316,15 @@ def _scaled_to_ints(row):
 @example([[Fraction(1, 2), Fraction(-3, 4), Fraction(5)],
           [Fraction(2), Fraction(0), Fraction(7, 3)]])
 def test_rref_equals_the_fraction_reference(rows):
-    """Also for the rows scaled to ints, which skip the rescaling pass,
-    and for those same ints written as Fractions."""
+    """rref takes integer rows: each rational row scaled to ints spans
+    the same space, so it has the reference's reduced form."""
     ints = [_scaled_to_ints(row) for row in rows]
-    as_fractions = [[Fraction(c) for c in row] for row in ints]
     expected = _reference_rref(rows)
-    for case in (rows, ints, as_fractions):
-        if expected is None:
-            with pytest.raises(InconsistentSystem):
-                rref(case)
-        else:
-            assert rref(case) == expected
+    if expected is None:
+        with pytest.raises(InconsistentSystem):
+            rref(ints)
+    else:
+        assert rref(ints) == expected
 
 
 def _is_prime_by_trial_division(n):
@@ -397,12 +399,13 @@ def wide_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(wide_systems())
 def test_rref_with_wide_entries_equals_the_fraction_reference(rows):
+    ints = [_scaled_to_ints(row) for row in rows]
     expected = _reference_rref(rows)
     if expected is None:
         with pytest.raises(InconsistentSystem):
-            rref(rows)
+            rref(ints)
     else:
-        assert rref(rows) == expected
+        assert rref(ints) == expected
 
 
 def test_single_blowup_cross_checks_up_to_twelve():
