@@ -46,11 +46,6 @@ class OneForm:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.comps == other.comps
-
     def substitute(self, mapping):
         return OneForm(substitute_all(self.comps, mapping))
 

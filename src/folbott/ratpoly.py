@@ -12,8 +12,8 @@ multiplying monomials is one int add and the constant monomial is 0.
 Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
 field stays clear and serves as the guard bit of the divisibility test
 in ``exact_divide``.  Monomials are decoded into (variable index,
-exponent) pairs only by ``leading``, ``monomials``, the printer and
-``variables`` (once, on the OR of all monomials).
+exponent) pairs only by ``monomials``, the printer and ``variables``
+(once, on the OR of all monomials).
 """
 
 import heapq
@@ -150,20 +150,6 @@ class Polynomial:
             raise KeyError("unknown variable %r" % name)
         return cls({_VARIABLE_MONO[VARIABLE_INDEX[name]]: 1})
 
-    @classmethod
-    def monomial(cls, exponents, coeff=1):
-        """Build coeff * prod(var**exp) from a {name: exp} mapping."""
-        coeff = _as_fraction(coeff)
-        if coeff == 0:
-            return cls({})
-        mono = 0
-        for name, e in exponents.items():
-            if e < 0:
-                raise ValueError("negative exponent for %s" % name)
-            mono += e * _VARIABLE_MONO[VARIABLE_INDEX[name]]
-        _check_degree(mono >> _DEG_SHIFT)
-        return cls({mono: coeff.numerator}, coeff.denominator)
-
     # ---- basic structure ----
 
     def is_zero(self):
@@ -187,13 +173,6 @@ class Polynomial:
 
     def degree(self):
         return max(self.nums) >> _DEG_SHIFT if self.nums else -1
-
-    def leading(self):
-        """Leading (monomial pairs, coefficient) in graded-lex order."""
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.nums)
-        return _decode(mono), Fraction(self.nums[mono], self.den)
 
     def monomials(self):
         """Yield (monomial pairs, coefficient), graded-lex descending."""
@@ -225,9 +204,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -268,7 +244,7 @@ class Polynomial:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    # ---- substitution and evaluation ----
+    # ---- substitution and derivatives ----
 
     def substitute(self, mapping):
         """Simultaneously replace variables by polynomials or rationals.
@@ -278,10 +254,6 @@ class Polynomial:
         substituting x0 -> x1, x1 -> x0 swaps the two variables.
         """
         return substitute_all((self,), mapping)[0]
-
-    def evaluate(self, mapping):
-        """Substitute and require a rational result."""
-        return self.substitute(mapping).constant_value()
 
     def partial(self, name):
         """Partial derivative with respect to one variable."""

@@ -8,20 +8,22 @@ by rational reconstruction and certified with integer arithmetic, and a
 failed lift or check brings in the next prime.  The equations go in
 as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
 and nothing on the way is put in lowest terms: scaling a row does not
-change the space it spans.  The certificate scales the echelon rows
-once to an integer matrix over the lcm of their denominators, and the
-solved relations keep that matrix; the printed relations
-(``integer_rows``) are its rows, each divided by its gcd.  ``rref``
-takes integer rows only.
+change the space it spans.  ``rref`` takes integer rows only and
+returns an ``Echelon``: the reduced rows scaled once to an integer
+matrix over the lcm of their denominators, their pivots, and the index
+of that matrix's free columns.  The printed relations
+(``integer_rows``) are the matrix's rows, each divided by its gcd.
 
-Substitution is one integer primitive, ``SolvedRelations.reduce_row``:
-a raw row over any denominator goes to its free columns and constant,
-one integer dot product per free column, over that denominator times
-the matrix's.  ``collapse`` turns such a row into its constant, as a
-Fraction in lowest terms, once every free column is checked to be
-zero.  ``reduce`` and ``substitute`` are those two steps on a
-TwistLinear, and the degree path in ``bottsum`` calls them on raw rows,
-so a value is put in lowest terms only when it leaves the engine.
+Substitution is one integer primitive, ``Echelon.reduce_row``: a raw
+row over any denominator goes to its free columns and constant, one
+integer dot product per free column, over that denominator times the
+matrix's.  The certificate is the same reduction: a candidate passes
+when every input row reduces to zero.  ``SolvedRelations.collapse``
+turns a reduced row into its constant, as a Fraction in lowest terms,
+once every free column is checked to be zero.  ``reduce`` and
+``substitute`` are those two steps on a TwistLinear, and the degree
+path in ``bottsum`` calls them on raw rows, so a value is put in
+lowest terms only when it leaves the engine.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import bottsum
-from .bottsum import NUM_SLOTS, WIDTH, TwistLinear
+from .bottsum import NUM_SLOTS, TwistLinear
 from .torus import enumerate_fixed_flags, validate_weights
 
 
@@ -160,40 +162,48 @@ def _scale(rows):
 class Echelon(tuple):
     """What ``rref`` returns: the reduced rows, a tuple of tuples of
     Fractions, built from the integer form they were certified in and
-    keeping it.  ``denom`` is the lcm of the entries' denominators and
-    ``scaled`` the rows times ``denom``, as lists of ints."""
+    keeping it.  ``denom`` is the lcm of the entries' denominators,
+    ``scaled`` the rows times ``denom``, as lists of ints, and
+    ``pivots`` the rows' pivot columns."""
 
-    def __new__(cls, denom, scaled):
+    def __new__(cls, denom, scaled, pivots):
         out = super().__new__(cls, (
             tuple(_ZERO if not n else _ONE if n == denom else
                   Fraction(n, denom) for n in row)
             for row in scaled))
-        out.denom, out.scaled = denom, scaled
+        out.denom, out.scaled, out.pivots = denom, scaled, pivots
+        # Each free column that has terms, with the (pivot column,
+        # scaled entry) pairs that are nonzero there.
+        out._columns = tuple(
+            (j, terms) for j in range(len(scaled[0]) if scaled else 0)
+            if j not in pivots
+            for terms in [tuple((col, row[j])
+                                for col, row in zip(pivots, scaled)
+                                if row[j])]
+            if terms)
         return out
 
+    def reduce_row(self, nums, den=1):
+        """Substitute the rows into the integer row ``nums`` over
+        ``den``, keeping free unknowns: the integer row and its
+        denominator, not reduced.
 
-def _certified(mat, denom, scaled, pivots):
-    """Whether every integer row lies in the span of the candidate rows.
-
-    With D = ``denom`` the lcm of the candidate's denominators and
-    C_k = D*R_k the rows of ``scaled``, each row must satisfy
-    D*row = sum_k row[pivot_k]*C_k.  The pivot columns hold the
-    identity, so only the other columns are compared.
-    """
-    pivot_set = set(pivots)
-    columns = [(j, [(pivots[k], row[j]) for k, row in enumerate(scaled)
-                    if row[j]])
-               for j in range(len(mat[0])) if j not in pivot_set]
-    # Plain loops: a generator per (row, column) pair would cost more
-    # than the few products it adds.
-    for row in mat:
-        for j, terms in columns:
-            total = 0
-            for pc, c in terms:
-                total += row[pc] * c
-            if denom * row[j] != total:
-                return False
-    return True
+        With D = ``denom`` and M = ``scaled``, free column j of the
+        result is D*c_j - sum_k c_{pivot_k}*M[k][j] over D*den, with
+        c = ``nums``; the pivot columns are zero.  A row in the span of
+        the rows reduces to zero.
+        """
+        out = [self.denom * c for c in nums]
+        for col in self.pivots:
+            out[col] = 0
+        # Plain loops: a generator per column would cost more than the
+        # few products it adds.
+        for j, terms in self._columns:
+            total = out[j]
+            for col, m in terms:
+                total -= nums[col] * m
+            out[j] = total
+        return out, self.denom * den
 
 
 def rref(mat):
@@ -204,8 +214,8 @@ def rref(mat):
     constant (for the 31-wide relation rows: the 30 unknown columns);
     a system whose rows combine to (0, ..., 0, c) with c nonzero raises
     InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
-    rows dropped, as an Echelon that keeps the integer form the
-    certificate checked.
+    rows dropped, as an Echelon that keeps the integer form and the
+    pivots the certificate checked.
 
     The rows, such as the raw equation rows of ``build_system``, are
     lists or tuples of ints; a row of fractions is scaled to integers
@@ -213,23 +223,23 @@ def rref(mat):
     are reduced modulo p, the first prime of ``_primes`` (below 2^30),
     and brought to reduced form over F_p, so no entry grows past p.
     Each entry is lifted back to the rationals by rational
-    reconstruction, and the candidate is certified with integers only
-    (see ``_certified``): every input row lies in its span, and its
-    rank, the rank mod p, is at most the rank over the rationals, so
-    the two spans are equal and the candidate is the unique reduced
-    form.  When a lift or the check fails, the next prime of
-    ``_primes`` joins by CRT.  An unlucky prime, one dividing
-    a minor, shows fewer pivots or later pivot columns than the
-    rationals: a prime whose pivots are worse than the best seen so far
-    is skipped, and one whose pivots are better replaces the residues.
-    Only finitely many primes are unlucky and the modulus grows without
-    bound, so the loop ends (multimodular solving with an exact check,
-    after Dixon, Numer. Math. 1982).  A pivot in the constant column
-    counts as an inconsistency only once its candidate has passed the
-    check.
+    reconstruction, and the candidate is certified with integers only:
+    every input row reduces to zero under it (``Echelon.reduce_row``),
+    so it lies in the candidate's span, and the candidate's rank, the
+    rank mod p, is at most the rank over the rationals, so the two
+    spans are equal and the candidate is the unique reduced form.  When
+    a lift or the check fails, the next prime of ``_primes`` joins by
+    CRT.  An unlucky prime, one dividing a minor, shows fewer pivots or
+    later pivot columns than the rationals: a prime whose pivots are
+    worse than the best seen so far is skipped, and one whose pivots
+    are better replaces the residues.  Only finitely many primes are
+    unlucky and the modulus grows without bound, so the loop ends
+    (multimodular solving with an exact check, after Dixon, Numer.
+    Math. 1982).  A pivot in the constant column counts as an
+    inconsistency only once its candidate has passed the check.
     """
     if not mat:
-        return Echelon(1, [])
+        return Echelon(1, [], ())
     best = None
     for p in _primes():
         pivots, reduced = _rref_mod(mat, p)
@@ -241,11 +251,13 @@ def rref(mat):
         else:
             continue
         candidate = _lift(residues, modulus)
-        if candidate is not None and _certified(mat, *candidate, best):
-            break
+        if candidate is not None:
+            echelon = Echelon(*candidate, best)
+            if not any(any(echelon.reduce_row(row)[0]) for row in mat):
+                break
     if best and best[-1] == len(mat[0]) - 1:
         raise InconsistentSystem("equations force 1 = 0")
-    return Echelon(*candidate)
+    return echelon
 
 
 class RelationSystem:
@@ -276,45 +288,28 @@ class RelationSystem:
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
     ``system`` is the RelationSystem it was solved from.  ``rows`` are
-    the reduced rows, the Echelon that ``rref`` returns."""
+    the reduced rows, the Echelon that ``rref`` returns, and ``pivots``
+    maps each pivot slot to its column."""
 
-    __slots__ = ("rows", "rank", "pivots", "system", "_denom", "_columns")
+    __slots__ = ("rows", "rank", "pivots", "system")
 
     def __init__(self, rows, system):
         self.rows = rows
         self.system = system
         self.rank = len(rows)
-        cols = [next(j for j in range(NUM_SLOTS) if row[j])
-                for row in rows.scaled]
-        self.pivots = {col + 1: col for col in cols}
-        self._denom = rows.denom
-        self._columns = tuple(
-            (j, tuple((col, row[j]) for col, row in zip(cols, rows.scaled)
-                      if row[j]))
-            for j in range(WIDTH) if j not in cols)
+        self.pivots = {col + 1: col for col in rows.pivots}
 
     @property
     def assignments(self):
         """{pivot slot: the TwistLinear it equals in the free unknowns}."""
         return {col + 1: TwistLinear.from_row(
                     [0 if j == col else -c for j, c in enumerate(row)],
-                    self._denom)
-                for col, row in zip(self.pivots.values(), self.rows.scaled)}
+                    self.rows.denom)
+                for col, row in zip(self.rows.pivots, self.rows.scaled)}
 
     def reduce_row(self, nums, den=1):
-        """Substitute the pivot assignments into the integer row
-        ``nums`` over ``den``, keeping free unknowns: the integer row
-        and its denominator, not reduced.
-
-        With D the lcm of the rows' denominators and M = D*rows, free
-        column j of the result is D*c_j - sum_k c_{pivot_k}*M[k][j] over
-        D*den, with c = ``nums``; the pivot columns are zero.
-        """
-        denom = self._denom
-        out = [0] * WIDTH
-        for j, terms in self._columns:
-            out[j] = denom * nums[j] - sum(nums[col] * m for col, m in terms)
-        return out, denom * den
+        """``Echelon.reduce_row`` of the solved rows."""
+        return self.rows.reduce_row(nums, den)
 
     def collapse(self, row, den):
         """The constant of a reduced integer row over ``den``, as a

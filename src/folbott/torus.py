@@ -112,10 +112,6 @@ class EigenWeight:
         (a0, a1, a2, a3), (b0, b1, b2, b3) = self.coeffs, other.coeffs
         return EigenWeight._of((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
 
-    def __neg__(self):
-        a0, a1, a2, a3 = self.coeffs
-        return EigenWeight._of((-a0, -a1, -a2, -a3))
-
     def __eq__(self, other):
         if not isinstance(other, EigenWeight):
             return NotImplemented
@@ -123,9 +119,6 @@ class EigenWeight:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __str__(self):
-        return format_weight(self)
 
     def __repr__(self):
         return "EigenWeight(%r)" % (self.coeffs,)

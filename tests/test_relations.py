@@ -259,6 +259,36 @@ def test_free_unknowns_are_reported():
     assert "unresolved twist unknowns: d26" in str(err.value)
 
 
+def test_empty_echelon_leaves_a_row_unchanged():
+    # No rows means no width: nothing is substituted and no column is
+    # cleared, whatever the length of the row.
+    empty = relations.SolvedRelations(rref([]), None)
+    row = [0] * 31
+    row[4], row[25], row[30] = 2, -7, 5
+    reduced, den = empty.reduce_row(row, 3)
+    assert (reduced, den) == (row, 3)
+    with pytest.raises(ResidualUnknowns) as err:
+        empty.collapse(reduced, den)
+    assert str(err.value) == "unresolved twist unknowns: d5, d26"
+
+
+@pytest.mark.parametrize("w", [W0, W_WIDE, (0, 6, 30, 210)])
+def test_relations_need_one_prime(monkeypatch, w):
+    # A certificate that wrongly rejected a candidate would still end
+    # with the right rows, but only after bringing in more primes.
+    calls = []
+    rref_mod = relations._rref_mod
+
+    def counting(mat, p):
+        calls.append(p)
+        return rref_mod(mat, p)
+
+    monkeypatch.setattr(relations, "_rref_mod", counting)
+    rel = solve_relations(build_system(w))
+    assert calls == [P]
+    assert relation_strings(rel) == EXPECTED_STRINGS
+
+
 def test_contradictory_equations_are_refused():
     eqs = [_tl({1: 1, 0: 1}), _tl({1: 1, 0: 2})]
     with pytest.raises(InconsistentSystem):

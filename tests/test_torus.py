@@ -111,6 +111,9 @@ def test_flag_tangent_product_is_never_zero_on_valid_weights():
         assert value == expected, flag
 
 
+ZERO_WEIGHT = EigenWeight((0, 0, 0, 0))
+
+
 def coeff_tuples():
     return st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
 
@@ -121,7 +124,8 @@ def test_eigenweight_addition_matches_evaluation(a, b):
     w = (0, 1, 5, 25)
     ea, eb = EigenWeight(a), EigenWeight(b)
     assert evaluate(ea + eb, w) == evaluate(ea, w) + evaluate(eb, w)
-    assert evaluate(-ea, w) == -evaluate(ea, w)
+    assert evaluate(ea - eb, w) == evaluate(ea, w) - evaluate(eb, w)
+    assert evaluate(ZERO_WEIGHT - ea, w) == -evaluate(ea, w)
 
 
 def test_eigenweight_needs_four_coefficients():
@@ -137,7 +141,7 @@ def test_eigenweight_arithmetic_equals_the_constructor(a, b):
     ea, eb = EigenWeight(a), EigenWeight(b)
     for got, want in ((ea + eb, [x + y for x, y in zip(a, b)]),
                       (ea - eb, [x - y for x, y in zip(a, b)]),
-                      (-ea, [-x for x in a])):
+                      (ZERO_WEIGHT - ea, [-x for x in a])):
         assert got == EigenWeight(want)
         assert type(got.coeffs) is tuple
     assert parse_weight(format_weight(ea)) == ea
