@@ -458,14 +458,13 @@ def _summands(w, power, relations):
 
 def _add_rows(summands):
     """The sum of integer rows over denominators, as one integer row
-    over the lcm of the denominators; zero entries are not scaled."""
+    over the lcm of the denominators."""
     den = lcm(*(d for _, d in summands))
     total = [0] * WIDTH
     for row, d in summands:
         scale = den // d
         for j, n in enumerate(row):
-            if n:
-                total[j] += n * scale
+            total[j] += n * scale
     return total, den
 
 

@@ -45,12 +45,6 @@ def _output_option(func):
         show_default=True, help="Output format.")(func)
 
 
-def _jobs_option(func):
-    return click.option(
-        "--jobs", type=int, default=1, show_default=True,
-        help="Accepted for compatibility; has no effect.")(func)
-
-
 def fraction_to_json(q):
     """An int or Fraction as {'num': ..., 'den': ...} with string fields."""
     return {"num": str(q.numerator), "den": str(q.denominator)}
@@ -87,14 +81,13 @@ def main():
 @main.command("fiber-degree")
 @_weights_option
 @_output_option
-@_jobs_option
 @click.option("--power", type=click.IntRange(min=0), default=7,
               show_default=True, help="Residue power in the numerator.")
 @click.option("--per-flag", is_flag=True,
               help="Emit the individual per-flag values.")
 @click.option("--symbolic-d", "symbolic_d", is_flag=True,
               help="Emit the linear form before relation substitution.")
-def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
+def fiber_degree_cmd(weights, output, power, per_flag, symbolic_d):
     """Residue value over a single flag (the same for all of them)."""
     if symbolic_d and per_flag:
         raise click.UsageError("--symbolic-d takes no --per-flag")
@@ -128,7 +121,8 @@ def fiber_degree_cmd(weights, output, jobs, power, per_flag, symbolic_d):
 @main.command("component-degree")
 @_weights_option
 @_output_option
-@_jobs_option
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; has no effect.")
 @click.option("--power", type=click.IntRange(min=0), default=13,
               show_default=True, help="Residue power in the numerator.")
 @click.option("--per-flag", is_flag=True,
@@ -195,12 +189,13 @@ def tables_cmd(output):
     from .fixlocus import build_catalog
     from .torus import format_weight
     catalog = build_catalog((0, 1, 2, 3))
+    census = catalog.census()
+    points, lines = census["points"], census["lines"]
     if output == "json":
         doc = {
-            "census": {"points": len(catalog.points),
-                       "lines": len(catalog.lines),
-                       "global_points": 24 * len(catalog.points),
-                       "global_lines": 24 * len(catalog.lines)},
+            "census": {"points": points, "lines": lines,
+                       "global_points": 24 * points,
+                       "global_lines": 24 * lines},
             "points": [{"id": rec.id, "table": rec.table, "row": rec.row,
                         "nu": list(rec.nu.coeffs),
                         "tangent": [list(t.coeffs) for t in rec.tangent]}
@@ -214,8 +209,7 @@ def tables_cmd(output):
         _emit(doc, output)
         return
     click.echo("points: %d  lines: %d  (24 flags: %d points, %d lines)"
-               % (len(catalog.points), len(catalog.lines),
-                  24 * len(catalog.points), 24 * len(catalog.lines)))
+               % (points, lines, 24 * points, 24 * lines))
     current = None
     for rec in catalog.points:
         if rec.table != current:

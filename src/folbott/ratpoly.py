@@ -96,8 +96,6 @@ def _decode(mono):
 def _mul_into(acc, a, b):
     """acc += a*b on numerator dicts; zero sums and the degree check are
     left for the caller."""
-    if len(a) < len(b):
-        a, b = b, a
     for m2, c2 in b.items():
         for m1, c1 in a.items():
             m = m1 + m2
@@ -227,14 +225,8 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         _check_degree(self.degree() * exponent)
         result = Polynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -384,8 +376,9 @@ def substitute_all(polys, mapping):
     the fields of the remaining values.  The group of key 0 has the
     factor 1 and is added as it is; each other group is multiplied once
     by its product of powers, a numerator dict shared by all the
-    polynomials.  What a term's exponents in the replaced fields do to
-    it is worked out once per distinct pattern of those exponents, and
+    polynomials and built from each value's powers, which are kept for
+    the call.  What a term's exponents in the replaced fields do to it
+    is worked out once per distinct pattern of those exponents, and
     the degree is checked once per output, on the largest monomial any
     product reached.
     """
@@ -409,8 +402,8 @@ def substitute_all(polys, mapping):
         else:
             zeros |= _FIELD << shift
     moves = {}  # exponents in the replaced fields -> _move of them
-    # Products of powers by key as (numerators, denominator), each built
-    # on the key's leading fields.
+    # Powers of each value by (field shift, exponent), and products of
+    # powers by key, as (numerators, denominator).
     powers = {(shift, 1): val for shift, val in fields}
     factors, out = {0: ({0: 1}, 1)}, []
     for poly in polys:
@@ -431,19 +424,17 @@ def substitute_all(polys, mapping):
         for key, _ in groups:
             if key in factors:
                 continue
-            prefix = 0
+            factor = None
             for shift, val in fields:
                 e = (key >> shift) & _FIELD
-                if e and prefix + (e << shift) not in factors:
+                if e:
                     for k in range(2, e + 1):
                         if (shift, k) not in powers:
                             powers[shift, k] = _product(powers[shift, k - 1],
                                                         val)
-                    factor = powers[shift, e]
-                    factors[prefix + (e << shift)] = (
-                        _product(factors[prefix], factor) if prefix
-                        else factor)
-                prefix += e << shift
+                    factor = (powers[shift, e] if factor is None
+                              else _product(factor, powers[shift, e]))
+            factors[key] = factor
         common = poly.den * math.lcm(*(factors[key][1] * den
                                        for key, den in groups))
         acc = {}
@@ -593,30 +584,26 @@ def parse_poly(text):
 
 
 def _parse_sum(toks):
-    """Products between top-level signs, added over one denominator."""
-    terms, polys = [], []
+    """Products between top-level signs, each one Polynomial term,
+    added over one denominator."""
+    terms = []
     sign = 1
     if toks.peek() in ("+", "-"):
         sign = -1 if toks.take() == "-" else 1
     while True:
         mono, coeff, parens = _parse_product(toks)
         coeff *= sign
-        if not parens:
-            terms.append((mono, coeff))
-        elif coeff:
+        if coeff:
             term = Polynomial({mono: coeff.numerator}, coeff.denominator)
             for factor in parens:
                 term = term * factor
-            polys.append(term)
+            terms.append(term)
         if toks.peek() not in ("+", "-"):
             break
         sign = -1 if toks.take() == "-" else 1
-    den = math.lcm(*(c.denominator for _, c in terms),
-                   *(p.den for p in polys))
+    den = math.lcm(*(p.den for p in terms))
     acc = {}
-    for mono, c in terms:
-        acc[mono] = acc.get(mono, 0) + c.numerator * (den // c.denominator)
-    for p in polys:
+    for p in terms:
         scale = den // p.den
         for mono, c in p.nums.items():
             acc[mono] = acc.get(mono, 0) + c * scale

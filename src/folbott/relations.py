@@ -9,9 +9,12 @@ failed lift or check brings in the next prime.  The equations go in
 as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
 and nothing on the way is put in lowest terms: scaling a row does not
 change the space it spans.  ``rref`` takes integer rows only and
-returns an ``Echelon``: the reduced rows scaled once to an integer
-matrix over the lcm of their denominators, their pivots, and the index
-of that matrix's free columns.  The printed relations
+returns an ``Echelon``, which is integer too: the reduced rows scaled
+once to an integer matrix over the lcm of their denominators, their
+pivots, and the index of that matrix's free columns.  The rows as
+Fractions are built only on access (``Echelon.fractions``), for the
+single-blowup check and for comparing row spaces; the elimination and
+the degree path never build them.  The printed relations
 (``integer_rows``) are the matrix's rows, each divided by its gcd.
 
 Substitution is one integer primitive, ``Echelon.reduce_row``: a raw
@@ -44,9 +47,6 @@ class InconsistentSystem(ArithmeticError):
 
 class ResidualUnknowns(ArithmeticError):
     """Substitution left free unknowns that the relations cannot fix."""
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _is_prime(n):
@@ -107,8 +107,6 @@ def _rref_mod(mat, p):
             if f and i != r:
                 row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
         pivots.append(col)
-        if r + 1 == len(rows):
-            break
     return tuple(pivots), rows[:len(pivots)]
 
 
@@ -159,29 +157,32 @@ def _scale(rows):
     return denom, [[n * (denom // d) for n, d in row] for row in rows]
 
 
-class Echelon(tuple):
-    """What ``rref`` returns: the reduced rows, a tuple of tuples of
-    Fractions, built from the integer form they were certified in and
-    keeping it.  ``denom`` is the lcm of the entries' denominators,
-    ``scaled`` the rows times ``denom``, as lists of ints, and
-    ``pivots`` the rows' pivot columns."""
+class Echelon:
+    """What ``rref`` returns: the reduced rows in the integer form they
+    were certified in.  ``denom`` is the lcm of the entries'
+    denominators, ``scaled`` the rows times ``denom``, as lists of ints,
+    and ``pivots`` the rows' pivot columns."""
 
-    def __new__(cls, denom, scaled, pivots):
-        out = super().__new__(cls, (
-            tuple(_ZERO if not n else _ONE if n == denom else
-                  Fraction(n, denom) for n in row)
-            for row in scaled))
-        out.denom, out.scaled, out.pivots = denom, scaled, pivots
+    __slots__ = ("denom", "scaled", "pivots", "_columns")
+
+    def __init__(self, denom, scaled, pivots):
+        self.denom, self.scaled, self.pivots = denom, scaled, pivots
         # Each free column that has terms, with the (pivot column,
         # scaled entry) pairs that are nonzero there.
-        out._columns = tuple(
+        self._columns = tuple(
             (j, terms) for j in range(len(scaled[0]) if scaled else 0)
             if j not in pivots
             for terms in [tuple((col, row[j])
                                 for col, row in zip(pivots, scaled)
                                 if row[j])]
             if terms)
-        return out
+
+    @property
+    def fractions(self):
+        """The reduced rows as a tuple of tuples of Fractions, built on
+        each access."""
+        return tuple(tuple(Fraction(n, self.denom) for n in row)
+                     for row in self.scaled)
 
     def reduce_row(self, nums, den=1):
         """Substitute the rows into the integer row ``nums`` over
@@ -213,9 +214,9 @@ def rref(mat):
     Pivots are searched in every column but the last, which holds the
     constant (for the 31-wide relation rows: the 30 unknown columns);
     a system whose rows combine to (0, ..., 0, c) with c nonzero raises
-    InconsistentSystem.  Returns a tuple of tuples of Fractions, zero
-    rows dropped, as an Echelon that keeps the integer form and the
-    pivots the certificate checked.
+    InconsistentSystem.  Returns an Echelon, zero rows dropped: the
+    integer form and the pivots the certificate checked, with the rows
+    as Fractions only on access (``Echelon.fractions``).
 
     The rows, such as the raw equation rows of ``build_system``, are
     lists or tuples of ints; a row of fractions is scaled to integers
@@ -288,15 +289,15 @@ class RelationSystem:
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
     ``system`` is the RelationSystem it was solved from.  ``rows`` are
-    the reduced rows, the Echelon that ``rref`` returns, and ``pivots``
-    maps each pivot slot to its column."""
+    the reduced rows, the Echelon that ``rref`` returns, ``rank`` their
+    number, and ``pivots`` maps each pivot slot to its column."""
 
     __slots__ = ("rows", "rank", "pivots", "system")
 
     def __init__(self, rows, system):
         self.rows = rows
         self.system = system
-        self.rank = len(rows)
+        self.rank = len(rows.scaled)
         self.pivots = {col + 1: col for col in rows.pivots}
 
     @property
@@ -395,7 +396,8 @@ def relation_strings(solved):
 
 def row_space_equal(eqs_a, eqs_b):
     """Whether two sets of affine-linear equations span the same space."""
-    return rref([e.nums for e in eqs_a]) == rref([e.nums for e in eqs_b])
+    return (rref([e.nums for e in eqs_a]).fractions
+            == rref([e.nums for e in eqs_b]).fractions)
 
 
 class NormalTwistReport:
@@ -488,7 +490,7 @@ def normal_twist_check(n, m):
         row = _integer_row(cof + [rhs])
         printed.append(_format_twist_equation(row[:-1], row[-1]))
         rows.append(row)
-    solved = rref(rows)
+    solved = rref(rows).fractions
     unique = len(solved) == n - 1
     deltas = tuple(row[-1] for row in solved) if unique else ()
     return NormalTwistReport(n, m, printed, deltas, unique)

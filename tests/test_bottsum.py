@@ -511,8 +511,9 @@ def test_degree_path_equals_the_sum_then_substitute_reference(w):
     assert symbolic == oracle.component_degree(w, 13)
     assert gcd(symbolic.den, *symbolic.nums) == 1
     assert per_flag_degrees(w, rel) \
-        == _constants(substituted_flag_sums(w, rel.rows, 13, tangents=True))
-    fiber = _constants(substituted_flag_sums(w, rel.rows, 7))
+        == _constants(substituted_flag_sums(w, rel.rows.fractions, 13,
+                                          tangents=True))
+    fiber = _constants(substituted_flag_sums(w, rel.rows.fractions, 7))
     assert bottsum.per_flag_fiber_values(w, rel) == fiber
     assert fiber_degree(w, 7, rel) == fiber[0][1] == 21
 

@@ -158,6 +158,12 @@ def test_negative_power_is_a_usage_error(args):
     assert "Invalid value for '--power'" in res.output
 
 
+def test_fiber_degree_takes_no_jobs():
+    res = run("fiber-degree", "--jobs", "2")
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--jobs" in res.output
+
+
 def test_weights_validation():
     res = run("fiber-degree", "--weights", "0,1,2,3")
     assert res.exit_code == 2
@@ -216,6 +222,16 @@ def test_tables_text():
     assert len(line_rows) == 1
     assert "cube r4" in line_rows[0]
     assert "slots=d1..d6" in line_rows[0]
+
+
+def test_tables_reads_its_counts_from_the_census(monkeypatch):
+    from folbott import fixlocus
+    monkeypatch.setattr(fixlocus.Catalog, "census",
+                        lambda self: {"points": 3, "lines": 2})
+    assert run("tables").output.splitlines()[0] \
+        == "points: 3  lines: 2  (24 flags: 72 points, 48 lines)"
+    assert json.loads(run("tables", "--output", "json").output)["census"] \
+        == {"points": 3, "lines": 2, "global_points": 72, "global_lines": 48}
 
 
 def test_tables_json():

@@ -110,6 +110,13 @@ def test_parse_rejects_malformed_text(text):
     assert repr(text) in str(err.value)
 
 
+def test_parse_adds_plain_and_parenthesised_products_alike():
+    x0, x1 = Polynomial.variable("x0"), Polynomial.variable("x1")
+    assert parse_poly("1/2*x0 + (1/2)*x0") == x0
+    assert parse_poly("x0*x1 - (x0)*x1").is_zero()
+    assert parse_poly("0*x0 + 2*(x1) - x1") == x1
+
+
 def test_unknown_names_are_parse_errors_but_variable_key_errors():
     with pytest.raises(ValueError, match="unknown variable 'q'"):
         parse_poly("x0 + q")

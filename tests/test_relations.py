@@ -112,9 +112,11 @@ def test_system_views_equal_the_lowest_terms_forms():
 
 def test_rref_carries_its_certified_integer_form():
     rows = rref([row for row, _ in system().equation_rows])
-    denom = lcm(*(c.denominator for row in rows for c in row))
+    fractions = rows.fractions
+    denom = lcm(*(c.denominator for row in fractions for c in row))
     assert rows.denom == denom
-    assert rows.scaled == [[int(c * denom) for c in row] for row in rows]
+    assert rows.scaled == [[int(c * denom) for c in row]
+                           for row in fractions]
     assert relations.SolvedRelations(rows, None).assignments \
         == solved().assignments
 
@@ -140,6 +142,29 @@ def test_row_space_matches_the_reference_table():
     assert row_space_equal(system().equations, reference)
 
 
+def test_row_space_differs_without_a_relation_or_with_a_moved_constant():
+    reference = [_tl(c) for c in REFERENCE_RELATIONS]
+    equations = system().equations
+    for k in range(len(reference)):
+        short = reference[:k] + reference[k + 1:]
+        assert not row_space_equal(equations, short), k
+    moved = dict(REFERENCE_RELATIONS[0])
+    moved[0] = moved.get(0, 0) + 1
+    assert not row_space_equal(equations, [_tl(moved)] + reference[1:])
+
+
+def test_degree_path_builds_no_fraction_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Echelon.fractions was read")
+
+    monkeypatch.setattr(relations.Echelon, "fractions", property(refuse))
+    rel = solve_relations(build_system(W0))
+    assert rel.rank == 18
+    assert relation_strings(rel) == EXPECTED_STRINGS
+    assert fiber_degree(W0, 7, rel) == 21
+    assert component_degree(W0, 13, rel) == 168208
+
+
 def test_reference_relations_are_consequences():
     rel = solved()
     for coeffs in REFERENCE_RELATIONS:
@@ -153,7 +178,8 @@ def test_relation_strings():
 def test_integer_rows_are_primitive():
     from math import gcd
     rel = solved()
-    for row, echelon_row in zip(integer_rows(rel), rel.rows, strict=True):
+    for row, echelon_row in zip(integer_rows(rel), rel.rows.fractions,
+                                  strict=True):
         assert all(isinstance(c, int) for c in row)
         g = 0
         for c in row:
@@ -217,10 +243,11 @@ def test_substitution_collapses_consequences():
 
 def test_reduce_of_the_flag_sums_equals_the_fraction_substitution():
     rel = solved()
+    rows = rel.rows.fractions
     for flag in enumerate_fixed_flags():
         for power in (7, 13):
             form = contribution_sum(flag, W0, power)
-            oracle = substitute_rows(rel.rows, FractionLinear(form.coeffs))
+            oracle = substitute_rows(rows, FractionLinear(form.coeffs))
             assert rel.reduce(form).coeffs == oracle.coeffs, (flag, power)
 
 
@@ -229,7 +256,7 @@ def test_reduce_of_the_flag_sums_equals_the_fraction_substitution():
                        st.fractions(max_denominator=1000), max_size=8))
 def test_reduce_equals_the_fraction_substitution(coeffs):
     rel = solved()
-    oracle = substitute_rows(rel.rows, FractionLinear(coeffs))
+    oracle = substitute_rows(rel.rows.fractions, FractionLinear(coeffs))
     assert rel.reduce(TwistLinear(coeffs)).coeffs == oracle.coeffs
 
 
@@ -354,7 +381,7 @@ def test_rref_equals_the_fraction_reference(rows):
         with pytest.raises(InconsistentSystem):
             rref(ints)
     else:
-        assert rref(ints) == expected
+        assert rref(ints).fractions == expected
 
 
 def _is_prime_by_trial_division(n):
@@ -372,13 +399,13 @@ def test_elimination_primes_are_the_largest_below_2_30():
 
 def test_constant_pivot_mod_p_is_not_an_inconsistency():
     # Modulo P the row reads (0, 1), yet over Q it says P*x = -1.
-    assert rref([[P, 1]]) == ((1, Fraction(1, P)),)
+    assert rref([[P, 1]]).fractions == ((1, Fraction(1, P)),)
 
 
 def test_unlucky_prime_is_skipped():
     # Mod P the pivot is column 0 and 1/P2 needs more primes to lift;
     # mod P2 the row reads (0, 1, 0), a later pivot, so P2 is skipped.
-    assert rref([[P2, 1, 0]]) == ((1, Fraction(1, P2), 0),)
+    assert rref([[P2, 1, 0]]).fractions == ((1, Fraction(1, P2), 0),)
 
 
 def test_entry_past_the_one_prime_bound_is_joined_by_crt(monkeypatch):
@@ -394,14 +421,15 @@ def test_entry_past_the_one_prime_bound_is_joined_by_crt(monkeypatch):
 
     monkeypatch.setattr(relations, "_crt", counting)
     rows = [[1, 1, 0], [1, -1, 46342]]
-    assert rref(rows) == _reference_rref(rows) == ((1, 0, 23171),
-                                                    (0, 1, -23171))
+    assert rref(rows).fractions == _reference_rref(rows) \
+        == ((1, 0, 23171), (0, 1, -23171))
     assert joins == [(P, P2)]
 
 
 def test_rank_drop_mod_p_gives_the_rational_form():
     rows = [[1, 2, 3], [2, 4 + P, 6 + P]]
-    assert rref(rows) == _reference_rref(rows) == ((1, 0, 1), (0, 1, 1))
+    assert rref(rows).fractions == _reference_rref(rows) \
+        == ((1, 0, 1), (0, 1, 1))
 
 
 def test_inconsistency_hidden_mod_p_is_found():
@@ -435,7 +463,7 @@ def test_rref_with_wide_entries_equals_the_fraction_reference(rows):
         with pytest.raises(InconsistentSystem):
             rref(ints)
     else:
-        assert rref(ints) == expected
+        assert rref(ints).fractions == expected
 
 
 def test_single_blowup_cross_checks_up_to_twelve():
