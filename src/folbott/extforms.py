@@ -1,10 +1,11 @@
 """Differential one-forms on projective three-space.
 
-A form is a 4-tuple of coefficient polynomials (A0, A1, A2, A3) against
-dx0..dx3.  Coefficients may involve fiber parameters as well as the
-coordinates; only x0..x3 are differentiated.  A printed form is read
-by ``parse_form`` with the polynomial grammar: dx0..dx3 are variables
-of the ``ratpoly`` alphabet, and the text must be linear in them.
+A form is one polynomial linear in dx0..dx3, sum A_i*dx_i: dx0..dx3 are
+variables of the ``ratpoly`` alphabet, so the form substitutes, divides
+and compares as a ``Polynomial``, and a printed form is read by
+``parse_form`` with the polynomial grammar.  The coefficients
+(A0, A1, A2, A3) may involve fiber parameters as well as the
+coordinates; only x0..x3 are differentiated.
 
 The central construction is ``build_omega``: for a cubic f and a quadric
 g it forms 3*f*dg - 2*g*df and removes the factor x0 exactly.
@@ -13,86 +14,64 @@ integrable (the Frobenius wedge vanishes), and both properties are cheap
 to assert, so the blowup pipelines re-check them after every step.
 """
 
-from fractions import Fraction
-
-from .ratpoly import (Polynomial, parse_poly, substitute_all,
-                      variable_combination)
+from .ratpoly import Polynomial, parse_poly, variable_combination
 
 COORDS = ("x0", "x1", "x2", "x3")
 DIFFERENTIALS = ("dx0", "dx1", "dx2", "dx3")
+_UNITS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+_EULER = {d: Polynomial.variable(x) for d, x in zip(DIFFERENTIALS, COORDS)}
 
 
 class OneForm:
-    """Coefficients of a one-form in the fixed coordinate frame."""
+    """A one-form as the polynomial sum A_i*dx_i."""
 
-    __slots__ = ("comps",)
+    __slots__ = ("poly",)
 
-    def __init__(self, comps):
-        comps = tuple(comps)
-        if len(comps) != 4:
-            raise ValueError("a one-form needs exactly four components")
-        self.comps = comps
+    def __init__(self, poly):
+        self.poly = poly
+
+    @property
+    def comps(self):
+        """(A0, A1, A2, A3); ValueError unless every term holds exactly
+        one differential, to the first power."""
+        parts = self.poly.coefficients_in(DIFFERENTIALS)
+        comps = tuple(parts.pop(unit, Polynomial.zero()) for unit in _UNITS)
+        if parts:
+            raise ValueError("%s is not linear in dx0..dx3" % self.poly)
+        return comps
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(a - b for a, b in zip(self.comps, other.comps))
-
-    def __mul__(self, other):
-        return OneForm(c * other for c in self.comps)
-
-    __rmul__ = __mul__
+        return self.poly.is_zero()
 
     def substitute(self, mapping):
-        return OneForm(substitute_all(self.comps, mapping))
+        return OneForm(self.poly.substitute(mapping))
 
     def exact_divide(self, divisor, context=None):
-        return OneForm(c.exact_divide(divisor, context=context)
-                       for c in self.comps)
+        return OneForm(self.poly.exact_divide(divisor, context=context))
 
     def proportional(self, other):
-        """Single rational ratio between two forms, or None.
-
-        The ratio must be shared by all four components; components that
-        are zero on both sides are ignored.
-        """
-        ratio = None
-        for a, b in zip(self.comps, other.comps):
-            if a.is_zero() and b.is_zero():
-                continue
-            if a.is_zero() or b.is_zero():
-                return None
-            r = a.proportional(b)
-            if r is None:
-                return None
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-        if ratio is None:
-            return Fraction(1)
-        return ratio
+        """Single rational ratio between two forms, or None."""
+        return self.poly.proportional(other.poly)
 
     def euler_pairing(self):
         """Contraction against the Euler vector field, sum x_i * A_i."""
-        return variable_combination(COORDS, self.comps)
+        return self.poly.substitute(_EULER)
 
     def __str__(self):
         parts = []
-        for name, comp in zip(COORDS, self.comps):
+        for name, comp in zip(DIFFERENTIALS, self.comps):
             if not comp.is_zero():
-                parts.append("(%s)*d%s" % (comp, name))
+                parts.append("(%s)*%s" % (comp, name))
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
 
 def differential(poly):
-    """Exterior derivative in the coordinates, ignoring parameters."""
-    return OneForm(poly.partial(name) for name in COORDS)
+    """Exterior derivative in the coordinates, ignoring parameters, as
+    the polynomial sum dp/dx_i * dx_i."""
+    return variable_combination(
+        DIFFERENTIALS, [poly.partial(name) for name in COORDS])
 
 
 def build_omega(f, g):
@@ -103,7 +82,7 @@ def build_omega(f, g):
     which flags a pair that does not actually produce a projective form
     along this chart.
     """
-    raw = 3 * f * differential(g) - 2 * g * differential(f)
+    raw = OneForm(3 * f * differential(g) - 2 * g * differential(f))
     return raw.exact_divide(Polynomial.variable("x0"),
                             context=("initial", "x0"))
 
@@ -133,14 +112,14 @@ def is_integrable(form):
 
 
 def vanishes_on(form, parametrization):
-    """Check that every component dies on a parametrized curve.
+    """Check that the form dies on a parametrized curve.
 
-    parametrization: four polynomials in the y-symbols giving
-    x0..x3.  Substitution happens component-wise; the form vanishes on
-    the curve when all four pullback coefficients are zero.
+    parametrization: four polynomials in the y-symbols giving x0..x3.
+    The differentials stay symbolic, so the pullback is zero exactly
+    when all four of its coefficients are.
     """
     mapping = {name: p for name, p in zip(COORDS, parametrization)}
-    return all(c.substitute(mapping).is_zero() for c in form.comps)
+    return form.substitute(mapping).is_zero()
 
 
 def parse_form(text):
@@ -151,12 +130,12 @@ def parse_form(text):
     exactly one differential, to the first power.  Used for the printed
     forms and table cells.
     """
-    parts = parse_poly(text).coefficients_in(DIFFERENTIALS)
-    comps = [parts.pop(tuple(int(i == j) for j in range(4)),
-                       Polynomial.zero()) for i in range(4)]
-    if parts:
-        raise ValueError("%r is not linear in dx0..dx3" % text)
-    return OneForm(comps)
+    form = OneForm(parse_poly(text))
+    try:
+        form.comps
+    except ValueError:
+        raise ValueError("%r is not linear in dx0..dx3" % text) from None
+    return form
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
 field stays clear and serves as the guard bit of the divisibility test
 in ``exact_divide``.  Monomials are decoded into (variable index,
 exponent) pairs only by ``monomials``, the printer and ``variables``
-(once, on the OR of all monomials).
+(once, on the OR of all monomials).  ``Polynomial.substitute`` is the
+one substitution; a one-form substitutes as one polynomial.
 """
 
 import heapq
@@ -244,8 +245,91 @@ class Polynomial:
         mapping: {variable name: Polynomial | Fraction | int}.  All
         replacements happen with respect to the original polynomial, so
         substituting x0 -> x1, x1 -> x0 swaps the two variables.
+
+        Values with at most one term fold into each term's monomial:
+        zero drops the term, a rational scales it, a one-term polynomial
+        scales and shifts it.  The other terms are grouped by their
+        exponents in the fields of the remaining values.  The group of
+        key 0 has the factor 1 and is added as it is; each other group
+        is multiplied once by its product of powers, built from each
+        value's powers, which are kept for the call.  What a term's
+        exponents in the replaced fields do to it is worked out once per
+        distinct pattern of those exponents, and the degree is checked
+        once, on the largest monomial any product reached.
         """
-        return substitute_all((self,), mapping)[0]
+        folds, fields, mask, zeros, touched = [], [], 0, 0, 0
+        for name, val in mapping.items():
+            index = VARIABLE_INDEX[name]
+            shift = _SHIFT[index]
+            touched |= _FIELD << shift
+            if isinstance(val, Polynomial):
+                nums, den = val.nums, val.den
+            elif isinstance(val, (int, Fraction)):
+                nums, den = {0: val.numerator} if val else {}, val.denominator
+            else:
+                raise TypeError("expected an int or Fraction, got %r" % (val,))
+            if len(nums) > 1:
+                fields.append((shift, (nums, den)))
+                mask |= _FIELD << shift
+            elif nums:
+                (m, c), = nums.items()
+                folds.append((shift, m - _VARIABLE_MONO[index], c, den))
+            else:
+                zeros |= _FIELD << shift
+        moves = {}  # exponents in the replaced fields -> _move of them
+        groups = {}
+        for mono, c in self.nums.items():
+            part = mono & touched
+            move = moves.get(part)
+            if move is None:
+                move = moves[part] = _move(part, mask, zeros, fields, folds)
+            if not move:
+                continue
+            group_key, delta, mult = move
+            group = groups.get(group_key)
+            if group is None:
+                group = groups[group_key] = {}
+            mono += delta
+            group[mono] = group.get(mono, 0) + c * mult
+        # Powers of each value by (field shift, exponent), and products
+        # of powers by key, as (numerators, denominator).
+        powers = {(shift, 1): val for shift, val in fields}
+        factors = {0: ({0: 1}, 1)}
+        for key, _ in groups:
+            if key in factors:
+                continue
+            factor = None
+            for shift, val in fields:
+                e = (key >> shift) & _FIELD
+                if e:
+                    for k in range(2, e + 1):
+                        if (shift, k) not in powers:
+                            powers[shift, k] = _product(powers[shift, k - 1],
+                                                        val)
+                    factor = (powers[shift, e] if factor is None
+                              else _product(factor, powers[shift, e]))
+            factors[key] = factor
+        common = self.den * math.lcm(*(factors[key][1] * den
+                                       for key, den in groups))
+        acc = {}
+        for (key, den), group in groups.items():
+            nums, fden = factors[key]
+            scale = common // (fden * den * self.den)
+            if scale != 1:
+                group = {m: c * scale for m, c in group.items()}
+            if key:
+                _mul_into(acc, nums, group)
+            elif not acc:
+                acc = group
+            else:
+                for m, c in group.items():
+                    if m in acc:
+                        acc[m] += c
+                    else:
+                        acc[m] = c
+        if acc:
+            _check_degree(max(acc) >> _DEG_SHIFT)
+        return _reduced(acc, common)
 
     def partial(self, name):
         """Partial derivative with respect to one variable."""
@@ -367,100 +451,8 @@ def _product(a, b):
     return acc, a[1] * b[1]
 
 
-def substitute_all(polys, mapping):
-    """``Polynomial.substitute`` of one mapping into several polynomials.
-
-    Values with at most one term fold into each term's monomial: zero
-    drops the term, a rational scales it, a one-term polynomial scales
-    and shifts it.  The other terms are grouped by their exponents in
-    the fields of the remaining values.  The group of key 0 has the
-    factor 1 and is added as it is; each other group is multiplied once
-    by its product of powers, a numerator dict shared by all the
-    polynomials and built from each value's powers, which are kept for
-    the call.  What a term's exponents in the replaced fields do to it
-    is worked out once per distinct pattern of those exponents, and
-    the degree is checked once per output, on the largest monomial any
-    product reached.
-    """
-    folds, fields, mask, zeros, touched = [], [], 0, 0, 0
-    for name, val in mapping.items():
-        index = VARIABLE_INDEX[name]
-        shift = _SHIFT[index]
-        touched |= _FIELD << shift
-        if isinstance(val, Polynomial):
-            nums, den = val.nums, val.den
-        elif isinstance(val, (int, Fraction)):
-            nums, den = {0: val.numerator} if val else {}, val.denominator
-        else:
-            raise TypeError("expected an int or Fraction, got %r" % (val,))
-        if len(nums) > 1:
-            fields.append((shift, (nums, den)))
-            mask |= _FIELD << shift
-        elif nums:
-            (m, c), = nums.items()
-            folds.append((shift, m - _VARIABLE_MONO[index], c, den))
-        else:
-            zeros |= _FIELD << shift
-    moves = {}  # exponents in the replaced fields -> _move of them
-    # Powers of each value by (field shift, exponent), and products of
-    # powers by key, as (numerators, denominator).
-    powers = {(shift, 1): val for shift, val in fields}
-    factors, out = {0: ({0: 1}, 1)}, []
-    for poly in polys:
-        groups = {}
-        for mono, c in poly.nums.items():
-            part = mono & touched
-            move = moves.get(part)
-            if move is None:
-                move = moves[part] = _move(part, mask, zeros, fields, folds)
-            if not move:
-                continue
-            group_key, delta, mult = move
-            group = groups.get(group_key)
-            if group is None:
-                group = groups[group_key] = {}
-            mono += delta
-            group[mono] = group.get(mono, 0) + c * mult
-        for key, _ in groups:
-            if key in factors:
-                continue
-            factor = None
-            for shift, val in fields:
-                e = (key >> shift) & _FIELD
-                if e:
-                    for k in range(2, e + 1):
-                        if (shift, k) not in powers:
-                            powers[shift, k] = _product(powers[shift, k - 1],
-                                                        val)
-                    factor = (powers[shift, e] if factor is None
-                              else _product(factor, powers[shift, e]))
-            factors[key] = factor
-        common = poly.den * math.lcm(*(factors[key][1] * den
-                                       for key, den in groups))
-        acc = {}
-        for (key, den), group in groups.items():
-            nums, fden = factors[key]
-            scale = common // (fden * den * poly.den)
-            if scale != 1:
-                group = {m: c * scale for m, c in group.items()}
-            if key:
-                _mul_into(acc, nums, group)
-            elif not acc:
-                acc = group
-            else:
-                for m, c in group.items():
-                    if m in acc:
-                        acc[m] += c
-                    else:
-                        acc[m] = c
-        if acc:
-            _check_degree(max(acc) >> _DEG_SHIFT)
-        out.append(_reduced(acc, common))
-    return out
-
-
 def _move(part, mask, zeros, fields, folds):
-    """What ``substitute_all`` does to a term whose exponents in the
+    """What ``Polynomial.substitute`` does to a term whose exponents in the
     replaced fields are ``part``: ((group key, denominator factor),
     monomial shift, coefficient factor), or () when a zero value kills
     the term.  The shift leaves the key's variables out of the monomial,

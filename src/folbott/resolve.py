@@ -33,8 +33,8 @@ comparisons are up to a nonzero rational scalar.
 import re
 from fractions import Fraction
 
-from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly, substitute_all
-from .extforms import COORDS, OneForm, build_omega, parse_form
+from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly
+from .extforms import COORDS, DIFFERENTIALS, build_omega, parse_form
 from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
                      EXCEPTIONAL, base_cubics, base_pair)
 
@@ -292,16 +292,12 @@ def _apply_stage_chart(chart_id, stage_index, stage, eqs, templates, parent,
     subs = {var: scale * (Polynomial.variable(new) * exc + offset)
             for j, (var, scale, offset, new) in enumerate(templates)
             if j != chart_index}
-    # The invariance check rides in the form's substitution, so the two
-    # share their products of powers.
-    *pulled, moved = substitute_all(parent.form.comps + (exc,), subs)
-    if moved != exc:
+    if exc.substitute(subs) != exc:
         raise StructureError(
             "center equation %s not invariant on chart %d of %s stage %d"
             % (stage["eqs"][chart_index], chart_index, chart_id, stage_index))
-    pulled = OneForm(pulled)
-    context = (chart_id, stage_index, chart_index)
-    divided = pulled.exact_divide(exc, context=context)
+    divided = parent.form.substitute(subs).exact_divide(
+        exc, context=(chart_id, stage_index, chart_index))
     if not divided.euler_pairing().is_zero():
         raise StructureError(
             "radial contraction broke on chart %d of %s stage %d"
@@ -367,14 +363,10 @@ def divisibility_ledger():
 
 
 def _point_evaluation(state, symbolic=()):
-    keep = set(symbolic) | set(COORDS)
-    mapping = {}
-    for comp in state.form.comps:
-        for name in comp.variables():
-            if name in keep or name in mapping:
-                continue
-            mapping[name] = state.anchors.get(name, Fraction(0))
-    return state.form.substitute(mapping)
+    keep = set(symbolic) | set(COORDS) | set(DIFFERENTIALS)
+    return state.form.substitute(
+        {name: state.anchors.get(name, Fraction(0))
+         for name in state.form.poly.variables() - keep})
 
 
 def evaluate_fixed(table_key, row_index):

@@ -34,11 +34,16 @@ def validate_weights(w):
     Repetitions are allowed inside a sum (w_i + w_i is a valid pair), so
     these are the degree <= 3 monomial weights.  Raises WeightError with
     every colliding pair of sums named; the sums are labelled only when
-    a collision exists.
+    a collision exists.  Raises TypeError on an entry that is not an
+    int, before any sum is formed: the residue sums are exact integer
+    arithmetic.
     """
     w = tuple(w)
     if len(w) != 4:
         raise ValueError("expected four weights")
+    for i, value in enumerate(w):
+        if not isinstance(value, int):
+            raise TypeError("weight w%d must be an int, got %r" % (i, value))
     sums = [[sum(w[i] for i in combo) for combo in combos]
             for combos in _MONOMIALS]
     if all(len(set(totals)) == len(totals) for totals in sums):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folbott.extforms import (COORDS, OneForm, build_omega, is_integrable,
+from folbott.extforms import (COORDS, DIFFERENTIALS, OneForm, build_omega,
+                              integrability_defect, is_integrable,
                               parse_form, sample_foliation_report,
                               vanishes_on)
 from folbott.ratpoly import Polynomial, parse_poly
@@ -62,15 +63,19 @@ def form_components():
 @given(st.lists(form_components(), min_size=4, max_size=4))
 def test_euler_pairing_is_the_sum_of_coordinate_products(comps):
     reference = Polynomial.zero()
-    for name, comp in zip(COORDS, comps):
+    poly = Polynomial.zero()
+    for name, diff, comp in zip(COORDS, DIFFERENTIALS, comps):
         reference = reference + Polynomial.variable(name) * comp
-    assert OneForm(comps).euler_pairing() == reference
+        poly = poly + Polynomial.variable(diff) * comp
+    form = OneForm(poly)
+    assert form.comps == tuple(comps)
+    assert form.euler_pairing() == reference
 
 
 def test_omega_is_bilinear():
     f, g = parse_poly("x0^2*x3"), parse_poly("x0*x2")
     lhs = build_omega(5 * f, -3 * g)
-    assert lhs.comps == (build_omega(f, g) * (-15)).comps
+    assert lhs.poly == build_omega(f, g).poly * (-15)
 
 
 def test_reference_pair_full_report():
@@ -112,3 +117,17 @@ def test_parse_form_rejects_terms_not_linear_in_the_differentials(text):
 def test_parse_form_distributes_over_parentheses():
     assert parse_form("x0*(dx0 + dx1)").comps \
         == parse_form("x0*dx0 + x0*dx1").comps
+
+
+@pytest.mark.parametrize("text", ["x0*dx0*dx1", "x0"])
+def test_comps_reject_a_polynomial_not_linear_in_the_differentials(text):
+    with pytest.raises(ValueError):
+        OneForm(parse_poly(text)).comps
+
+
+def test_contact_form_is_projective_but_not_integrable():
+    form = parse_form("x0*dx1 - x1*dx0 + x2*dx3 - x3*dx2")
+    assert form.euler_pairing().is_zero()
+    assert integrability_defect(form) == [
+        parse_poly(t) for t in ("-2*x3", "2*x2", "-2*x1", "2*x0")]
+    assert not is_integrable(form)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from folbott.ratpoly import (MAX_DEGREE, VARIABLE_NAMES, NotDivisible,
-                             Polynomial, format_poly, parse_poly,
-                             substitute_all)
+                             Polynomial, format_poly, parse_poly)
 
 # Two coordinates, a chart parameter and a stage fiber coordinate, so
 # the packed exponent fields are far apart.
@@ -239,11 +238,11 @@ substitution_mappings = st.one_of(
 def test_substitute_matches_term_by_term_expansion(p, q, mapping):
     # Values may be zero, rationals, one term (folded into each
     # monomial) or several terms (grouped), and may contain the replaced
-    # variables; p and q share their products of powers.  A mapping of
-    # folded values only leaves every term in the unmultiplied group.
+    # variables.  A mapping of folded values only leaves every term in
+    # the unmultiplied group.
     expected = [expand_term_by_term(p, mapping),
                 expand_term_by_term(q, mapping)]
-    assert substitute_all((p, q), mapping) == expected
+    assert [p.substitute(mapping), q.substitute(mapping)] == expected
     assert p.substitute(mapping) == expected[0]
 
 

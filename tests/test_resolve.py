@@ -48,6 +48,14 @@ def test_stage_forms_are_pinned():
                       "d654d6bc7248f14a3472f7b8ed60c8f4")
 
 
+def test_stage_forms_round_trip_through_their_printed_text():
+    states = [state for chart_id in resolve.CHART_IDS
+              for state in resolve.get_run(chart_id).states.values()]
+    assert len(states) == 69
+    for state in states:
+        assert parse_form(str(state.form)).poly == state.form.poly
+
+
 def test_anchor_bookkeeping_reaches_every_staged_table():
     for key in tables.EXCEPTIONAL:
         chart_id, stage_index = resolve.TABLE_STAGE[key]

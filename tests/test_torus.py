@@ -22,6 +22,15 @@ def test_validate_rejects_pair_collision():
     assert "w0+w3 = w1+w2" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", [25.0, Fraction(25), "25"],
+                         ids=["float", "fraction", "string"])
+def test_validate_rejects_an_entry_that_is_not_an_int(entry):
+    with pytest.raises(TypeError) as err:
+        validate_weights((0, 1, 5, entry))
+    assert "w3" in str(err.value)
+    assert repr(entry) in str(err.value)
+
+
 def test_validate_rejects_repeated_weight():
     with pytest.raises(WeightError):
         validate_weights((1, 1, 5, 25))
