@@ -11,13 +11,15 @@ above them all.  Graded-lex comparison is then ``<`` on ints,
 multiplying monomials is one int add and the constant monomial is 0.
 Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
 field stays clear and serves as the guard bit of the divisibility test
-in ``exact_divide``.  Monomials are decoded into (variable index,
-exponent) pairs only by ``monomials``, the printer and ``variables``
-(once, on the OR of all monomials).  ``Polynomial.substitute`` is the
-one substitution; a one-form substitutes as one polynomial.
+in ``exact_divide``, which divides by one term only.  Monomials are
+decoded into (variable index, exponent) pairs only by ``monomials``, the
+printer and ``variables`` (once, on the OR of all monomials).
+``Polynomial.substitute`` is the one substitution; a one-form
+substitutes as one polynomial.  ``Polynomial.blowup_chart`` reads one
+chart of a blowup off a form written in the center's coordinates, the
+division by the center done by lowering a power, never by dividing.
 """
 
-import heapq
 import math
 import re
 from fractions import Fraction
@@ -110,7 +112,7 @@ def _reduced(nums, den):
     """Polynomial of nums / den with zeros dropped, in lowest terms."""
     if not all(nums.values()):
         nums = {m: c for m, c in nums.items() if c}
-    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    g = math.gcd(den, *nums.values())
     if g != 1:
         nums = {m: c // g for m, c in nums.items()}
     return Polynomial(nums, den // g)
@@ -251,8 +253,8 @@ class Polynomial:
         scales and shifts it.  The other terms are grouped by their
         exponents in the fields of the remaining values.  The group of
         key 0 has the factor 1 and is added as it is; each other group
-        is multiplied once by its product of powers, built from each
-        value's powers, which are kept for the call.  What a term's
+        is multiplied once by its product of powers, built once per key
+        by multiplying the values in turn.  What a term's
         exponents in the replaced fields do to it is worked out once per
         distinct pattern of those exponents, and the degree is checked
         once, on the largest monomial any product reached.
@@ -291,45 +293,72 @@ class Polynomial:
                 group = groups[group_key] = {}
             mono += delta
             group[mono] = group.get(mono, 0) + c * mult
-        # Powers of each value by (field shift, exponent), and products
-        # of powers by key, as (numerators, denominator).
-        powers = {(shift, 1): val for shift, val in fields}
+        # Products of powers by key, as (numerators, denominator).
         factors = {0: ({0: 1}, 1)}
         for key, _ in groups:
             if key in factors:
                 continue
             factor = None
             for shift, val in fields:
-                e = (key >> shift) & _FIELD
-                if e:
-                    for k in range(2, e + 1):
-                        if (shift, k) not in powers:
-                            powers[shift, k] = _product(powers[shift, k - 1],
-                                                        val)
-                    factor = (powers[shift, e] if factor is None
-                              else _product(factor, powers[shift, e]))
+                for _ in range((key >> shift) & _FIELD):
+                    factor = val if factor is None else _product(factor, val)
             factors[key] = factor
-        common = self.den * math.lcm(*(factors[key][1] * den
-                                       for key, den in groups))
-        acc = {}
-        for (key, den), group in groups.items():
-            nums, fden = factors[key]
-            scale = common // (fden * den * self.den)
-            if scale != 1:
-                group = {m: c * scale for m, c in group.items()}
-            if key:
-                _mul_into(acc, nums, group)
-            elif not acc:
-                acc = group
-            else:
-                for m, c in group.items():
-                    if m in acc:
-                        acc[m] += c
-                    else:
-                        acc[m] = c
-        if acc:
-            _check_degree(max(acc) >> _DEG_SHIFT)
-        return _reduced(acc, common)
+        return _sum_groups(groups, factors, self.den)
+
+    def blowup_chart(self, fibers, chart, center, context=None):
+        """One chart of a blowup, divided once by the exceptional divisor.
+
+        self is written in the center's coordinates: fibers[j] is
+        (name_j, s_j), and name_j stands for y_j = s_j*e_j, where e_j is
+        the j-th center equation and center is e_chart, so self holds no
+        variable of the center equations but through the y_j.  On the
+        chart, y_j = name_j*s_j*center for j != chart and
+        y_chart = s_chart*center, so a term t*y^alpha becomes
+        t*prod_{j != chart} name_j^alpha_j*prod_j s_j^alpha_j*center^|alpha|,
+        and the division by center lowers that power to |alpha| - 1.  The
+        terms are grouped by (|alpha| - 1, denominator of the product of
+        the s_j); the group of power 0 is added as it is and each other
+        group is multiplied once by its power of center.  A term with
+        |alpha| = 0 keeps its value on the center: when self holds no
+        variable of center, a nonconstant center then divides nothing,
+        so NotDivisible is raised with ``context``.
+        """
+        shifts = [_SHIFT[VARIABLE_INDEX[name]] for name, _ in fibers]
+        touched = 0
+        for shift in shifts:
+            touched |= _FIELD << shift
+        drop = _VARIABLE_MONO[VARIABLE_INDEX[fibers[chart][0]]]
+        # Exponents in the fiber fields -> (group key, monomial shift,
+        # numerator factor).
+        moves = {}
+        groups = {}
+        for mono, c in self.nums.items():
+            part = mono & touched
+            move = moves.get(part)
+            if move is None:
+                if not part:
+                    raise NotDivisible(
+                        "%s does not divide the form on its chart" % center,
+                        context=context)
+                power, num, den = -1, 1, 1
+                for shift, (_, scale) in zip(shifts, fibers):
+                    e = (part >> shift) & _FIELD
+                    if e:
+                        power += e
+                        num *= scale.numerator ** e
+                        den *= scale.denominator ** e
+                drops = (part >> shifts[chart]) & _FIELD
+                move = moves[part] = ((power, den), drops * drop, num)
+            key, delta, num = move
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = {}
+            mono -= delta
+            group[mono] = group.get(mono, 0) + c * num
+        powers = [({0: 1}, 1)]
+        for _ in range(max((power for power, _ in groups), default=0)):
+            powers.append(_product(powers[-1], (center.nums, center.den)))
+        return _sum_groups(groups, powers, self.den)
 
     def partial(self, name):
         """Partial derivative with respect to one variable."""
@@ -362,59 +391,30 @@ class Polynomial:
     # ---- division ----
 
     def exact_divide(self, divisor, context=None):
-        """Divide by another polynomial, demanding zero remainder.
+        """Divide by a one-term polynomial, demanding zero remainder.
 
-        Heap division of the numerators by the divisor's primitive
-        part, so an exact quotient has integer coefficients (Gauss's
-        lemma): the remainder is one dict whose monomials wait in a
-        max-heap, and each quotient term subtracts its multiple of the
-        divisor's tail in place.  m is divisible by the leading monomial
-        d when (m | guards) - d keeps every guard bit set.  Raises
-        NotDivisible the moment a leading term fails to reduce.  A
-        one-term divisor has no tail, so it takes one pass without the
-        heap: every monomial must pass the guard test.
+        m is divisible by the divisor's monomial d when (m | guards) - d
+        keeps every guard bit set; one pass applies that test to every
+        monomial and shifts it, raising NotDivisible with ``context`` at
+        the first that fails.  A divisor of more than one term raises
+        ValueError: a blowup divides by its center in
+        ``blowup_chart``.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if len(divisor.nums) == 1:
-            (dmono, dlead), = divisor.nums.items()
-            # The primitive part of c*m is sign(c)*m, with content |c|.
-            scale = divisor.den if dlead > 0 else -divisor.den
-            quotient = {}
-            for mono, c in self.nums.items():
-                if ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
-                    raise NotDivisible("%s does not divide %s"
-                                       % (divisor, self), context=context)
-                quotient[mono - dmono] = c * scale
-            return _reduced(quotient, self.den * abs(dlead))
-        content = math.gcd(*divisor.nums.values())
-        dmono = max(divisor.nums)
-        dlead = divisor.nums[dmono] // content
-        tail = [(m - dmono, -c // content) for m, c in divisor.nums.items()
-                if m != dmono]
-        remainder = dict(self.nums)
-        heap = [-m for m in remainder]
-        heapq.heapify(heap)
+        if len(divisor.nums) > 1:
+            raise ValueError("exact_divide takes a one-term divisor, not %s"
+                             % divisor)
+        (dmono, dlead), = divisor.nums.items()
+        # The primitive part of c*m is sign(c)*m, with content |c|.
+        scale = divisor.den if dlead > 0 else -divisor.den
         quotient = {}
-        while heap:
-            mono = -heapq.heappop(heap)
-            coeff, rest = divmod(remainder.pop(mono), dlead)
-            if not coeff and not rest:
-                continue
-            if rest or ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
-                raise NotDivisible(
-                    "%s does not divide %s" % (divisor, self), context=context)
-            quotient[mono - dmono] = coeff * divisor.den
-            # Every tail monomial is below dmono, so every new pending
-            # monomial is below the one just reduced.
-            for offset, c in tail:
-                m = mono + offset
-                if m in remainder:
-                    remainder[m] += coeff * c
-                else:
-                    remainder[m] = coeff * c
-                    heapq.heappush(heap, -m)
-        return _reduced(quotient, self.den * content)
+        for mono, c in self.nums.items():
+            if ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
+                raise NotDivisible("%s does not divide %s"
+                                   % (divisor, self), context=context)
+            quotient[mono - dmono] = c * scale
+        return _reduced(quotient, self.den * abs(dlead))
 
     def proportional(self, other):
         """Ratio self / other if the two differ by a rational scalar.
@@ -449,6 +449,33 @@ def _product(a, b):
     acc = {}
     _mul_into(acc, a[0], b[0])
     return acc, a[1] * b[1]
+
+
+def _sum_groups(groups, factors, den):
+    """Polynomial of the sum over ``groups``, {(key, group denominator):
+    numerators}, each over den times its denominator and multiplied by
+    factors[key] = (numerators, denominator); the group of key 0 has the
+    factor 1 and is added without a product."""
+    common = den * math.lcm(*(factors[key][1] * gden for key, gden in groups))
+    acc = {}
+    for (key, gden), group in groups.items():
+        nums, fden = factors[key]
+        scale = common // (fden * gden * den)
+        if scale != 1:
+            group = {m: c * scale for m, c in group.items()}
+        if key:
+            _mul_into(acc, nums, group)
+        elif not acc:
+            acc = group
+        else:
+            for m, c in group.items():
+                if m in acc:
+                    acc[m] += c
+                else:
+                    acc[m] = c
+    if acc:
+        _check_degree(max(acc) >> _DEG_SHIFT)
+    return _reduced(acc, common)
 
 
 def _move(part, mask, zeros, fields, folds):

@@ -14,10 +14,17 @@ which turns e_i into new_i * EXC exactly; new_i is the kind's fiber
 letter plus i.  Working on chart c of the stage means EXC := e_c,
 template c is dropped (its variable survives as the chart coordinate
 and new_c is never introduced), and the pulled-back form is divided by
-e_c once.  The center equations are fixtures, checked by the solving
+e_c once.  That is not computed chart by chart: the parent form is
+written once per stage in the center's coordinates, var_i -> new_i +
+offset_i/c_i, so new_i stands for y_i = e_i/c_i, and on chart c each
+y_i is new_i*e_c/c_i (y_c is e_c/c_c).  A term of degree k in the y_i
+then carries e_c^k, and the division leaves e_c^(k-1): a term of degree
+0 means the form does not vanish on the center, and the division
+fails.  The center equations are fixtures, checked by the solving
 rule, by the invariance assertion (e_c must be unchanged by the
-substitution) and by the divisibility of the form itself; no
-elimination theory runs at import time.
+substitution, so no offset holds a center variable), by the rule that
+no fiber coordinate is already in use, and by the divisibility of the
+form itself; no elimination theory runs at import time.
 
 Fixed-point rows of the exceptional tables are evaluated by a single
 recipe: every stage-new variable is set to zero (except a family
@@ -34,7 +41,8 @@ import re
 from fractions import Fraction
 
 from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly
-from .extforms import COORDS, DIFFERENTIALS, build_omega, parse_form
+from .extforms import (COORDS, DIFFERENTIALS, OneForm, build_omega,
+                       parse_form)
 from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
                      EXCEPTIONAL, base_cubics, base_pair)
 
@@ -284,36 +292,61 @@ def _templates(chart_id, stage_index, stage, eqs):
     return templates
 
 
-def _apply_stage_chart(chart_id, stage_index, stage, eqs, templates, parent,
-                       chart_index):
-    """One chart of one stage, from the stage's parsed center equations
-    and their templates."""
-    exc = eqs[chart_index]
-    subs = {var: scale * (Polynomial.variable(new) * exc + offset)
-            for j, (var, scale, offset, new) in enumerate(templates)
-            if j != chart_index}
-    if exc.substitute(subs) != exc:
-        raise StructureError(
-            "center equation %s not invariant on chart %d of %s stage %d"
-            % (stage["eqs"][chart_index], chart_index, chart_id, stage_index))
-    divided = parent.form.substitute(subs).exact_divide(
-        exc, context=(chart_id, stage_index, chart_index))
-    if not divided.euler_pairing().is_zero():
-        raise StructureError(
-            "radial contraction broke on chart %d of %s stage %d"
-            % (chart_index, chart_id, stage_index))
-    anchors = dict(parent.anchors)
-    for var, _, _, _ in templates:
-        anchors.pop(var, None)
-    for j, (_, _, _, new) in enumerate(templates):
-        if j != chart_index:
-            anchors[new] = Fraction(0)
-    kept_var, kept_scale, kept_offset, _ = templates[chart_index]
-    offset_val = kept_offset.substitute(
-        {v: parent.anchors[v] for v in kept_offset.variables()
-         if v in parent.anchors})
-    anchors[kept_var] = kept_scale * offset_val.constant_value()
-    return ChartState(divided, anchors)
+def _run_stage(chart_id, stage_index, stage, parent):
+    """The states of every chart of one stage, in chart order.
+
+    The stage's center equations are parsed, and their templates
+    derived, once.  Before any chart is built, no fiber coordinate may
+    already occur in the parent form or in the center equations, and
+    every center equation must be unchanged by the substitution of its
+    own chart.  The parent form is then written once in the center's
+    coordinates, var_j -> new_j + offset_j/c_j, so new_j stands for
+    e_j/c_j, and ``Polynomial.blowup_chart`` reads each chart off it,
+    divided once by e_c.
+    """
+    eqs = [parse_poly(e) for e in stage["eqs"]]
+    templates = _templates(chart_id, stage_index, stage, eqs)
+    taken = parent.form.poly.variables().union(
+        *(eq.variables() for eq in eqs))
+    for _, _, _, new in templates:
+        if new in taken:
+            raise StructureError(
+                "fiber coordinate %s of %s stage %d already occurs in its "
+                "parent form or center equations"
+                % (new, chart_id, stage_index))
+    for ci, exc in enumerate(eqs):
+        subs = {var: scale * (Polynomial.variable(new) * exc + offset)
+                for j, (var, scale, offset, new) in enumerate(templates)
+                if j != ci}
+        if exc.substitute(subs) != exc:
+            raise StructureError(
+                "center equation %s not invariant on chart %d of %s stage %d"
+                % (stage["eqs"][ci], ci, chart_id, stage_index))
+    translated = parent.form.poly.substitute(
+        {var: Polynomial.variable(new) + scale * offset
+         for var, scale, offset, new in templates})
+    fibers = [(new, scale) for _, scale, _, new in templates]
+    states = []
+    for ci, exc in enumerate(eqs):
+        divided = OneForm(translated.blowup_chart(
+            fibers, ci, exc, context=(chart_id, stage_index, ci)))
+        if not divided.euler_pairing().is_zero():
+            raise StructureError(
+                "radial contraction broke on chart %d of %s stage %d"
+                % (ci, chart_id, stage_index))
+        anchors = dict(parent.anchors)
+        for var, _, _, _ in templates:
+            anchors.pop(var, None)
+        for j, (_, _, _, new) in enumerate(templates):
+            if j != ci:
+                anchors[new] = Fraction(0)
+        kept_var, kept_scale, kept_offset, _ = templates[ci]
+        offset_val = kept_offset.substitute(
+            {v: parent.anchors[v] for v in kept_offset.variables()
+             if v in parent.anchors})
+        anchors[kept_var] = kept_scale * offset_val.constant_value()
+        states.append(ChartState(divided, anchors))
+    return states
 
 
 def run_chart(chart_id):
@@ -323,8 +356,7 @@ def run_chart(chart_id):
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
     later stages; a failed division raises NotDivisible with context
-    (chart, stage, chart index).  Each stage's center equations are
-    parsed, and its templates derived, once and shared by its charts.
+    (chart, stage, chart index).
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
@@ -334,12 +366,10 @@ def run_chart(chart_id):
     states = {(0, 0): ChartState(form, dict.fromkeys(params, Fraction(0)))}
     ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0")]
     for si, stage in enumerate(chart["stages"], start=1):
-        parent = states[stage["parent"]]
-        eqs = [parse_poly(e) for e in stage["eqs"]]
-        templates = _templates(chart_id, si, stage, eqs)
-        for ci in range(len(eqs)):
-            states[(si, ci)] = _apply_stage_chart(
-                chart_id, si, stage, eqs, templates, parent, ci)
+        stage_states = _run_stage(chart_id, si, stage,
+                                  states[stage["parent"]])
+        for ci, state in enumerate(stage_states):
+            states[(si, ci)] = state
             ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
                                       stage["eqs"][ci]))
     return ChartRun(chart_id, states, ledger)

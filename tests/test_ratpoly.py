@@ -142,24 +142,6 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@settings(max_examples=60)
-@given(small_polys(), small_polys())
-def test_exact_divide_inverts_multiplication(p, q):
-    if q.is_zero():
-        return
-    assert (p * q).exact_divide(q) == p
-
-
-@settings(max_examples=60)
-@given(small_polys(), small_polys())
-def test_exact_divide_rejects_a_remainder(p, q):
-    if q.is_constant():
-        return
-    with pytest.raises(NotDivisible) as err:
-        (p * q + 1).exact_divide(q, context=("stage", 2, 1))
-    assert err.value.context == ("stage", 2, 1)
-
-
 def test_exact_divide_failure_carries_context():
     p = parse_poly("x0^2 + x1")
     with pytest.raises(NotDivisible) as err:
@@ -193,6 +175,88 @@ def test_one_term_divisor_rejects_a_term_it_does_not_divide(p, c, exps,
     with pytest.raises(NotDivisible) as err:
         (p * divisor + stray).exact_divide(divisor, context=("chart", 1))
     assert err.value.context == ("chart", 1)
+
+
+def test_exact_divide_takes_one_term_divisors_only():
+    with pytest.raises(ValueError, match=r"one-term divisor, not x0 \+ x1"):
+        parse_poly("x0^2 - x1^2").exact_divide(parse_poly("x0 + x1"))
+
+
+# The fiber coordinates of the blowup kernel tests.  None of them is in
+# SMALL_VARIABLES, so small_polys() draws polynomials free of them.
+FIBERS = ("t0", "t1", "t2")
+fiber_scales = st.lists(nonzero_fractions, min_size=3, max_size=3)
+charts = st.integers(min_value=0, max_value=len(FIBERS) - 1)
+
+
+def translated_forms():
+    """Forms in a center's coordinates with no fiber-free term: sums of
+    small polynomials times nonconstant monomials in the fibers."""
+    fiber_exponents = st.tuples(*[st.integers(min_value=0, max_value=2)]
+                                * len(FIBERS)).filter(any)
+
+    def build(parts):
+        form = Polynomial.zero()
+        for exps, p in parts:
+            form = form + monomial(dict(zip(FIBERS, exps))) * p
+        return form
+
+    return st.lists(st.tuples(fiber_exponents, small_polys()),
+                    max_size=3).map(build)
+
+
+def centers():
+    """Nonconstant centers of one and two terms."""
+    term = st.tuples(exponents, nonzero_fractions).map(
+        lambda t: monomial(dict(zip(SMALL_VARIABLES, t[0])), t[1]))
+    return st.lists(term, min_size=1, max_size=2).map(
+        lambda ts: sum(ts, Polynomial.zero())).filter(
+        lambda p: not p.is_constant())
+
+
+def pullback(fibers, chart, center):
+    """The chart's substitution of the fibers: name_j -> name_j*s_j*center
+    for j != chart, and name_chart -> s_chart*center."""
+    return {name: (scale * center if j == chart
+                   else Polynomial.variable(name) * center * scale)
+            for j, (name, scale) in enumerate(fibers)}
+
+
+@settings(max_examples=60)
+@given(translated_forms(), small_polys(), centers(), fiber_scales, charts)
+def test_blowup_chart_inverts_multiplication(form, p, center, scales, chart):
+    fibers = list(zip(FIBERS, scales))
+    assert (form.blowup_chart(fibers, chart, center) * center
+            == form.substitute(pullback(fibers, chart, center)))
+    # p*y_chart pulls back to p*center, since p holds no fiber.
+    y = Polynomial.variable(FIBERS[chart]) * (1 / scales[chart])
+    assert (p * y).blowup_chart(fibers, chart, center) == p
+
+
+@settings(max_examples=60)
+@given(translated_forms(), centers(), fiber_scales, charts)
+def test_blowup_chart_rejects_a_remainder(form, center, scales, chart):
+    with pytest.raises(NotDivisible) as err:
+        (form + 1).blowup_chart(list(zip(FIBERS, scales)), chart, center,
+                                context=("stage", 2, 1))
+    assert err.value.context == ("stage", 2, 1)
+
+
+def test_blowup_chart_failure_carries_context():
+    form = parse_poly("t0*x1 + x0")
+    with pytest.raises(NotDivisible) as err:
+        form.blowup_chart([("t0", Fraction(1)), ("t1", Fraction(1, 2))], 1,
+                          parse_poly("b1 - x1"), context=("chart", 3))
+    assert err.value.context == ("chart", 3)
+
+
+def test_blowup_chart_of_a_binomial_center():
+    # y0 = t0*(b1 - 2)/2 and y1 = (b1 - 2)/3 on chart 1; one factor of
+    # the center divides out of each term.
+    form = parse_poly("t0*t1 + 5*t1 + x0*t0")
+    fibers = [("t0", Fraction(1, 2)), ("t1", Fraction(1, 3))]
+    assert form.blowup_chart(fibers, 1, parse_poly("b1 - 2")) == \
+        parse_poly("1/6*t0*b1 - 1/3*t0 + 5/3 + 1/2*x0*t0")
 
 
 @settings(max_examples=60)

@@ -1,11 +1,12 @@
 import hashlib
+import re
 
 import pytest
 
 from folbott import resolve, tables
 from folbott.extforms import build_omega, parse_form
 from folbott.fixlocus import build_catalog
-from folbott.ratpoly import VARIABLE_INDEX, parse_poly
+from folbott.ratpoly import VARIABLE_INDEX, Polynomial, parse_poly
 
 COORD_IDX = [VARIABLE_INDEX["x%d" % i] for i in range(4)]
 
@@ -46,6 +47,42 @@ def test_stage_forms_are_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ("3dc047f66d6da1323ddc8208a81e8f57"
                       "d654d6bc7248f14a3472f7b8ed60c8f4")
+
+
+def _chart_substitution(stage, eqs, chart):
+    """The pullback of one chart of a stage, from its center equations:
+    var_j -> (new_j*e_c + offset_j)/c_j for j != c, where e_j is
+    c_j*var_j - offset_j in its first variable var_j."""
+    center = eqs[chart]
+    subs = {}
+    for j, (text, eq) in enumerate(zip(stage["eqs"], eqs)):
+        if j != chart:
+            var = re.search(r"[a-z]\w*", text).group()
+            c = eq.partial(var).constant_value()
+            new = Polynomial.variable(
+                "%s%d" % (resolve.FIBER_LETTERS[stage["kind"]], j))
+            offset = c * Polynomial.variable(var) - eq
+            subs[var] = (new * center + offset) * (1 / c)
+    return subs
+
+
+def test_each_stage_form_times_its_center_is_the_pulled_back_parent():
+    """The division on every chart of every stage, checked by a product:
+    form * e_c equals the parent form pulled back through the chart."""
+    checked = 0
+    for chart_id in resolve.CHART_IDS:
+        states = resolve.get_run(chart_id).states
+        stages = resolve.CHARTS[chart_id]["stages"]
+        for si, stage in enumerate(stages, start=1):
+            parent = states[stage["parent"]].form.poly
+            eqs = [parse_poly(e) for e in stage["eqs"]]
+            for ci, center in enumerate(eqs):
+                assert (states[si, ci].form.poly * center
+                        == parent.substitute(
+                            _chart_substitution(stage, eqs, ci))), \
+                    (chart_id, si, ci)
+                checked += 1
+    assert checked == 64
 
 
 def test_stage_forms_round_trip_through_their_printed_text():
@@ -248,6 +285,19 @@ def test_fixture_center_equations_stay_invariant(monkeypatch):
         with pytest.raises(resolve.StructureError,
                            match=message + "b0=a0=u3=1 stage 1"):
             resolve.run_chart("b0=a0=u3=1")
+
+
+def test_a_fiber_coordinate_already_in_use_is_a_structure_error(
+        monkeypatch):
+    """Stage 2 of b3=a6=1 continues from a chart of stage 1, whose fiber
+    coordinates are s0..s5.  Given stage 1's kind, its own would be
+    named s0..s4 as well, and would merge with them."""
+    stage = resolve.CHARTS["b3=a6=1"]["stages"][1]
+    monkeypatch.setitem(stage, "kind", "C")
+    with pytest.raises(resolve.StructureError,
+                       match="fiber coordinate s0 of b3=a6=1 stage 2 "
+                             "already occurs in its parent form"):
+        resolve.run_chart("b3=a6=1")
 
 
 def _row_charts(row):
