@@ -1,8 +1,8 @@
 """Differential one-forms on projective three-space.
 
 A form is one polynomial linear in dx0..dx3, sum A_i*dx_i: dx0..dx3 are
-variables of the ``ratpoly`` alphabet, so the form substitutes, divides
-and compares as a ``Polynomial``, and a printed form is read by
+variables of the ``ratpoly`` alphabet, so the form substitutes and
+compares as a ``Polynomial``, and a printed form is read by
 ``parse_form`` with the polynomial grammar.  The coefficients
 (A0, A1, A2, A3) may involve fiber parameters as well as the
 coordinates; only x0..x3 are differentiated.
@@ -10,8 +10,10 @@ coordinates; only x0..x3 are differentiated.
 The central construction is ``build_omega``: for a cubic f and a quadric
 g it forms 3*f*dg - 2*g*df and removes the factor x0 exactly.
 The result is projective (contracts to zero against the Euler field) and
-integrable (the Frobenius wedge vanishes), and both properties are cheap
-to assert, so the blowup pipelines re-check them after every step.
+integrable (the Frobenius wedge vanishes).  The blowup pipelines
+re-check only the first, on every chart of every stage; integrability is
+checked on the reference pair by ``sample_foliation_report``
+(``folbott singular-locus``).
 """
 
 from .ratpoly import Polynomial, parse_poly, variable_combination
@@ -46,9 +48,6 @@ class OneForm:
     def substitute(self, mapping):
         return OneForm(self.poly.substitute(mapping))
 
-    def exact_divide(self, divisor, context=None):
-        return OneForm(self.poly.exact_divide(divisor, context=context))
-
     def proportional(self, other):
         """Single rational ratio between two forms, or None."""
         return self.poly.proportional(other.poly)
@@ -82,9 +81,8 @@ def build_omega(f, g):
     which flags a pair that does not actually produce a projective form
     along this chart.
     """
-    raw = OneForm(3 * f * differential(g) - 2 * g * differential(f))
-    return raw.exact_divide(Polynomial.variable("x0"),
-                            context=("initial", "x0"))
+    raw = 3 * f * differential(g) - 2 * g * differential(f)
+    return OneForm(raw.exact_divide("x0", context=("initial", "x0")))
 
 
 def integrability_defect(form):

@@ -10,8 +10,9 @@ field, earlier variables in higher fields, and the total degree sits
 above them all.  Graded-lex comparison is then ``<`` on ints,
 multiplying monomials is one int add and the constant monomial is 0.
 Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
-field stays clear and serves as the guard bit of the divisibility test
-in ``exact_divide``, which divides by one term only.  Monomials are
+field stays clear and the sum of two monomials never spills from one
+field into the next.  ``exact_divide`` divides by one variable, the
+strip of x0 from a generator form.  Monomials are
 decoded into (variable index, exponent) pairs only by ``monomials``, the
 printer and ``variables`` (once, on the OR of all monomials).
 ``Polynomial.substitute`` is the one substitution; a one-form
@@ -52,8 +53,6 @@ _NVARS = len(VARIABLE_NAMES)
 _SHIFT = tuple(FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
 _DEG_SHIFT = FIELD_BITS * _NVARS
 _EXPONENTS = (1 << _DEG_SHIFT) - 1
-_GUARDS = sum(1 << (FIELD_BITS * f + FIELD_BITS - 1)
-              for f in range(_NVARS + 1))
 # Packed monomial of each single variable: exponent 1, total degree 1.
 _VARIABLE_MONO = tuple((1 << s) + (1 << _DEG_SHIFT) for s in _SHIFT)
 
@@ -390,31 +389,23 @@ class Polynomial:
 
     # ---- division ----
 
-    def exact_divide(self, divisor, context=None):
-        """Divide by a one-term polynomial, demanding zero remainder.
+    def exact_divide(self, name, context=None):
+        """Divide by the variable ``name``, demanding zero remainder.
 
-        m is divisible by the divisor's monomial d when (m | guards) - d
-        keeps every guard bit set; one pass applies that test to every
-        monomial and shifts it, raising NotDivisible with ``context`` at
-        the first that fails.  A divisor of more than one term raises
-        ValueError: a blowup divides by its center in
-        ``blowup_chart``.
+        A term is divisible when its field of ``name`` is nonzero, and
+        its quotient lowers that field by one; the coefficients and the
+        denominator stay as they are.  The first term that is not
+        divisible raises NotDivisible with ``context``.
         """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if len(divisor.nums) > 1:
-            raise ValueError("exact_divide takes a one-term divisor, not %s"
-                             % divisor)
-        (dmono, dlead), = divisor.nums.items()
-        # The primitive part of c*m is sign(c)*m, with content |c|.
-        scale = divisor.den if dlead > 0 else -divisor.den
+        shift = _SHIFT[VARIABLE_INDEX[name]]
+        step = _VARIABLE_MONO[VARIABLE_INDEX[name]]
         quotient = {}
         for mono, c in self.nums.items():
-            if ((mono | _GUARDS) - dmono) & _GUARDS != _GUARDS:
-                raise NotDivisible("%s does not divide %s"
-                                   % (divisor, self), context=context)
-            quotient[mono - dmono] = c * scale
-        return _reduced(quotient, self.den * abs(dlead))
+            if not (mono >> shift) & _FIELD:
+                raise NotDivisible("%s does not divide %s" % (name, self),
+                                   context=context)
+            quotient[mono - step] = c
+        return Polynomial(quotient, self.den)
 
     def proportional(self, other):
         """Ratio self / other if the two differ by a rational scalar.

@@ -21,10 +21,11 @@ y_i is new_i*e_c/c_i (y_c is e_c/c_c).  A term of degree k in the y_i
 then carries e_c^k, and the division leaves e_c^(k-1): a term of degree
 0 means the form does not vanish on the center, and the division
 fails.  The center equations are fixtures, checked by the solving
-rule, by the invariance assertion (e_c must be unchanged by the
-substitution, so no offset holds a center variable), by the rule that
-no fiber coordinate is already in use, and by the divisibility of the
-form itself; no elimination theory runs at import time.
+rule, by the rule that no fiber coordinate is already in use, by the
+invariance rule (e_c holds no variable that another template solves
+for, so chart c's substitution leaves e_c unchanged and no offset holds
+a solved variable), and by the divisibility of the form itself; no
+elimination theory runs at import time.
 
 Fixed-point rows of the exceptional tables are evaluated by a single
 recipe: every stage-new variable is set to zero (except a family
@@ -299,26 +300,27 @@ def _run_stage(chart_id, stage_index, stage, parent):
     derived, once.  Before any chart is built, no fiber coordinate may
     already occur in the parent form or in the center equations, and
     every center equation must be unchanged by the substitution of its
-    own chart.  The parent form is then written once in the center's
-    coordinates, var_j -> new_j + offset_j/c_j, so new_j stands for
-    e_j/c_j, and ``Polynomial.blowup_chart`` reads each chart off it,
-    divided once by e_c.
+    own chart.  Given the first rule, e_c is unchanged exactly when it
+    holds no var_j with j != c (if it holds one, the fresh new_j appears
+    in the result), so the second rule is a set test.  The parent form
+    is then written once in the center's coordinates, var_j -> new_j +
+    offset_j/c_j, so new_j stands for e_j/c_j, and
+    ``Polynomial.blowup_chart`` reads each chart off it, divided once by
+    e_c.
     """
     eqs = [parse_poly(e) for e in stage["eqs"]]
     templates = _templates(chart_id, stage_index, stage, eqs)
-    taken = parent.form.poly.variables().union(
-        *(eq.variables() for eq in eqs))
+    held = [eq.variables() for eq in eqs]
+    taken = parent.form.poly.variables().union(*held)
     for _, _, _, new in templates:
         if new in taken:
             raise StructureError(
                 "fiber coordinate %s of %s stage %d already occurs in its "
                 "parent form or center equations"
                 % (new, chart_id, stage_index))
-    for ci, exc in enumerate(eqs):
-        subs = {var: scale * (Polynomial.variable(new) * exc + offset)
-                for j, (var, scale, offset, new) in enumerate(templates)
-                if j != ci}
-        if exc.substitute(subs) != exc:
+    solved = [var for var, _, _, _ in templates]
+    for ci, names in enumerate(held):
+        if names.intersection(solved[:ci] + solved[ci + 1:]):
             raise StructureError(
                 "center equation %s not invariant on chart %d of %s stage %d"
                 % (stage["eqs"][ci], ci, chart_id, stage_index))

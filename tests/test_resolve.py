@@ -2,11 +2,13 @@ import hashlib
 import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from folbott import resolve, tables
 from folbott.extforms import build_omega, parse_form
 from folbott.fixlocus import build_catalog
-from folbott.ratpoly import VARIABLE_INDEX, Polynomial, parse_poly
+from folbott.ratpoly import (VARIABLE_INDEX, NotDivisible, Polynomial,
+                             parse_poly)
 
 COORD_IDX = [VARIABLE_INDEX["x%d" % i] for i in range(4)]
 
@@ -287,6 +289,90 @@ def test_fixture_center_equations_stay_invariant(monkeypatch):
             resolve.run_chart("b0=a0=u3=1")
 
 
+def _substitution_rule_chart(stage, eqs):
+    """The first chart whose center equation its own chart's
+    substitution moves, or None: the invariance rule as it was written
+    before it became a set test on the equations' variables."""
+    for ci, center in enumerate(eqs):
+        if center.substitute(_chart_substitution(stage, eqs, ci)) != center:
+            return ci
+    return None
+
+
+def _set_rule_chart(chart_id, stage_index, stage):
+    """The chart that ``_run_stage`` names as not invariant, or None when
+    the stage passes that rule, whatever fails after it."""
+    parent = resolve.get_run(chart_id).states[stage["parent"]]
+    try:
+        resolve._run_stage(chart_id, stage_index, stage, parent)
+    except (resolve.StructureError, NotDivisible) as err:
+        found = re.search(r"not invariant on chart (\d+) ", str(err))
+        if found:
+            return int(found.group(1))
+    return None
+
+
+@pytest.mark.parametrize("eqs,chart", [
+    # a2 + a6 holds a6, which the fifth template solves for.
+    (["b3", "a1", "a2 + a6", "a3", "a6"], 2),
+    # The fourth and fifth equations both solve for a3, so each holds
+    # the variable of the other's template; the fourth is met first.
+    (["b3", "a1", "a2", "a3", "a3 + a6"], 3),
+    # Only the last equation holds other templates' variables.
+    (["b3", "a1", "a2", "a3", "a6 - 2*a1*b3"], 4),
+], ids=["third-chart", "same-variable", "last-chart"])
+def test_invariance_fails_on_the_first_chart_that_breaks_it(
+        monkeypatch, eqs, chart):
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    monkeypatch.setitem(stage, "eqs", eqs)
+    assert _substitution_rule_chart(
+        stage, [parse_poly(e) for e in eqs]) == chart
+    with pytest.raises(resolve.StructureError,
+                       match=r"center equation %s not invariant on chart %d "
+                             r"of b0=a0=u3=1 stage 1"
+                             % (re.escape(eqs[chart]), chart)):
+        resolve.run_chart("b0=a0=u3=1")
+
+
+STAGES = [(chart_id, si, stage) for chart_id in resolve.CHART_IDS
+          for si, stage in enumerate(resolve.CHARTS[chart_id]["stages"],
+                                     start=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STAGES), st.data())
+def test_the_set_rule_names_the_chart_the_substitution_rule_names(case,
+                                                                  data):
+    """Mutate a stage's center equations with the parent's parameters
+    and the stage's own variables, never its fiber coordinates, so the
+    fresh-name rule holds: an added term, or a new first variable in
+    front of a multiple of the old equation.  Both invariance rules
+    then name the same first chart, or none."""
+    chart_id, si, stage = case
+    parent = resolve.get_run(chart_id).states[stage["parent"]]
+    eqs = list(stage["eqs"])
+    fresh = {resolve._fiber_coordinate(stage, j) for j in range(len(eqs))}
+    pool = sorted(set(parent.anchors).union(
+        *(parse_poly(e).variables() for e in eqs)) - fresh)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        i = data.draw(st.integers(min_value=0, max_value=len(eqs) - 1))
+        v = data.draw(st.sampled_from(pool))
+        k = data.draw(st.sampled_from([-2, -1, 1, 3]))
+        if data.draw(st.booleans()):
+            w = data.draw(st.sampled_from(pool + ["1"]))
+            eqs[i] = "%s %+d*%s*%s" % (eqs[i], k, v, w)
+        else:
+            eqs[i] = "%s %+d*(%s)" % (v, k, eqs[i])
+    mutated = dict(stage, eqs=eqs)
+    parsed = [parse_poly(e) for e in eqs]
+    try:
+        resolve._templates(chart_id, si, mutated, parsed)
+    except resolve.StructureError:
+        assume(False)
+    assert _set_rule_chart(chart_id, si, mutated) == \
+        _substitution_rule_chart(mutated, parsed)
+
+
 def test_a_fiber_coordinate_already_in_use_is_a_structure_error(
         monkeypatch):
     """Stage 2 of b3=a6=1 continues from a chart of stage 1, whose fiber
@@ -329,3 +415,25 @@ def test_stage_parents_agree_with_the_table_parents():
 def test_unknown_chart_is_an_error():
     with pytest.raises(KeyError):
         resolve.run_chart("nope")
+
+
+def test_kernel_counts_of_one_cold_pipelines_run(monkeypatch):
+    """The work of one cold run of the five charts, the ledger and
+    ``check_tables``, counted by wrappers: one translation per stage,
+    the Euler checks and the point evaluations; the strip of x0 from
+    five chart forms and 22 base pairs; one chart kernel per chart of
+    every stage."""
+    counts = dict.fromkeys(("substitute", "exact_divide", "blowup_chart"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _kernel=getattr(Polynomial, name),
+                     **kwargs):
+            counts[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(Polynomial, name, counting)
+    monkeypatch.setattr(resolve, "_RUN_CACHE", {})
+    for chart_id in resolve.CHART_IDS:
+        resolve.get_run(chart_id)
+    resolve.divisibility_ledger()
+    resolve.check_tables()
+    assert counts == {"substitute": 214, "exact_divide": 27,
+                      "blowup_chart": 64}
