@@ -16,7 +16,9 @@ catalog has three layers:
 
 The rows themselves live in ``tables``.  The child tangent frame after
 blowing up is produced by one split rule throughout, so the printed
-decompositions act as assertions over those rows rather than as inputs.
+decompositions act as assertions over those rows rather than as inputs;
+``build_catalog`` checks that each event's rows tile its normal frame
+as it reads them.
 """
 
 from collections import Counter
@@ -110,27 +112,6 @@ def _event_frame(key, memo):
     return frame
 
 
-def validate_events():
-    """Structural sanity of the event fixtures.
-
-    For each event, the row directions (markers contributing a zero
-    weight, family directions doubled) together with the center must
-    give the tangent frame as a multiset: the center embeds in the
-    tangent frame and the rows tile its normal frame.  Raises
-    AssertionError on any defect.
-    """
-    memo = {}
-    for key in EVENT_ORDER:
-        center, tangent, _ = _event_frame(key, memo)
-        claimed = Counter(center)
-        for row in EXCEPTIONAL[key]["rows"]:
-            claimed[parse_weight(row["eig"])] += \
-                2 if row["kind"] == "family" else 1
-        if claimed != Counter(tangent):
-            raise AssertionError(
-                "event %s rows do not tile the normal frame" % key)
-
-
 # ---------------------------------------------------------------------------
 # Records and the catalog
 # ---------------------------------------------------------------------------
@@ -178,7 +159,13 @@ class Catalog:
 
 
 def build_catalog(flag):
-    """All fixed points and lines of the four-stage space on one flag."""
+    """All fixed points and lines of the four-stage space on one flag.
+
+    Before an event's rows become records, they must tile its frame:
+    the center plus the row directions (markers contributing a zero
+    weight, family directions doubled) give the tangent frame as a
+    multiset.  Raises AssertionError naming the event otherwise.
+    """
     flag = tuple(flag)
     memo = {}
     points = []
@@ -195,9 +182,16 @@ def build_catalog(flag):
         ptable, prow = EXCEPTIONAL[key]["parent"]
         line_end = None if ptable == "base" \
             else EXCEPTIONAL[ptable]["rows"][prow].get("line")
-        for ri, row in enumerate(EXCEPTIONAL[key]["rows"]):
+        rows = EXCEPTIONAL[key]["rows"]
+        directions = [parse_weight(row["eig"]) for row in rows]
+        claimed = Counter(center)
+        for row, dw in zip(rows, directions):
+            claimed[dw] += 2 if row["kind"] == "family" else 1
+        if claimed != Counter(tangent):
+            raise AssertionError(
+                "event %s rows do not tile the normal frame" % key)
+        for ri, (row, dw) in enumerate(zip(rows, directions)):
             kind = row["kind"]
-            dw = parse_weight(row["eig"])
             if kind == "iso":
                 points.append(FixedPointRecord(
                     "%s/r%d" % (key, ri), key, ri, nu + dw,

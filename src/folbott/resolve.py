@@ -41,7 +41,7 @@ comparisons are up to a nonzero rational scalar.
 import re
 from fractions import Fraction
 
-from .ratpoly import Polynomial, VARIABLE_NAMES, parse_poly
+from .ratpoly import NotDivisible, Polynomial, VARIABLE_NAMES, parse_poly
 from .extforms import (COORDS, DIFFERENTIALS, OneForm, build_omega,
                        parse_form)
 from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
@@ -52,15 +52,14 @@ from .tables import (B_MONOS, BASE_CELLS, DOCUMENTED_MISMATCHES,
 # Chart pipeline fixtures
 # ---------------------------------------------------------------------------
 
-# Chart record fields: the cubic f, the quadric g and the stages.
-# Stage record fields:
+# Chart record fields: the cubic f, the quadric g and the stages, keyed
+# by the exceptional table each produces, in run order; stage i >= 1 is
+# the i-th key, and the chart it continues from is read off its table's
+# parent row (``_parent``).  Stage record fields:
 #   kind     one of "C", "E", "R", "L" naming the center type; its
 #            FIBER_LETTERS entry names the stage's fiber coordinates
-#   parent   (stage index, chart index) to continue from; stage 0 is the
-#            initial chart with its single state (0, 0)
 #   eqs      center equations on the parent chart, each c*var - offset
 #            in the first variable var written in it (module docstring)
-#   table    key of the exceptional-locus table this stage produces
 
 FIBER_LETTERS = {"C": "s", "E": "t", "R": "v", "L": "z"}
 
@@ -69,114 +68,90 @@ CHARTS = {
         "g": "b0*x0^2 + b1*x0*x1 + b2*x0*x2 + x1^2",
         "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + 3/2*b1*x0*x1^2 + 3/2*b2*x0*x1*x2 + x1^3"),
-        "stages": [
-            {
+        "stages": {
+            "cube": {
                 "kind": "C",
-                "parent": (0, 0),
                 "eqs": ["8*a0 - b1^3", "a2", "b2", "a3",
                         "4*b0 - b1^2", "4*a1 - 3*b1^2"],
-                "table": "cube",
             },
-            {
+            "cube-res": {
                 "kind": "R",
-                "parent": (1, 2),
                 "eqs": ["3*s4 - 2*s5", "s3", "s0 - b1*s5",
                         "4*s1 - 3*b1", "b2"],
-                "table": "cube-res",
             },
-            {
+            "cube-end": {
                 "kind": "R",
-                "parent": (1, 4),
                 "eqs": ["2*s5 - 3", "s3", "2*s0 - 3*b1",
                         "4*s1 - 3*b1*s2", "4*b0 - b1^2"],
-                "table": "cube-end",
             },
-        ],
+        },
     },
     "b0=a0=u1=1": {
         "g": "x0^2 + b1*x0*x1 + u2*b1*x0*x2 + u3*b1*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a4*x0*x1^2 + a4*u2*x0*x1*x2 + 2/3*a4*u3*x1^3"),
-        "stages": [
-            {
+        "stages": {
+            "axis1": {
                 "kind": "C",
-                "parent": (0, 0),
                 "eqs": ["b1 - 4*u3", "a1 - 6*u3", "a2", "a3",
                         "a4 - 12*u3^2", "u2"],
-                "table": "axis1",
             },
-            {
+            "axis1-res": {
                 "kind": "E",
-                "parent": (1, 5),
                 "eqs": ["s3", "s2", "3*s0 - 2*s1",
                         "6*u3 + s1*u2", "3*s4 + s1^2*u2"],
-                "table": "axis1-res",
             },
-            {
+            "axis1-end": {
                 "kind": "E",
-                "parent": (1, 0),
                 "eqs": ["s4 - 3*u3", "s3", "s2", "2*s1 - 3", "b1"],
-                "table": "axis1-end",
             },
-            {
+            "axis1-res-end": {
                 "kind": "R",
-                "parent": (2, 1),
                 "eqs": ["u2", "t3 - 1", "t2", "t0", "3*s1 - 2*t4"],
-                "table": "axis1-res-end",
             },
-            {
+            "axis1-end-end": {
                 "kind": "R",
-                "parent": (3, 0),
                 "eqs": ["3*t4 - 8", "t3", "t1", "t2 - 4*s5",
                         "2*s4 - 9*u3"],
-                "table": "axis1-end-end",
             },
-            {
+            "axis1-res-end-res": {
                 "kind": "L",
-                "parent": (4, 0),
                 "eqs": ["s2", "v1", "v2", "v3", "v4", "t4"],
-                "table": "axis1-res-end-res",
             },
-        ],
+        },
     },
     "b0=a0=u2=1": {
         "g": "x0^2 + u1*b2*x0*x1 + b2*x0*x2 + u3*b2*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a5*u1*x0*x1^2 + a5*x0*x1*x2 + 2/3*a5*u3*x1^3"),
-        "stages": [
-            {
+        "stages": {
+            "axis2": {
                 "kind": "E",
-                "parent": (0, 0),
                 "eqs": ["a1", "a2", "a3", "a5", "b2"],
-                "table": "axis2",
             },
-            {
+            "axis2-end": {
                 "kind": "L",
-                "parent": (1, 4),
                 "eqs": ["u3", "t3", "t2", "2*t1 - 3",
                         "2*t0 - 3*u1", "b2"],
-                "table": "axis2-end",
             },
-        ],
+        },
     },
     "b0=a0=u3=1": {
         "g": "x0^2 + u1*b3*x0*x1 + u2*b3*x0*x2 + b3*x1^2",
         "f": ("x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + 3/2*a6*u1*x0*x1^2 + 3/2*a6*u2*x0*x1*x2 + a6*x1^3"),
-        "stages": [
-            {
+        "stages": {
+            "tangent": {
                 "kind": "E",
-                "parent": (0, 0),
                 "eqs": ["b3", "a1", "a2", "a3", "a6"],
-                "table": "tangent",
             },
-        ],
+        },
     },
     "b2=1": {
         "g": "b0*x0^2 + b1*x0*x1 + x0*x2 + b3*x1^2",
         "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
               " + a5*b1*x0*x1^2 + a5*x0*x1*x2 + 2/3*a5*b3*x1^3"),
-        "stages": [],
+        "stages": {},
     },
 }
 
@@ -209,15 +184,8 @@ CERTIFICATE_VARIANTS = {
 }
 
 
-def _table_to_stage():
-    out = {}
-    for cid, chart in CHARTS.items():
-        for si, stage in enumerate(chart["stages"], start=1):
-            out[stage["table"]] = (cid, si)
-    return out
-
-
-TABLE_STAGE = _table_to_stage()
+TABLE_STAGE = {key: (cid, si) for cid, chart in CHARTS.items()
+               for si, key in enumerate(chart["stages"], start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +231,24 @@ class ChartRun:
 
 class StructureError(AssertionError):
     """A pipeline fixture failed one of its structural invariants."""
+
+
+def _parent(chart_id, key):
+    """(stage index, chart index) that the stage of table ``key`` continues
+    from, read off the row its table blows up: (0, 0), the initial chart,
+    for a base row; else the parent table's stage and the row's chart,
+    the first of the pair for a family row."""
+    ptable, prow = EXCEPTIONAL[key]["parent"]
+    if ptable == "base":
+        return 0, 0
+    pchart_id, pstage = TABLE_STAGE[ptable]
+    if pchart_id != chart_id:
+        raise StructureError(
+            "parent table %s of %s stage %d is staged in chart %s"
+            % (ptable, chart_id, TABLE_STAGE[key][1], pchart_id))
+    row = EXCEPTIONAL[ptable]["rows"][prow]
+    chart = row["chart"]
+    return pstage, chart[0] if row["kind"] == "family" else chart
 
 
 def _fiber_coordinate(stage, index):
@@ -358,18 +344,21 @@ def run_chart(chart_id):
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
     later stages; a failed division raises NotDivisible with context
-    (chart, stage, chart index).
+    (chart, stage, chart index), the strip of x0 being stage 0, chart 0.
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])
     g = parse_poly(chart["g"])
-    form = build_omega(f, g)
+    try:
+        form = build_omega(f, g)
+    except NotDivisible as err:
+        raise NotDivisible(str(err), context=(chart_id, 0, 0)) from err
     params = (f.variables() | g.variables()) - set(COORDS)
     states = {(0, 0): ChartState(form, dict.fromkeys(params, Fraction(0)))}
     ledger = [LedgerEntry(chart_id, 0, "initial", 0, "x0")]
-    for si, stage in enumerate(chart["stages"], start=1):
+    for si, (key, stage) in enumerate(chart["stages"].items(), start=1):
         stage_states = _run_stage(chart_id, si, stage,
-                                  states[stage["parent"]])
+                                  states[_parent(chart_id, key)])
         for ci, state in enumerate(stage_states):
             states[(si, ci)] = state
             ledger.append(LedgerEntry(chart_id, si, stage["kind"], ci,
@@ -412,7 +401,7 @@ def evaluate_fixed(table_key, row_index):
     """
     chart_id, stage_index = TABLE_STAGE[table_key]
     states = get_run(chart_id).states
-    stage = CHARTS[chart_id]["stages"][stage_index - 1]
+    stage = CHARTS[chart_id]["stages"][table_key]
     row = EXCEPTIONAL[table_key]["rows"][row_index]
     if row["kind"] != "family":
         return [(_point_evaluation(states[(stage_index, row["chart"])]),

@@ -4,7 +4,8 @@ Every fixed point of the resolved parameter space is a row of one of
 thirteen tables: the base pairs and twelve exceptional tables, one per
 blowup event.  The fixed-point catalog (``fixlocus``) reads each row's
 eigenweight and kind; the blowup pipelines (``resolve``) read its chart
-and printed generator cell.  Everything else either module needs is
+and printed generator cell, and each event's parent row as the chart
+its stage continues from.  Everything else either module needs is
 derived from these literals; the rule that pairs a base row with its
 quadric and cubic (``base_pair``) is written here once.  Cells are
 kept as unparsed text and stored exactly as printed; the one known
@@ -94,7 +95,8 @@ BASE_CELLS = (
 #          "family" (a fixed line) or "marker" (weight zero on a line)
 #   eig    the printed eigenweight label, the direction itself
 #   chart  the pipeline chart index inside the producing stage, or the
-#          index pair of the two charts that carry a fixed line
+#          index pair of the two charts that carry a fixed line; the
+#          stage that blows up the line's end continues from the first
 #   cell   the printed generator cell, None when printed as not defined
 #   line   the fixed line's id ("family" rows only)
 EXCEPTIONAL = {
@@ -251,7 +253,7 @@ EXCEPTIONAL = {
              "cell": "x0^2*x3*dx0 - x0^3*dx3"},
             {"kind": "iso", "eig": "x1*x2/x0^2", "chart": 3,
              "cell": "2*x0*x1*x2*dx0 - x0^2*x2*dx1 - x0^2*x1*dx2"},
-            {"kind": "family", "eig": "x2/x0", "chart": (1, 4),
+            {"kind": "family", "eig": "x2/x0", "chart": (4, 1),
              "line": "line5",
              "cell": "(3*t4 - 2*t1)*x0^2*x2*dx0 - (3*t4 - 2*t1)*x0^3*dx2"},
         ],

@@ -7,7 +7,7 @@ validator below enforces exactly that.  Fixed flags are the 24 full
 coordinate flags, listed in one fixed order.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 
 class WeightError(ValueError):
@@ -65,19 +65,11 @@ def validate_weights(w):
 def enumerate_fixed_flags():
     """The 24 torus-fixed coordinate flags point-in-plane-in-space.
 
-    Order is deterministic: outer index runs over the flag's point
-    coordinate, the remaining coordinates are taken in descending order
-    and unfolded in a fixed interleave.
+    Order is deterministic: by the flag's point coordinate, then by its
+    second coordinate, then by its third in descending order.
     """
-    flags = []
-    for a in range(4):
-        rem = sorted((i for i in range(4) if i != a), reverse=True)
-        for b in range(3):
-            p1 = rem[2 - b]
-            rem2 = [i for i in rem if i != p1]
-            for c in range(2):
-                flags.append((a, p1, rem2[c], rem2[1 - c]))
-    return flags
+    return sorted(permutations(range(4)),
+                  key=lambda f: (f[0], f[1], -f[2]))
 
 
 def flag_tangent_product(flag, w):

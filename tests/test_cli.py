@@ -278,12 +278,27 @@ def test_resolve_check_tables_failure_exits_1(monkeypatch):
 def test_resolve_failed_division_exits_1(monkeypatch, args):
     # b3 - 1 does not divide the pulled-back form on chart 0 of stage 1.
     from folbott import resolve
-    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"]["tangent"]
     monkeypatch.setitem(stage, "eqs", ["b3 - 1"] + stage["eqs"][1:])
     monkeypatch.setattr(resolve, "_RUN_CACHE", {})
     res = run(*args)
     assert res.exit_code == 1
     assert res.output == "division failed: ('b0=a0=u3=1', 1, 0)\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("resolve", "--chart", "b2=1"),
+    ("resolve",),
+], ids=["chart", "all-charts"])
+def test_resolve_failed_strip_of_x0_names_its_chart(monkeypatch, args):
+    # 3*f*dg - 2*g*df holds 3*x1^3*x2*dx0, which x0 does not divide.
+    from folbott import resolve
+    monkeypatch.setitem(resolve.CHARTS["b2=1"], "f", "x1^3 + x0^2*x3")
+    monkeypatch.setitem(resolve.CHARTS["b2=1"], "g", "x1^2 + x0*x2")
+    monkeypatch.setattr(resolve, "_RUN_CACHE", {})
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.output == "division failed: ('b2=1', 0, 0)\n"
 
 
 @pytest.mark.parametrize("extra", [

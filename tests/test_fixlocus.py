@@ -5,8 +5,8 @@ import pytest
 
 from folbott import resolve
 from folbott.fixlocus import (DirectionNotInNormal, build_catalog,
-                              tangent_split_blowup, validate_events)
-from folbott.tables import LINE_SLOTS
+                              tangent_split_blowup)
+from folbott.tables import EXCEPTIONAL, LINE_SLOTS
 from folbott.torus import enumerate_fixed_flags, flag_tangent_product, \
     parse_weight
 from oracle import (normal_values, nu_value, point_contribution,
@@ -51,7 +51,21 @@ def test_twist_slots_partition_the_thirty_unknowns():
 
 
 def test_event_rows_tile_the_normal_frames():
-    validate_events()
+    """build_catalog checks every event's rows against its frame as it
+    reads them, so a catalog build is the check."""
+    build_catalog(REF_FLAG)
+
+
+@pytest.mark.parametrize("key,row", [("cube", 1), ("axis1-end", 0),
+                                     ("axis2-end", 3)],
+                         ids=["iso", "family", "marker"])
+def test_a_duplicated_event_row_does_not_tile(monkeypatch, key, row):
+    rows = EXCEPTIONAL[key]["rows"]
+    monkeypatch.setitem(EXCEPTIONAL[key], "rows", rows + [rows[row]])
+    with pytest.raises(AssertionError,
+                       match="event %s rows do not tile the normal frame"
+                             % key):
+        build_catalog(REF_FLAG)
 
 
 def test_split_rejects_foreign_directions():

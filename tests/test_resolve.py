@@ -75,8 +75,8 @@ def test_each_stage_form_times_its_center_is_the_pulled_back_parent():
     for chart_id in resolve.CHART_IDS:
         states = resolve.get_run(chart_id).states
         stages = resolve.CHARTS[chart_id]["stages"]
-        for si, stage in enumerate(stages, start=1):
-            parent = states[stage["parent"]].form.poly
+        for si, (key, stage) in enumerate(stages.items(), start=1):
+            parent = states[resolve._parent(chart_id, key)].form.poly
             eqs = [parse_poly(e) for e in stage["eqs"]]
             for ci, center in enumerate(eqs):
                 assert (states[si, ci].form.poly * center
@@ -273,7 +273,7 @@ def test_certificate_fails_off_the_degenerate_locus():
 def test_fixture_center_equations_stay_invariant(monkeypatch):
     """A broken center equation raises StructureError naming the chart
     and stage before any division runs."""
-    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"]["tangent"]
     for eqs, message in [
             # b3 + a1 holds a1, which the second template solves for, so
             # the substitution moves the first chart's exceptional
@@ -299,10 +299,10 @@ def _substitution_rule_chart(stage, eqs):
     return None
 
 
-def _set_rule_chart(chart_id, stage_index, stage):
+def _set_rule_chart(chart_id, stage_index, key, stage):
     """The chart that ``_run_stage`` names as not invariant, or None when
     the stage passes that rule, whatever fails after it."""
-    parent = resolve.get_run(chart_id).states[stage["parent"]]
+    parent = resolve.get_run(chart_id).states[resolve._parent(chart_id, key)]
     try:
         resolve._run_stage(chart_id, stage_index, stage, parent)
     except (resolve.StructureError, NotDivisible) as err:
@@ -323,7 +323,7 @@ def _set_rule_chart(chart_id, stage_index, stage):
 ], ids=["third-chart", "same-variable", "last-chart"])
 def test_invariance_fails_on_the_first_chart_that_breaks_it(
         monkeypatch, eqs, chart):
-    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"][0]
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"]["tangent"]
     monkeypatch.setitem(stage, "eqs", eqs)
     assert _substitution_rule_chart(
         stage, [parse_poly(e) for e in eqs]) == chart
@@ -334,9 +334,9 @@ def test_invariance_fails_on_the_first_chart_that_breaks_it(
         resolve.run_chart("b0=a0=u3=1")
 
 
-STAGES = [(chart_id, si, stage) for chart_id in resolve.CHART_IDS
-          for si, stage in enumerate(resolve.CHARTS[chart_id]["stages"],
-                                     start=1)]
+STAGES = [(chart_id, si, key, stage) for chart_id in resolve.CHART_IDS
+          for si, (key, stage) in enumerate(
+              resolve.CHARTS[chart_id]["stages"].items(), start=1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,8 +348,8 @@ def test_the_set_rule_names_the_chart_the_substitution_rule_names(case,
     fresh-name rule holds: an added term, or a new first variable in
     front of a multiple of the old equation.  Both invariance rules
     then name the same first chart, or none."""
-    chart_id, si, stage = case
-    parent = resolve.get_run(chart_id).states[stage["parent"]]
+    chart_id, si, key, stage = case
+    parent = resolve.get_run(chart_id).states[resolve._parent(chart_id, key)]
     eqs = list(stage["eqs"])
     fresh = {resolve._fiber_coordinate(stage, j) for j in range(len(eqs))}
     pool = sorted(set(parent.anchors).union(
@@ -369,7 +369,7 @@ def test_the_set_rule_names_the_chart_the_substitution_rule_names(case,
         resolve._templates(chart_id, si, mutated, parsed)
     except resolve.StructureError:
         assume(False)
-    assert _set_rule_chart(chart_id, si, mutated) == \
+    assert _set_rule_chart(chart_id, si, key, mutated) == \
         _substitution_rule_chart(mutated, parsed)
 
 
@@ -378,7 +378,7 @@ def test_a_fiber_coordinate_already_in_use_is_a_structure_error(
     """Stage 2 of b3=a6=1 continues from a chart of stage 1, whose fiber
     coordinates are s0..s5.  Given stage 1's kind, its own would be
     named s0..s4 as well, and would merge with them."""
-    stage = resolve.CHARTS["b3=a6=1"]["stages"][1]
+    stage = resolve.CHARTS["b3=a6=1"]["stages"]["cube-res"]
     monkeypatch.setitem(stage, "kind", "C")
     with pytest.raises(resolve.StructureError,
                        match="fiber coordinate s0 of b3=a6=1 stage 2 "
@@ -390,26 +390,43 @@ def _row_charts(row):
     return row["chart"] if row["kind"] == "family" else (row["chart"],)
 
 
-def test_stage_parents_agree_with_the_table_parents():
-    """A stage's parent (stage, chart) is its table's parent (table, row)
-    seen through TABLE_STAGE: the parent table's stage (0 for base) and
-    the parent row's chart, or one chart of a family row's pair.  Every
-    row's chart lies in range for its stage."""
+def test_every_row_chart_lies_in_its_stage():
+    """Every row's chart, or both of a family row's pair, is a chart of
+    the stage that produces its table."""
     for key, table in tables.EXCEPTIONAL.items():
-        chart_id, stage_index = resolve.TABLE_STAGE[key]
-        stage = resolve.CHARTS[chart_id]["stages"][stage_index - 1]
+        chart_id, _ = resolve.TABLE_STAGE[key]
+        stage = resolve.CHARTS[chart_id]["stages"][key]
         for row in table["rows"]:
             assert all(0 <= c < len(stage["eqs"])
                        for c in _row_charts(row)), key
-        parent_table, parent_row = table["parent"]
-        if parent_table == "base":
-            assert stage["parent"] == (0, 0), key
-            continue
-        parent_chart_id, parent_stage = resolve.TABLE_STAGE[parent_table]
-        row = tables.EXCEPTIONAL[parent_table]["rows"][parent_row]
-        assert parent_chart_id == chart_id, key
-        assert stage["parent"][0] == parent_stage, key
-        assert stage["parent"][1] in _row_charts(row), key
+
+
+def test_stage_parents_are_read_from_the_table_parents():
+    """A stage continues from its table's parent row seen through
+    TABLE_STAGE: the initial chart for a base row, else the parent
+    table's stage and the row's chart, the first of a family pair."""
+    parents = {key: resolve._parent(resolve.TABLE_STAGE[key][0], key)
+               for key in tables.EXCEPTIONAL}
+    assert parents == {
+        "cube": (0, 0), "cube-res": (1, 2), "cube-end": (1, 4),
+        "axis1": (0, 0), "axis1-res": (1, 5), "axis1-end": (1, 0),
+        "axis1-res-end": (2, 1), "axis1-end-end": (3, 0),
+        "axis1-res-end-res": (4, 0),
+        "axis2": (0, 0), "axis2-end": (1, 4),
+        "tangent": (0, 0),
+    }
+
+
+def test_a_parent_staged_in_another_chart_is_a_structure_error(
+        monkeypatch):
+    """axis2-end continues from axis2's fixed line; pointed at the nd row
+    of axis1, which chart b0=a0=u1=1 stages, it has no parent state."""
+    monkeypatch.setitem(tables.EXCEPTIONAL["axis2-end"], "parent",
+                        ("axis1", 4))
+    with pytest.raises(resolve.StructureError,
+                       match="parent table axis1 of b0=a0=u2=1 stage 2 is "
+                             "staged in chart b0=a0=u1=1"):
+        resolve.run_chart("b0=a0=u2=1")
 
 
 def test_unknown_chart_is_an_error():

@@ -96,6 +96,14 @@ def test_flag_enumeration():
     assert flags[6] == (1, 0, 3, 2)
     for flag in flags:
         assert sorted(flag) == [0, 1, 2, 3]
+    # The whole order, which the per-flag outputs print in.
+    assert flags == [
+        (0, 1, 3, 2), (0, 1, 2, 3), (0, 2, 3, 1), (0, 2, 1, 3),
+        (0, 3, 2, 1), (0, 3, 1, 2), (1, 0, 3, 2), (1, 0, 2, 3),
+        (1, 2, 3, 0), (1, 2, 0, 3), (1, 3, 2, 0), (1, 3, 0, 2),
+        (2, 0, 3, 1), (2, 0, 1, 3), (2, 1, 3, 0), (2, 1, 0, 3),
+        (2, 3, 1, 0), (2, 3, 0, 1), (3, 0, 2, 1), (3, 0, 1, 2),
+        (3, 1, 2, 0), (3, 1, 0, 2), (3, 2, 1, 0), (3, 2, 0, 1)]
 
 
 def test_flag_tangent_product_reference_value():
