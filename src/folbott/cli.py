@@ -187,15 +187,16 @@ def relations_cmd(weights, output):
 def tables_cmd(output):
     """Dump the fixed-point catalog of one flag."""
     from .fixlocus import build_catalog
-    from .torus import format_weight
+    from .torus import enumerate_fixed_flags, format_weight
     catalog = build_catalog((0, 1, 2, 3))
     census = catalog.census()
     points, lines = census["points"], census["lines"]
+    flags = len(enumerate_fixed_flags())
     if output == "json":
         doc = {
             "census": {"points": points, "lines": lines,
-                       "global_points": 24 * points,
-                       "global_lines": 24 * lines},
+                       "global_points": flags * points,
+                       "global_lines": flags * lines},
             "points": [{"id": rec.id, "table": rec.table, "row": rec.row,
                         "nu": list(rec.nu.coeffs),
                         "tangent": [list(t.coeffs) for t in rec.tangent]}
@@ -208,8 +209,8 @@ def tables_cmd(output):
         }
         _emit(doc, output)
         return
-    click.echo("points: %d  lines: %d  (24 flags: %d points, %d lines)"
-               % (points, lines, 24 * points, 24 * lines))
+    click.echo("points: %d  lines: %d  (%d flags: %d points, %d lines)"
+               % (points, lines, flags, flags * points, flags * lines))
     current = None
     for rec in catalog.points:
         if rec.table != current:

@@ -40,6 +40,7 @@ comparisons are up to a nonzero rational scalar.
 
 import re
 from fractions import Fraction
+from functools import cache
 
 from .ratpoly import NotDivisible, Polynomial, VARIABLE_NAMES, parse_poly
 from .extforms import (COORDS, DIFFERENTIALS, OneForm, build_omega,
@@ -158,29 +159,15 @@ CHARTS = {
 CHART_IDS = tuple(CHARTS)
 
 
-# Variants used by the indeterminacy certificate: like the pipeline
-# charts but with the fiber normalization left open, so the projective
-# fiber coordinates are still visible.  The locus argument (if any)
-# pins a fiber coordinate to zero before the worklist runs.
+# Variants used by the indeterminacy certificate: a pipeline chart and
+# the parameter of f it sets to 1 (or None), put back by
+# ``certificate_pair`` so the projective fiber coordinates are visible.
+# The locus argument (if any) pins a fiber coordinate to zero.
 
 CERTIFICATE_VARIANTS = {
-    "b3=1": {
-        "g": "b0*x0^2 + b1*x0*x1 + b2*x0*x2 + x1^2",
-        "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
-              " + 3/2*a6*b1*x0*x1^2 + 3/2*a6*b2*x0*x1*x2 + a6*x1^3"),
-        "fiber": ["a0", "a1", "a2", "a3", "a6"],
-    },
-    "b0=u1=1": {
-        "g": "x0^2 + b1*x0*x1 + u2*b1*x0*x2 + u3*b1*x1^2",
-        "f": ("a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
-              " + a4*x0*x1^2 + a4*u2*x0*x1*x2 + 2/3*a4*u3*x1^3"),
-        "fiber": ["a0", "a1", "a2", "a3", "a4"],
-    },
-    "b2=1": {
-        "g": CHARTS["b2=1"]["g"],
-        "f": CHARTS["b2=1"]["f"],
-        "fiber": ["a0", "a1", "a2", "a3", "a5"],
-    },
+    "b3=1": ("b3=a6=1", "a6"),
+    "b0=u1=1": ("b0=a0=u1=1", "a0"),
+    "b2=1": ("b2=1", None),
 }
 
 
@@ -423,7 +410,7 @@ class CellReport:
         return "CellReport(%r, %d, %r)" % (self.table, self.row, self.status)
 
 
-def _status(key, row, computed, cell):
+def _status(key, row, computed, cell, read_form):
     """Status of one printed cell against its computed (form, partner)
     pairs; see ``check_tables``."""
     if cell is None:
@@ -431,7 +418,7 @@ def _status(key, row, computed, cell):
         return "nd_zero" if zero else "mismatch"
 
     def matches(text):
-        printed = parse_form(text)
+        printed = read_form(text)
         return all(form.proportional(
             printed if partner is None else printed.substitute({partner: 1}))
             is not None for form, partner in computed)
@@ -454,25 +441,23 @@ def check_tables():
     is proportional to the printed cell, with the partner set to 1;
     documented_mismatch when that holds for the cell's correction (the
     known misprint) instead; mismatch otherwise (should never happen).
+    Each distinct text is read once per call: 21 printed forms, and 22
+    base pairs for 30 rows.
     """
+    read_form = cache(parse_form)
+    read_poly = cache(parse_poly)
+    omega = cache(lambda quadric, cubic: build_omega(read_poly(cubic),
+                                                     read_poly(quadric)))
     reports = []
-    quadrics = [parse_poly(m) for m in B_MONOS]
-    cubics = {}  # the base groups share four of their five cubics
-    forms = {}  # groups 3-5 share x0^2: 22 distinct pairs for 30 rows
     for row, cell in enumerate(BASE_CELLS):
         q, k, i = base_pair(row)
-        text = base_cubics(k)[i]
-        form = forms.get((q, text))
-        if form is None:
-            if text not in cubics:
-                cubics[text] = parse_poly(text)
-            form = forms[q, text] = build_omega(cubics[text], quadrics[q])
-        reports.append(CellReport(
-            "base", row, _status("base", row, [(form, None)], cell)))
+        form = omega(B_MONOS[q], base_cubics(k)[i])
+        reports.append(CellReport("base", row, _status(
+            "base", row, [(form, None)], cell, read_form)))
     for key, table in EXCEPTIONAL.items():
         for ri, row in enumerate(table["rows"]):
             reports.append(CellReport(key, ri, _status(
-                key, ri, evaluate_fixed(key, ri), row["cell"])))
+                key, ri, evaluate_fixed(key, ri), row["cell"], read_form)))
     return reports
 
 
@@ -493,6 +478,22 @@ class CertificateReport:
             self.variant, self.certified)
 
 
+def certificate_pair(variant):
+    """(f, g, fiber coordinates) of a certificate variant, read off its
+    chart.  The fiber coordinates are the parameters of f that g lacks;
+    the restored parameter multiplies the terms of f that hold none of
+    them, and joins them in ``VARIABLE_NAMES`` order."""
+    chart_id, restored = CERTIFICATE_VARIANTS[variant]
+    f = parse_poly(CHARTS[chart_id]["f"])
+    g = parse_poly(CHARTS[chart_id]["g"])
+    fibers = f.variables() - g.variables() - set(COORDS)
+    if restored is not None:
+        free = f.coefficients_in(fibers).get((0,) * len(fibers), 0)
+        f += (Polynomial.variable(restored) - 1) * free
+        fibers.add(restored)
+    return f, g, sorted(fibers, key=VARIABLE_NAMES.index)
+
+
 def no_indeterminacy_certificate(variant, locus=None):
     """Worklist proof that the fiber directions carry no base locus.
 
@@ -503,12 +504,10 @@ def no_indeterminacy_certificate(variant, locus=None):
     means each fiber coordinate is forced to vanish at an indeterminacy
     point, i.e. there is none on this locus.
     """
-    recipe = CERTIFICATE_VARIANTS[variant]
+    f, g, fibers = certificate_pair(variant)
     locus = dict(locus or {})
-    f = parse_poly(recipe["f"]).substitute(locus)
-    g = parse_poly(recipe["g"]).substitute(locus)
-    form = build_omega(f, g)
-    fibers = [v for v in recipe["fiber"] if v not in locus]
+    form = build_omega(f.substitute(locus), g.substitute(locus))
+    fibers = [v for v in fibers if v not in locus]
     coeffs = []
     for comp in form.comps:
         grouped = comp.coefficients_in(COORDS)

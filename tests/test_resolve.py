@@ -254,20 +254,38 @@ def test_chart_form_carries_the_expected_coupling():
 
 
 def test_indeterminacy_certificates():
-    for variant, locus in [
-            ("b3=1", {"a6": 0}),
-            ("b0=u1=1", {"a0": 0}),
-            ("b2=1", {})]:
+    for variant, locus, fiber in [
+            ("b3=1", {"a6": 0}, "a0 a1 a2 a3 a6"),
+            ("b0=u1=1", {"a0": 0}, "a0 a1 a2 a3 a4"),
+            ("b2=1", {}, "a0 a1 a2 a3 a5")]:
+        assert resolve.certificate_pair(variant)[2] == fiber.split()
         report = resolve.no_indeterminacy_certificate(variant, locus)
         assert report.certified, (variant, report.remaining)
         assert len(report.witnesses) == len(
-            [v for v in resolve.CERTIFICATE_VARIANTS[variant]["fiber"]
-             if v not in locus])
+            [v for v in fiber.split() if v not in locus])
+
+
+def test_certificate_variants_restore_their_chart_normalization():
+    """A variant's f is its chart's f with the normalized parameter put
+    back on the terms that hold no fiber coordinate; g is the chart's."""
+    for variant, f in [
+            ("b3=1", "a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
+                     " + 3/2*a6*b1*x0*x1^2 + 3/2*a6*b2*x0*x1*x2 + a6*x1^3"),
+            ("b0=u1=1", "a0*x0^3 + a1*x0^2*x1 + a2*x0^2*x2 + a3*x0^2*x3"
+                        " + a4*x0*x1^2 + a4*u2*x0*x1*x2 + 2/3*a4*u3*x1^3")]:
+        chart_id, _ = resolve.CERTIFICATE_VARIANTS[variant]
+        restored, g, _ = resolve.certificate_pair(variant)
+        assert restored == parse_poly(f), variant
+        assert g == parse_poly(resolve.CHARTS[chart_id]["g"]), variant
+    report = resolve.no_indeterminacy_certificate("b3=1", {"a6": 0})
+    assert [name for name, _ in report.witnesses] == ["a3", "a2", "a1", "a0"]
+    assert report.witnesses[-1][1] == parse_poly("-a1*b1 - 6*a0")
 
 
 def test_certificate_fails_off_the_degenerate_locus():
     report = resolve.no_indeterminacy_certificate("b3=1")
     assert not report.certified
+    assert report.remaining == ["a0", "a1", "a2", "a6"]
 
 
 def test_fixture_center_equations_stay_invariant(monkeypatch):
@@ -438,19 +456,29 @@ def test_kernel_counts_of_one_cold_pipelines_run(monkeypatch):
     """The work of one cold run of the five charts, the ledger and
     ``check_tables``, counted by wrappers: one translation per stage,
     the Euler checks and the point evaluations; the strip of x0 from
-    five chart forms and 22 base pairs; one chart kernel per chart of
-    every stage."""
-    counts = dict.fromkeys(("substitute", "exact_divide", "blowup_chart"), 0)
-    for name in counts:
-        def counting(*args, _name=name, _kernel=getattr(Polynomial, name),
-                     **kwargs):
-            counts[_name] += 1
-            return _kernel(*args, **kwargs)
-        monkeypatch.setattr(Polynomial, name, counting)
+    five chart forms and 22 base pairs, each built once; one chart
+    kernel per chart of every stage; one parse of each of the 21
+    distinct printed texts among the 83 that ``check_tables`` reads."""
+    counts = dict.fromkeys(("substitute", "exact_divide", "blowup_chart",
+                            "parse_form", "build_omega"), 0)
+
+    def counter(name, fn):
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in ("substitute", "exact_divide", "blowup_chart"):
+        monkeypatch.setattr(Polynomial, name,
+                            counter(name, getattr(Polynomial, name)))
+    for name in ("parse_form", "build_omega"):
+        monkeypatch.setattr(resolve, name,
+                            counter(name, getattr(resolve, name)))
     monkeypatch.setattr(resolve, "_RUN_CACHE", {})
     for chart_id in resolve.CHART_IDS:
         resolve.get_run(chart_id)
     resolve.divisibility_ledger()
     resolve.check_tables()
     assert counts == {"substitute": 214, "exact_divide": 27,
-                      "blowup_chart": 64}
+                      "blowup_chart": 64, "parse_form": 21,
+                      "build_omega": 27}
