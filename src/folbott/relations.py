@@ -5,7 +5,10 @@ the symbolic per-flag sums produces 23 linear equations in d1..d30.
 One exact elimination reduces them to a rank-18 echelon system:
 the rows are reduced modulo a prime below 2^30, lifted back to fractions
 by rational reconstruction and certified with integer arithmetic, and a
-failed lift or check brings in the next prime.  The equations go in
+failed lift or check brings in the next prime.  Over F_p a row is one
+int with a field per column, wide enough for p + width*p^2, the most a
+field holds when it is reduced only as it is read; a row step is one
+big-int multiply-add (``_rref_mod``).  The equations go in
 as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
 and nothing on the way is put in lowest terms: scaling a row does not
 change the space it spans.  ``rref`` takes integer rows only and
@@ -73,9 +76,11 @@ def _primes():
     """2^30 - 35, the largest prime below 2^30, then the primes below it
     in descending order.
 
-    CPython stores an int in 30-bit digits, so below 2^30 every residue,
-    pivot and row entry mod p is a one-digit int and every product of
-    two is at most two digits, whatever the size of the input rows.
+    Below 2^30 a residue, a pivot inverse and a step multiplier of
+    ``_rref_mod`` are one-digit ints in CPython, and a column's field
+    there is (p + width*p^2).bit_length() bits, 65 for the 31 columns of
+    the relation rows: a larger prime would cost wider rows.  One prime
+    lifts numerators and denominators up to 23170; the relations need 2.
     """
     p = (1 << 30) - 35
     while True:
@@ -87,27 +92,60 @@ def _primes():
 
 def _rref_mod(mat, p):
     """Gauss-Jordan over F_p on every column, the constant included:
-    the pivot columns and the reduced nonzero rows.  Rows not yet
-    pivoted are zero left of the pivot column, so a step rewrites the
-    columns from there on only."""
-    rows = [r for r in ([c % p for c in row] for row in mat) if any(r)]
+    the pivot columns and the reduced nonzero rows, entries in [0, p).
+
+    A row is one int with a field of ``bits`` bits per column, column j
+    at bit j*bits, so a row step is one big-int multiply-add, not a
+    loop over columns (delayed modular reduction: Dumas, Giorgi and
+    Pernet, ACM TOMS 2008).  Entries go in reduced mod p, and from then
+    on a field is reduced only when it is read: a pivot search reads
+    one field per row, and the rows come out reduced at the end.  The
+    pivot row is made monic by unpacking its fields from the pivot
+    column on, as ``pos`` with fields e in [0, p); ``neg`` has the
+    fields p - e there, all in [1, p] and zero mod p where e is.  The
+    step on a row y whose field at the pivot column is f mod p is
+    y + f*neg, which makes that field a multiple of p.  No field goes
+    negative, so none borrows from its neighbour, and a row takes at
+    most one step per pivot, each adding less than p^2 to a field, so
+    every field stays below p + width*p^2 < 2^bits and none carries
+    into the next.  Rows not yet pivoted are zero mod p left of the
+    pivot column, so ``pos`` and ``neg`` start there.
+    """
+    width = len(mat[0])
+    bits = (p + width * p * p).bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(0, width * bits, bits)
+    rows = []
+    for row in mat:
+        y = 0
+        for c in reversed(row):
+            y = y << bits | c % p
+        if y:
+            rows.append(y)
+    p_fields = sum(p << s for s in shifts)
     pivots = []
-    for col in range(len(mat[0])):
+    for col, s in enumerate(shifts):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        pivot = next((i for i in range(r, len(rows))
+                      if (rows[i] >> s & mask) % p), None)
         if pivot is None:
             continue
-        prow = rows[pivot]
-        inv = pow(prow[col], -1, p)
-        prow[col:] = tail = [c * inv % p for c in prow[col:]]
+        tail = rows[pivot] >> s
+        inv = pow((tail & mask) % p, -1, p)
+        pos = 0
+        for t in reversed(shifts[:width - col]):
+            pos = pos << bits | (tail >> t & mask) * inv % p
+        pos <<= s
+        neg = (p_fields >> s << s) - pos
         rows[pivot] = rows[r]
-        rows[r] = prow
-        for i, row in enumerate(rows):
-            f = row[col]
+        rows[r] = pos
+        for i, y in enumerate(rows):
+            f = (y >> s & mask) % p
             if f and i != r:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+                rows[i] = y + f * neg
         pivots.append(col)
-    return tuple(pivots), rows[:len(pivots)]
+    return tuple(pivots), [[(y >> s & mask) % p for s in shifts]
+                           for y in rows[:len(pivots)]]
 
 
 def _crt(residues, modulus, more, p):
@@ -222,7 +260,8 @@ def rref(mat):
     lists or tuples of ints; a row of fractions is scaled to integers
     by its caller, which leaves the space it spans unchanged.  They
     are reduced modulo p, the first prime of ``_primes`` (below 2^30),
-    and brought to reduced form over F_p, so no entry grows past p.
+    and brought to reduced form over F_p in packed rows (``_rref_mod``),
+    where no field grows past p + width*p^2 whatever the input.
     Each entry is lifted back to the rationals by rational
     reconstruction, and the candidate is certified with integers only:
     every input row reduces to zero under it (``Echelon.reduce_row``),

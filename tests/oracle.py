@@ -9,7 +9,9 @@ carrying ``FractionLinear`` forms, plain {slot: Fraction} affine-linear
 forms.  That route shares nothing with the integer engine but the
 catalog records, not even its TwistLinear value type, so the tests
 compare the two.  ``substitute_rows`` substitutes reduced echelon rows
-into a FractionLinear the Fraction way.
+into a FractionLinear the Fraction way.  ``rref_mod`` is
+Gauss-Jordan over F_p on lists of residues, one entry at a time, the
+reference for the packed rows of ``relations._rref_mod``.
 
 ``component_degree`` is the global sum the sum-then-substitute way,
 from the engine's per-flag sums, the reference for the engine's
@@ -103,6 +105,31 @@ def substitute_rows(rows, form):
                 slot = j + 1 if j < NUM_SLOTS else 0
                 out[slot] = out.get(slot, 0) - c * v
     return FractionLinear(out)
+
+
+def rref_mod(mat, p):
+    """Gauss-Jordan over F_p on every column, the constant included,
+    one list of residues per row: the pivot columns and the reduced
+    nonzero rows.  Rows not yet pivoted are zero left of the pivot
+    column, so a step rewrites the columns from there on only."""
+    rows = [r for r in ([c % p for c in row] for row in mat) if any(r)]
+    pivots = []
+    for col in range(len(mat[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        prow = rows[pivot]
+        inv = pow(prow[col], -1, p)
+        prow[col:] = tail = [c * inv % p for c in prow[col:]]
+        rows[pivot] = rows[r]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    return tuple(pivots), rows[:len(pivots)]
 
 
 def component_degree(w, power=13, relations=None):

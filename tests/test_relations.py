@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
@@ -15,7 +16,7 @@ from folbott.relations import (InconsistentSystem, ResidualUnknowns,
                                relation_strings, row_space_equal, rref,
                                solve_relations)
 from folbott.torus import WeightError, enumerate_fixed_flags, validate_weights
-from oracle import FractionLinear, substitute_rows
+from oracle import FractionLinear, rref_mod, substitute_rows
 
 W0 = (0, 1, 5, 25)
 W_WIDE = (67208900, -31429501, 99121929, -3756357)
@@ -386,6 +387,48 @@ def test_rref_equals_the_fraction_reference(rows):
 
 def _is_prime_by_trial_division(n):
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@st.composite
+def residue_systems(draw):
+    """A prime p and integer rows for elimination mod p: widths 1-40,
+    1-40 rows, each row zero, a multiple of p that is not zero, or
+    entries that mix zeros, small values, multiples of p and values
+    above 2^1000."""
+    p = draw(st.sampled_from([2, 3, 5, P, P2]))
+    width = draw(st.integers(min_value=1, max_value=40))
+    huge = st.integers(min_value=1 << 1000, max_value=1 << 1010)
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.integers(-(1 << 40), 1 << 40).map(lambda k: k * p),
+                      huge, huge.map(lambda k: -k),
+                      st.integers(0, p - 1))
+    row = st.one_of(
+        st.just([0] * width),
+        st.lists(st.integers(-(1 << 1010), 1 << 1010).map(lambda k: k * p),
+                 min_size=width, max_size=width).filter(any),
+        st.lists(entry, min_size=width, max_size=width))
+    return p, draw(st.lists(row, min_size=1, max_size=40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(residue_systems())
+@example((P, [[0, 0], [3 * P, -P], [P - 1, 1]]))
+def test_packed_rows_equal_the_list_reference(system):
+    """The packed kernel returns the pivots and residues of
+    Gauss-Jordan on lists of residues."""
+    p, mat = system
+    assert relations._rref_mod(mat, p) == rref_mod(mat, p)
+
+
+def test_dense_system_mod_the_largest_prime_equals_the_list_reference():
+    # Dense and of full rank: barring an entry that is zero mod P, every
+    # row takes a step at every pivot, the most steps the field bound
+    # P + 40*P^2 allows for.
+    rng = random.Random(27)
+    mat = [[rng.randrange(P) for _ in range(40)] for _ in range(40)]
+    pivots, rows = relations._rref_mod(mat, P)
+    assert (pivots, rows) == rref_mod(mat, P)
+    assert pivots == tuple(range(40))
 
 
 def test_elimination_primes_are_the_largest_below_2_30():
