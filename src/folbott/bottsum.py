@@ -43,9 +43,30 @@ constants c, the products of their s.  On a flag D is K * prod(L^M)
 at the flag's weights: a common multiple of every term's denominator,
 not their lcm, found with no gcd.  A term with exponents e has the
 share (K / c) * prod(L^(M - e)) of it, an integer and a product of
-powers of the 18 form values, and the factors a group of terms (the
-points of one nu weight, the slots of one line) all carry are
-multiplied in once per group, so no term needs a division.
+powers of the 18 form values, with no division.  The shares are
+grouped as the sums need them: the points of one nu weight, the slots
+of one line.
+
+Those groups are compiled once per process into one straight-line
+Python function, the residue kernel (``_kernel_source``), kept on the
+arrangement itself, so a new arrangement brings a new kernel and
+dropping the cached one drops both.  Each power of a form value is
+one local.  In a nu group, points with equal factors are merged by
+adding their K / c, and the group's sum is factored greedily, a
+multivariate Horner scheme (Ceberio and Kreinovich, 2004): the
+coefficients' gcd where that saves products, then the form in the
+most terms, the lowest index among ties, at its lowest power there,
+and again on both parts.  The factors the whole group carries follow
+as one product, and so do a line's, with the gcd of its slots' K / c;
+slots with equal factors share one product.  So a flag costs 551
+multiplications of form values, against 826 for a loop over the same
+groups one factor at a time (``tests/oracle.py``), and no bytecode
+per factor.  Only the arrangement's integers reach the kernel's text,
+and it is built in catalog order, so it does not depend on string
+hashing.  Building it costs about 1.8 ms on first use, 1.0 ms
+writing the text and 0.7 ms compiling it, on top of 0.7 ms for the
+groups (2-core Intel Xeon VM, Python 3.11.7); ``flag_residues``
+evaluates the 18 forms, checks them for zero, and calls it.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -202,7 +223,8 @@ def _largest(exponents):
 
 
 class _Arrangement:
-    """The catalog's denominators written over its primitive forms.
+    """The catalog's denominators written over its primitive forms, and
+    the residue kernel compiled from them.
 
     Every tangent and normal weight is an integer s times a primitive
     form L (``_primitive``).  ``forms`` holds the forms that occur in a
@@ -219,13 +241,17 @@ class _Arrangement:
     The shares are grouped as the sums need them: points by their nu
     weight, line slots by their line.  A group's smallest cofactor,
     prod(L^(M - e_max)) with e_max the group's largest exponents, is
-    ``common``, and each member keeps K / c and the indices of its
-    remaining factors.  Factors are indices into the list of the form
-    values' powers v, v^2, .., v^M, form by form (``flag_residues``).
-    On the reference catalog: 18 forms, exponents summing to 29, K = 12.
+    ``common``, and each member keeps K / c and its remaining factors.
+    Factors are (form index, exponent) pairs in form order.  On the
+    reference catalog: 18 forms, exponents summing to 29, K = 12.
+
+    ``source`` is the text of the residue kernel these groups compile
+    to (``_kernel_source``) and ``kernel`` the compiled function, kept
+    here so that a new arrangement never meets an old kernel.
     """
 
-    __slots__ = ("forms", "first", "powers", "scale", "points", "lines")
+    __slots__ = ("forms", "first", "powers", "scale", "points", "lines",
+                 "source", "kernel")
 
     def __init__(self, catalog):
         first, split = {}, {}
@@ -259,15 +285,12 @@ class _Arrangement:
         forms = tuple(first)
         top = _largest(exps for exps, _ in terms)
         scale = lcm(*(const for _, const in terms))
-        offset, n = {}, 0
-        for form in forms:
-            offset[form] = n
-            n += top[form]
+        index = {form: i for i, form in enumerate(forms)}
 
         def factors(more, less):
-            # The power-list indices of prod(L^(more - less)).
-            return tuple(offset[form] + k - 1 for form, k0 in more.items()
-                         for k in [k0 - less.get(form, 0)] if k)
+            # prod(L^(more - less)) as (form index, exponent) pairs.
+            return tuple(sorted((index[form], k) for form, k0 in more.items()
+                                for k in [k0 - less.get(form, 0)] if k))
 
         def group(members):
             # Pull out the factors every member's share carries.
@@ -289,9 +312,139 @@ class _Arrangement:
         for fiber, slot_terms in line_terms:
             common, shares = group([t[1:] for t in slot_terms])
             lines.append((fiber, common, tuple(
-                (j, coef, idx)
-                for (j, _, _), (coef, idx) in zip(slot_terms, shares))))
+                (j, coef, exps)
+                for (j, _, _), (coef, exps) in zip(slot_terms, shares))))
         self.lines = tuple(lines)
+        self.source = _kernel_source(self)
+        namespace = {}
+        exec(compile(self.source, "<bottsum kernel>", "exec"), namespace)
+        self.kernel = namespace["kernel"]
+
+
+def _power(i, k):
+    """The kernel's name for the k-th power of form value i."""
+    return "v%d" % i if k == 1 else "v%d_%d" % (i, k)
+
+
+def _term(coef, factors):
+    """coef * prod(factors) as a signed source term (negative, text)."""
+    if abs(coef) != 1 or not factors:
+        factors = (str(abs(coef)),) + tuple(factors)
+    return coef < 0, " * ".join(factors)
+
+
+def _sum(terms):
+    """Signed source terms added up."""
+    out = ""
+    for negative, text in terms:
+        out += ((" - " if negative else " + ") if out
+                else "-" if negative else "") + text
+    return out or "0"
+
+
+def _times(terms, factors):
+    """The sum of signed source terms times more factors, as one signed
+    term."""
+    if len(terms) == 1:
+        negative, text = terms[0]
+    else:
+        negative, text = False, "(%s)" % _sum(terms)
+    return negative, " * ".join((text,) + tuple(factors))
+
+
+def _coefficient_cost(terms):
+    """The multiplications by a coefficient in plain products of the
+    (coef, exps) terms."""
+    return sum(abs(coef) != 1 and bool(exps) for coef, exps in terms)
+
+
+def _horner(terms):
+    """The sum of coef * prod(v_i^k) over (coef, {i: k}) terms with
+    distinct exponents as signed source terms, factored greedily.
+
+    A gcd g > 1 of the coefficients comes out first, where that saves
+    multiplications by a coefficient.  Then the form in the most
+    terms, the lowest index among ties, comes out at its lowest power
+    in those terms, and the terms with it and those without are each
+    factored again.  Terms that share no form are plain products.
+    """
+    g = gcd(*(coef for coef, _ in terms))
+    if g > 1 and len(terms) > 1:
+        scaled = [(coef // g, exps) for coef, exps in terms]
+        if 1 + _coefficient_cost(scaled) < _coefficient_cost(terms):
+            return [_times(_horner(scaled), [str(g)])]
+    count = {}
+    for _, exps in terms:
+        for i in exps:
+            count[i] = count.get(i, 0) + 1
+    most = max(count.values(), default=0)
+    if most < 2:
+        return [_term(coef, [_power(i, k) for i, k in sorted(exps.items())])
+                for coef, exps in terms]
+    i = min(j for j, n in count.items() if n == most)
+    k = min(exps[i] for _, exps in terms if i in exps)
+    inner = [(coef, {j: e - k if j == i else e for j, e in exps.items()
+                     if j != i or e != k})
+             for coef, exps in terms if i in exps]
+    return [_times(_horner(inner), [_power(i, k)])] + \
+        _horner([t for t in terms if i not in t[1]])
+
+
+def _dot(coeffs):
+    """A weight 4-tuple's value at the local weights a, b, c, d."""
+    return _sum(_term(t, [x]) for t, x in zip(coeffs, "abcd") if t)
+
+
+def _kernel_source(plan):
+    """The text of ``kernel(a, b, c, d, v0, v1, ..)``: the local weights
+    and the form values in, ``(den, points, lines)`` of a FlagResidues
+    out, as one straight-line function.
+
+    Each power of each form value is one local, built up power by
+    power, and ``den`` is K times their top powers.  In each nu group
+    the points with equal factors are merged by adding their K / c;
+    the group's sum is factored by ``_horner`` and times the group's
+    ``common``.  Each line's common factors, times the gcd of its
+    slots' K / c, are one local, and the slots with equal factors share
+    one product of it.  Only the arrangement's integers reach the text.
+    """
+    def product(exps):
+        return [_power(i, k) for i, k in exps]
+
+    out = ["def kernel(a, b, c, d, %s):"
+           % ", ".join(_power(i, 1) for i in range(len(plan.forms)))]
+    for i, top in enumerate(plan.powers):
+        for k in range(2, top + 1):
+            out.append("    %s = %s * %s" % (_power(i, k), _power(i, k - 1),
+                                            _power(i, 1)))
+    out.append("    den = %s" % _sum([_term(plan.scale, [
+        _power(i, top) for i, top in enumerate(plan.powers)])]))
+    points = []
+    for nu, common, members in plan.points:
+        merged = {}
+        for coef, exps in members:
+            merged[exps] = merged.get(exps, 0) + coef
+        terms = [(coef, dict(exps)) for exps, coef in merged.items() if coef]
+        points.append("(%s, %s)" % (_dot(nu), _sum(
+            [_times(_horner(terms), product(common))])))
+    lines = []
+    for index, (fiber, common, members) in enumerate(plan.lines):
+        g = gcd(*(coef for _, coef, _ in members))
+        name = "g%d" % index
+        out.append("    %s = %s" % (name, _sum([_term(g, product(common))])))
+        shared, entries = {}, []
+        for j, coef, exps in members:
+            if exps not in shared:
+                shared[exps] = "s%d_%d" % (index, len(shared))
+                out.append("    %s = %s" % (shared[exps], " * ".join(
+                    product(exps) + [name])))
+            entries.append("(%d, %s)"
+                           % (j, _sum([_term(coef // g, [shared[exps]])])))
+        lines.append("(%s, (%s,))" % (_dot(fiber), ", ".join(entries)))
+    out.append("    points = (%s,)" % ",\n        ".join(points))
+    out.append("    lines = (%s,)" % ",\n        ".join(lines))
+    out.append("    return den, points, lines")
+    return "\n".join(out) + "\n"
 
 
 @cache
@@ -351,9 +504,10 @@ def flag_residues(flag, w):
 
     Each form of the arrangement is evaluated once.  A zero value
     raises DivByZeroWeight naming the first record, in catalog order,
-    whose denominator carries that form, and the flag.  Each share of
-    the common denominator is a product of powers of the form values:
-    no gcd and no division.  See the module docstring.
+    whose denominator carries that form, and the flag.  The rest is the
+    arrangement's compiled kernel: each share of the common denominator
+    a product of powers of the form values, with no gcd and no
+    division.  See the module docstring.
     """
     plan = _arrangement()
     a, b, c, d = [w[i] for i in flag]
@@ -363,37 +517,7 @@ def flag_residues(flag, w):
         kind, rid = plan.first[vals.index(0)]
         raise DivByZeroWeight("zero %s weight in %s on flag %s"
                               % (kind, rid, _flag_label(flag)))
-    pw = []
-    den = plan.scale
-    for v, top in zip(vals, plan.powers):
-        x = v
-        pw.append(x)
-        for _ in range(1, top):
-            x *= v
-            pw.append(x)
-        den *= x
-    points = []
-    for (t0, t1, t2, t3), common, members in plan.points:
-        total = 0
-        for share, factors in members:
-            for i in factors:
-                share *= pw[i]
-            total += share
-        for i in common:
-            total *= pw[i]
-        points.append((t0 * a + t1 * b + t2 * c + t3 * d, total))
-    lines = []
-    for (t0, t1, t2, t3), common, members in plan.lines:
-        g = 1
-        for i in common:
-            g *= pw[i]
-        entries = []
-        for j, share, factors in members:
-            for i in factors:
-                share *= pw[i]
-            entries.append((j, share * g))
-        lines.append((t0 * a + t1 * b + t2 * c + t3 * d, tuple(entries)))
-    return FlagResidues(den, tuple(points), tuple(lines))
+    return FlagResidues(*plan.kernel(a, b, c, d, *vals))
 
 
 def contribution_sum(flag, w, power):

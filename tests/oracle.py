@@ -22,12 +22,16 @@ reduce-before-sum route, and
 ``zero_weight_message`` scans one flag's catalog record by record for
 a zero tangent or normal weight, the reference for the engine's check
 on its arrangement forms.
+
+``looped_residues`` walks a ``bottsum._Arrangement``'s groups factor by
+factor, the reference for the straight-line kernel compiled from the
+same groups; ``loop_multiplications`` counts its products.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from folbott.bottsum import TwistLinear, flag_residues
+from folbott.bottsum import FlagResidues, TwistLinear, flag_residues
 from folbott.torus import (DivByZeroWeight, enumerate_fixed_flags,
                            flag_tangent_product)
 
@@ -163,6 +167,63 @@ def substituted_flag_sums(w, rows, power, tangents=False):
             form = form / flag_tangent_product(flag, w)
         out.append((flag, substitute_rows(rows, form)))
     return out
+
+
+def looped_residues(plan, flag, w):
+    """``bottsum.flag_residues`` on the arrangement ``plan``, one loop
+    step per factor: the power-free part of a flag's sum as a
+    FlagResidues, or DivByZeroWeight where a form vanishes."""
+    a, b, c, d = [w[i] for i in flag]
+    vals = [t0 * a + t1 * b + t2 * c + t3 * d
+            for t0, t1, t2, t3 in plan.forms]
+    if not all(vals):
+        kind, rid = plan.first[vals.index(0)]
+        raise DivByZeroWeight("zero %s weight in %s on flag %s"
+                              % (kind, rid, ",".join(map(str, flag))))
+    pw = []  # pw[i][k - 1] is vals[i] ** k
+    den = plan.scale
+    for v, top in zip(vals, plan.powers):
+        x = v
+        powers = [x]
+        for _ in range(1, top):
+            x *= v
+            powers.append(x)
+        pw.append(powers)
+        den *= x
+    points = []
+    for (t0, t1, t2, t3), common, members in plan.points:
+        total = 0
+        for share, factors in members:
+            for i, k in factors:
+                share *= pw[i][k - 1]
+            total += share
+        for i, k in common:
+            total *= pw[i][k - 1]
+        points.append((t0 * a + t1 * b + t2 * c + t3 * d, total))
+    lines = []
+    for (t0, t1, t2, t3), common, members in plan.lines:
+        g = 1
+        for i, k in common:
+            g *= pw[i][k - 1]
+        entries = []
+        for j, share, factors in members:
+            for i, k in factors:
+                share *= pw[i][k - 1]
+            entries.append((j, share * g))
+        lines.append((t0 * a + t1 * b + t2 * c + t3 * d, tuple(entries)))
+    return FlagResidues(den, tuple(points), tuple(lines))
+
+
+def loop_multiplications(plan):
+    """The products of form values ``looped_residues`` takes on one
+    flag: the powers, ``den``, each factor of a share or a common, and
+    each line slot's share times its line's common."""
+    count = sum(plan.powers)  # v^2 .. v^M per form, then den *= v^M
+    for _, common, members in plan.points:
+        count += len(common) + sum(len(f) for _, f in members)
+    for _, common, members in plan.lines:
+        count += len(common) + sum(len(f) + 1 for _, _, f in members)
+    return count
 
 
 def zero_weight_message(catalog, w):

@@ -1,7 +1,13 @@
+import ast
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -312,6 +318,98 @@ def test_zero_weights_name_their_record_and_flag(monkeypatch,
         contribution_sum(REF_FLAG, W0, 13)
     with pytest.raises(ValueError):
         contribution_sum(REF_FLAG, W0, -1)
+
+
+def _with_nu_shifted(record_id):
+    """``build_catalog`` with the first nu coefficient of one point
+    record one larger."""
+    def patched(flag):
+        catalog = build_catalog(flag)
+        for rec in catalog.points:
+            if rec.id == record_id:
+                rec.nu = EigenWeight((rec.nu.coeffs[0] + 1,)
+                                     + rec.nu.coeffs[1:])
+        return catalog
+
+    return patched
+
+
+def _residues(flag, w, plan=None):
+    """One flag's FlagResidues as a plain tuple, from the engine, or
+    from the loop reference on ``plan``."""
+    r = (bottsum.flag_residues(flag, w) if plan is None
+         else oracle.looped_residues(plan, flag, w))
+    return r.den, r.points, r.lines
+
+
+# Each example runs all 24 flags through both routes.
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.tuples(*[st.integers(-40, 40)] * 4),
+                 st.tuples(*[st.integers(-10**8, 10**8)] * 4))
+       .filter(_admissible))
+@example((0, 6, 30, 210))
+@example((0, 60, 84, 210))
+@example((0, 2, 8, 32))
+@example(W_WIDE)
+def test_the_kernel_equals_the_loop_reference(w):
+    plan = bottsum._arrangement()
+    for flag in enumerate_fixed_flags():
+        assert _residues(flag, w) == _residues(flag, w, plan), flag
+
+
+def test_a_rebuilt_arrangement_brings_its_own_kernel(monkeypatch,
+                                                     fresh_arrangement):
+    flags = enumerate_fixed_flags()
+    before = [_residues(flag, W0) for flag in flags]
+    patched = _with_nu_shifted("base/r00")
+    monkeypatch.setattr(bottsum, "build_catalog", patched)
+    bottsum._arrangement.cache_clear()
+    plan = bottsum._Arrangement(patched(REF_FLAG))
+    after = [_residues(flag, W0) for flag in flags]
+    assert after == [_residues(flag, W0, plan) for flag in flags]
+    assert all(a != b for a, b in zip(after, before))
+    monkeypatch.undo()
+    bottsum._arrangement.cache_clear()
+    assert [_residues(flag, W0) for flag in flags] == before
+
+
+def _kernel_multiplications(source):
+    """The products of form values in a kernel's text: every
+    multiplication but those of a weight a, b, c or d by its coefficient
+    in a nu or fiber value."""
+    tree = ast.parse(source, feature_version=(3, 10))
+    return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+               and not (isinstance(node.right, ast.Name)
+                        and node.right.id in ("a", "b", "c", "d"))
+               for node in ast.walk(tree))
+
+
+def test_multiplications_per_flag():
+    # A change to the grouping or the factoring shows here as a count.
+    plan = bottsum._arrangement()
+    assert oracle.loop_multiplications(plan) == 826
+    assert _kernel_multiplications(plan.source) == 551
+
+
+_KERNEL_DIGEST = """
+import hashlib
+from folbott import bottsum
+print(hashlib.sha256(bottsum._arrangement().source.encode()).hexdigest())
+"""
+
+
+def test_the_kernel_source_does_not_depend_on_string_hashing():
+    src = str(Path(bottsum.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert digests == {
+        hashlib.sha256(bottsum._arrangement().source.encode()).hexdigest()}
 
 
 def _split(coeffs):
