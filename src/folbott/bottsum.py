@@ -78,18 +78,23 @@ at weights (0, 1, 5, 25)) are stated.
 
 One weight vector costs one pass over the 24 flags, whatever the
 powers: ``relations.build_system`` keeps the 24 FlagResidues next to
-their raw power-7 rows.  ``per_flag_fiber_values``, behind
-``fiber_degree`` and ``fiber-degree --per-flag``, reuses those rows
-when its weights and power match, and ``component_degree``,
-``per_flag_degrees`` and the fiber values at any other power read
-their rows off the kept FlagResidues when the weights match; only other
-weights cost a pass of their own.
+their raw power-7 rows.  The relations are solved from those rows
+homogenized, each flag's denominator a leading column, so the
+elimination's first row carries the common power-7 value: its
+certificate reduced every flag's row to that row.
+``per_flag_fiber_values``, behind ``fiber_degree`` and
+``fiber-degree --per-flag``, collapses that one row when its weights
+and power are the system's, and reduces no flag again.
+``component_degree``, ``per_flag_degrees`` and the fiber values at any
+other power read their rows off the kept FlagResidues when the weights
+match; only other weights cost a pass of their own.
 
 The degree path stays on raw integer rows until a value leaves it.
-Each flag's raw row is substituted on its own, through the solved
-relations' integer primitive ``reduce_row``, which leaves the constant
-and the free columns; a per-flag value is that constant, checked to
-have no free unknowns, as a Fraction.  ``component_degree`` reduces
+Away from the solve's own power and weights, each flag's raw row is
+substituted on its own, through the solved relations' integer
+primitive ``reduce_row``, which leaves the constant and the free
+columns; a per-flag value is that constant, checked to have no free
+unknowns, as a Fraction.  ``component_degree`` reduces
 each flag's power-13 row over its six flag-tangent weights first and
 then adds the 24 reduced rows over their common denominator, so only
 the constant and the free columns, zero at power 13, are scaled; the
@@ -559,15 +564,18 @@ def fiber_degree(w, power, relations):
 
 
 def per_flag_fiber_values(w, relations, power=7):
-    """The 24 flag sums at ``power``, substituted.  The raw rows of the
-    relations' own system are reused when its weights and power are
-    these, and its FlagResidues when only the weights are."""
+    """The 24 flag sums at ``power``, substituted.  When the weights
+    and power are the relations' own system's, every flag takes the
+    value of the row the solve left common to all of them
+    (``SolvedRelations.common``); otherwise each flag's row is reduced,
+    read off the system's FlagResidues when the weights are its own."""
     w = tuple(validate_weights(w))
     system = relations.system
-    if (system.w, system.power) == (w, power):
-        rows = system.sum_rows
-    else:
-        rows = [(r.row(power), r.den) for r in _residues_for(w, relations)]
+    if (system.w, system.power) == (w, power) \
+            and relations.common is not None:
+        value = relations.collapse(*relations.common)
+        return [(flag, value) for flag in enumerate_fixed_flags()]
+    rows = [(r.row(power), r.den) for r in _residues_for(w, relations)]
     return [(flag, relations.collapse(*relations.reduce_row(row, den)))
             for flag, (row, den) in zip(enumerate_fixed_flags(), rows)]
 

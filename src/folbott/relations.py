@@ -1,30 +1,43 @@
 """Linear relations among the thirty twist unknowns.
 
-The fiber integral at power 7 must be flag independent, so equating
-the symbolic per-flag sums produces 23 linear equations in d1..d30.
-One exact elimination reduces them to a rank-18 echelon system:
-the rows are reduced modulo a prime below 2^30, lifted back to fractions
-by rational reconstruction and certified with integer arithmetic, and a
-failed lift or check brings in the next prime.  Over F_p a row is one
-int with a field per column, wide enough for p + width*p^2, the most a
-field holds when it is reduced only as it is read; a row step is one
-big-int multiply-add (``_rref_mod``).  The equations go in
-as raw integer rows, the flags' unreduced power-7 rows cross-multiplied,
-and nothing on the way is put in lowest terms: scaling a row does not
-change the space it spans.  ``rref`` takes integer rows only and
-returns an ``Echelon``, which is integer too: the reduced rows scaled
-once to an integer matrix over the lcm of their denominators, their
-pivots, and the index of that matrix's free columns.  The rows as
-Fractions are built only on access (``Echelon.fractions``), for the
-single-blowup check and for comparing row spaces; the elimination and
-the degree path never build them.  The printed relations
-(``integer_rows``) are the matrix's rows, each divided by its gcd.
+The fiber integral at power 7 must be flag independent: with each
+flag's raw sum R_f over its denominator den_f, every r_f = R_f / den_f
+must take one value once the relations hold.  The relations are solved
+from that requirement as one homogenized system: flag f gives the
+integer row (den_f | R_f), its denominator prepended as column 0, and
+one exact elimination reduces the 24 rows.  Each row is den_f times
+(1 | r_f), so column 0 is the first pivot, and the echelon rows after
+the first, zero there, span {x in span(1 | r_f) : x_0 = 0}, which is
+the span of the 23 differences r_f - r_0.  With column 0 dropped they
+are the unique reduced form of the flag-difference equations, the
+rank-18 relations, rescaled to their own lcm denominator.  The first
+row is (1 | c), where c is every r_f reduced by the relations: the
+common power-7 value, read off once its free columns are zero.  No
+difference row is cross-multiplied, and nothing on the way is put in
+lowest terms: scaling a row does not change the space it spans.
+
+The elimination reduces the rows modulo a prime below 2^30, lifts them
+back to fractions by rational reconstruction and certifies them with
+integer arithmetic; a failed lift or check brings in the next prime.
+Over F_p a row is one int with a field per column, wide enough for
+p + width*p^2, the most a field holds when it is reduced only as it is
+read; a row step is one big-int multiply-add (``_rref_mod``).  ``rref``
+takes integer rows only and returns an ``Echelon``, which is integer
+too: the reduced rows scaled once to an integer matrix over the lcm of
+their denominators, their pivots, and the index of that matrix's free
+columns.  The rows as Fractions are built only on access
+(``Echelon.fractions``), for the single-blowup check and for comparing
+row spaces; the elimination and the degree path never build them.  The
+printed relations (``integer_rows``) are the matrix's rows, each
+divided by its gcd.
 
 Substitution is one integer primitive, ``Echelon.reduce_row``: a raw
 row over any denominator goes to its free columns and constant, one
 integer dot product per free column, over that denominator times the
 matrix's.  The certificate is the same reduction: a candidate passes
-when every input row reduces to zero.  ``SolvedRelations.collapse``
+when every input row reduces to zero, so on the homogenized system it
+checks each flag's row directly, and that is what makes every flag's
+power-7 row reduce to the first row.  ``SolvedRelations.collapse``
 turns a reduced row into its constant, as a Fraction in lowest terms,
 once every free column is checked to be zero.  ``reduce`` and
 ``substitute`` are those two steps on a TwistLinear, and the degree
@@ -78,9 +91,10 @@ def _primes():
 
     Below 2^30 a residue, a pivot inverse and a step multiplier of
     ``_rref_mod`` are one-digit ints in CPython, and a column's field
-    there is (p + width*p^2).bit_length() bits, 65 for the 31 columns of
-    the relation rows: a larger prime would cost wider rows.  One prime
-    lifts numerators and denominators up to 23170; the relations need 2.
+    there is (p + width*p^2).bit_length() bits, 65 for the 32 columns
+    of the homogenized flag rows: a larger prime would cost wider rows.
+    One prime lifts numerators and denominators up to 23170; the
+    relations need 2, and the common value 21.
     """
     p = (1 << 30) - 35
     while True:
@@ -250,14 +264,15 @@ def rref(mat):
     certified multimodular.
 
     Pivots are searched in every column but the last, which holds the
-    constant (for the 31-wide relation rows: the 30 unknown columns);
+    constant (for the 32-wide homogenized flag rows: the denominator
+    column and the 30 unknown columns);
     a system whose rows combine to (0, ..., 0, c) with c nonzero raises
     InconsistentSystem.  Returns an Echelon, zero rows dropped: the
     integer form and the pivots the certificate checked, with the rows
     as Fractions only on access (``Echelon.fractions``).
 
-    The rows, such as the raw equation rows of ``build_system``, are
-    lists or tuples of ints; a row of fractions is scaled to integers
+    The rows, such as the homogenized flag rows of ``solve_relations``,
+    are lists or tuples of ints; a row of fractions is scaled to integers
     by its caller, which leaves the space it spans unchanged.  They
     are reduced modulo p, the first prime of ``_primes`` (below 2^30),
     and brought to reduced form over F_p in packed rows (``_rref_mod``),
@@ -301,41 +316,50 @@ def rref(mat):
 
 
 class RelationSystem:
-    """The 23 flag-difference equations at a given weight vector, the
-    raw residue sums of the 24 flags at ``power`` they come from, and
-    the flags' FlagResidues (``residues``), from which the sums at any
-    other power of the same weights are read without a second pass.
+    """The raw residue sums of the 24 flags at ``power`` for the weights
+    ``w``, which the relations are solved from, and the flags'
+    FlagResidues (``residues``), from which the sums at any other power
+    of the same weights are read without a second pass.
 
-    Sums and equations are kept as (integer row, denominator) pairs,
-    not reduced: ``sum_rows`` and ``equation_rows``.  ``equations`` are
-    the equations as TwistLinear forms, built on access.
+    ``sum_rows`` keeps each flag's sum as an (integer row, denominator)
+    pair, not reduced.  ``equations`` are the 23 flag differences
+    r_f - r_0 as TwistLinear forms, built on each access; the solve
+    does not read them (``solve_relations``).
     """
 
-    __slots__ = ("w", "power", "residues", "sum_rows", "equation_rows")
+    __slots__ = ("w", "power", "residues", "sum_rows")
 
-    def __init__(self, w, power, residues, sum_rows, equation_rows):
+    def __init__(self, w, power, residues, sum_rows):
         self.w = w
         self.power = power
         self.residues = residues
         self.sum_rows = sum_rows
-        self.equation_rows = equation_rows
 
     @property
     def equations(self):
-        return [TwistLinear.from_row(*pair) for pair in self.equation_rows]
+        base, base_den = self.sum_rows[0]
+        return [TwistLinear.from_row(
+                    [x * base_den - y * den for x, y in zip(row, base)],
+                    den * base_den)
+                for row, den in self.sum_rows[1:]]
 
 
 class SolvedRelations:
     """Echelon form of the relation system, ready for substitution;
     ``system`` is the RelationSystem it was solved from.  ``rows`` are
     the reduced rows, the Echelon that ``rref`` returns, ``rank`` their
-    number, and ``pivots`` maps each pivot slot to its column."""
+    number, and ``pivots`` maps each pivot slot to its column.
+    ``common`` is the row that every flag's sum at the system's power
+    reduces to, as an (integer row, denominator) pair, when the rows
+    were solved from those sums (``solve_relations``), and None
+    otherwise."""
 
-    __slots__ = ("rows", "rank", "pivots", "system")
+    __slots__ = ("rows", "rank", "pivots", "system", "common")
 
-    def __init__(self, rows, system):
+    def __init__(self, rows, system, common=None):
         self.rows = rows
         self.system = system
+        self.common = common
         self.rank = len(rows.scaled)
         self.pivots = {col + 1: col for col in rows.pivots}
 
@@ -375,37 +399,48 @@ class SolvedRelations:
 
 
 def build_system(w):
-    """Symbolic power-7 sums for all 24 flags and their differences.
+    """Symbolic power-7 sums for all 24 flags.
 
-    The sums are kept raw (``FlagResidues.row``), so the fiber degree
-    can reuse them, and so are the flags' FlagResidues, so the component
-    degree at power 13 reads its rows off them.  Each equation is a
-    flag's row minus the first flag's, cross-multiplied over the lcm of
-    their denominators; the denominators share most of their factors,
-    so that lcm keeps the rows shorter than the product would.  The
-    published orientation would only negate every equation, which
-    leaves the reduced echelon form unchanged.
+    The sums are kept raw (``FlagResidues.row``), since the solve takes
+    them as they are, and so are the flags' FlagResidues, so the
+    component degree at power 13 reads its rows off them.
     """
     w = tuple(validate_weights(w))
     residues = [bottsum.flag_residues(flag, w)
                 for flag in enumerate_fixed_flags()]
-    sum_rows = [(r.row(7), r.den) for r in residues]
-    base, base_den = sum_rows[0]
-    equation_rows = []
-    for row, den in sum_rows[1:]:
-        g = gcd(den, base_den)
-        a, b = base_den // g, den // g
-        equation_rows.append(([x * a - y * b for x, y in zip(row, base)],
-                              den * a))
-    return RelationSystem(w, 7, residues, sum_rows, equation_rows)
+    return RelationSystem(w, 7, residues,
+                          [(r.row(7), r.den) for r in residues])
 
 
 def solve_relations(system):
-    """Exact elimination of a RelationSystem's flag-difference
-    equations.  The system stays on the result, so its flag sums can be
-    reused."""
-    return SolvedRelations(rref([row for row, _ in system.equation_rows]),
-                           system)
+    """The relations of a RelationSystem and the common value of its
+    flag sums, from one exact elimination of the homogenized flag rows.
+
+    Flag f's row is (den_f | R_f), its raw sum R_f with its denominator
+    den_f prepended as column 0.  It is den_f times (1 | r_f) with
+    r_f = R_f / den_f, so column 0 is the first pivot, and the echelon
+    rows after the first, zero in column 0, span the vectors of
+    span(1 | r_f) with x_0 = 0, which is the span of the differences
+    r_f - r_0.  With column 0 dropped, and rescaled to the lcm of their
+    own denominators, they are the unique reduced form of the
+    flag-difference equations: ``rows``, with the same ``denom``,
+    ``scaled`` and ``pivots`` as ``rref`` gives on the differences.  A
+    system whose differences force 1 = 0 raises InconsistentSystem, as
+    the constant stays the last column.
+
+    The first row is (1 | c) with c zero in the other pivot columns.
+    The certificate of ``rref`` reduced every flag's row to zero, so
+    every r_f reduces to c under the relations: c is the common value
+    at the system's power, kept as ``common`` for the fiber values.
+    The system stays on the result, so its flag sums can be reused.
+    """
+    echelon = rref([[den] + row for row, den in system.sum_rows])
+    first, rest = echelon.scaled[0], echelon.scaled[1:]
+    g = gcd(echelon.denom, *(n for row in rest for n in row))
+    rows = Echelon(echelon.denom // g, [[n // g for n in row[1:]]
+                                        for row in rest],
+                   tuple(col - 1 for col in echelon.pivots[1:]))
+    return SolvedRelations(rows, system, (first[1:], echelon.denom))
 
 
 def _integer_row(row):

@@ -23,17 +23,26 @@ reduce-before-sum route, and
 a zero tangent or normal weight, the reference for the engine's check
 on its arrangement forms.
 
+``difference_rows`` and ``solve_differences`` solve the twist relations
+the way of the 23 flag-difference equations, each flag's raw power-7
+row cross-multiplied against the first flag's and the 23 rows reduced
+by ``relations.rref``; ``per_flag_values`` then reduces and collapses
+each flag's row on its own.  They are the reference for the
+homogenized solve of ``relations.solve_relations``, which reads the
+common value off its first row.
+
 ``looped_residues`` walks a ``bottsum._Arrangement``'s groups factor by
 factor, the reference for the straight-line kernel compiled from the
 same groups; ``loop_multiplications`` counts its products.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from folbott.bottsum import FlagResidues, TwistLinear, flag_residues
 from folbott.torus import (DivByZeroWeight, enumerate_fixed_flags,
                            flag_tangent_product)
+from folbott.relations import SolvedRelations, rref
 
 NUM_SLOTS = 30
 
@@ -167,6 +176,35 @@ def substituted_flag_sums(w, rows, power, tangents=False):
             form = form / flag_tangent_product(flag, w)
         out.append((flag, substitute_rows(rows, form)))
     return out
+
+
+def difference_rows(system):
+    """The 23 flag-difference equations of a ``relations.RelationSystem``
+    as (integer row, denominator) pairs: each flag's raw row minus the
+    first flag's, cross-multiplied over the lcm of their denominators,
+    not reduced."""
+    base, base_den = system.sum_rows[0]
+    out = []
+    for row, den in system.sum_rows[1:]:
+        g = gcd(den, base_den)
+        a, b = base_den // g, den // g
+        out.append(([x * a - y * b for x, y in zip(row, base)], den * a))
+    return out
+
+
+def solve_differences(system):
+    """The Echelon of ``relations.rref`` on the difference rows."""
+    return rref([row for row, _ in difference_rows(system)])
+
+
+def per_flag_values(system, echelon):
+    """Each flag's raw row of ``system`` reduced by ``echelon`` on its
+    own and collapsed to its constant: (flag, Fraction) per flag, or
+    ResidualUnknowns from the first flag that keeps a free unknown."""
+    solved = SolvedRelations(echelon, system)
+    return [(flag, solved.collapse(*solved.reduce_row(row, den)))
+            for flag, (row, den) in zip(enumerate_fixed_flags(),
+                                        system.sum_rows)]
 
 
 def looped_residues(plan, flag, w):

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from folbott.bottsum import (TwistLinear, component_degree, contribution_sum,
-                             fiber_degree)
+                             fiber_degree, per_flag_fiber_values)
 from folbott import relations
-from folbott.relations import (InconsistentSystem, ResidualUnknowns,
-                               build_system, integer_rows, normal_twist_check,
-                               relation_strings, row_space_equal, rref,
-                               solve_relations)
+from folbott.relations import (InconsistentSystem, RelationSystem,
+                               ResidualUnknowns, build_system, integer_rows,
+                               normal_twist_check, relation_strings,
+                               row_space_equal, rref, solve_relations)
 from folbott.torus import WeightError, enumerate_fixed_flags, validate_weights
-from oracle import FractionLinear, rref_mod, substitute_rows
+from oracle import (FractionLinear, difference_rows, per_flag_values,
+                    rref_mod, solve_differences, substitute_rows)
 
 W0 = (0, 1, 5, 25)
 W_WIDE = (67208900, -31429501, 99121929, -3756357)
@@ -98,6 +99,7 @@ def test_system_shape():
     assert len(sys.residues) == 24
     assert len(sys.sum_rows) == 24
     assert len(sys.equations) == 23
+    assert RelationSystem.__slots__ == ("w", "power", "residues", "sum_rows")
 
 
 def test_system_views_equal_the_lowest_terms_forms():
@@ -107,12 +109,15 @@ def test_system_views_equal_the_lowest_terms_forms():
     reference = [FractionLinear(s.coeffs) for s in sums]
     assert [FractionLinear(eq.coeffs) for eq in sys.equations] \
         == [s - reference[0] for s in reference[1:]]
-    assert [row for row, _ in sys.equation_rows] \
+    differences = difference_rows(sys)
+    assert [TwistLinear.from_row(*pair) for pair in differences] \
+        == sys.equations
+    assert [row for row, _ in differences] \
         != [eq.nums for eq in sys.equations]
 
 
 def test_rref_carries_its_certified_integer_form():
-    rows = rref([row for row, _ in system().equation_rows])
+    rows = solve_differences(system())
     fractions = rows.fractions
     denom = lcm(*(c.denominator for row in fractions for c in row))
     assert rows.denom == denom
@@ -315,6 +320,166 @@ def test_relations_need_one_prime(monkeypatch, w):
     rel = solve_relations(build_system(w))
     assert calls == [P]
     assert relation_strings(rel) == EXPECTED_STRINGS
+
+
+def _echelon_form(rows):
+    return rows.denom, rows.scaled, rows.pivots
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.tuples(*[st.integers(-40, 40)] * 4),
+                 st.tuples(*[st.integers(-10**8, 10**8)] * 4))
+       .filter(_admissible))
+@example(W_WIDE)
+@example((0, 6, 30, 210))
+@example((0, 60, 84, 210))
+@example((0, 2, 8, 32))
+def test_homogenized_solve_equals_the_difference_rows(w):
+    # The rows after the first, column 0 dropped, are the echelon of the
+    # 23 cross-multiplied differences in the same integer form, and the
+    # first row is the value every flag reduces to on its own.
+    sys = build_system(w)
+    rel = solve_relations(sys)
+    want = solve_differences(sys)
+    assert _echelon_form(rel.rows) == _echelon_form(want)
+    values = per_flag_values(sys, want)
+    assert per_flag_fiber_values(w, rel) == values
+    assert [v for _, v in values] == [21] * 24
+
+
+def _small_system(rows, den=1):
+    """A hand-made system at W0: flag k's raw power-7 row has the
+    entries rows[k] maps to (twist columns 0-29, constant 30) over
+    ``den``; the flags past those given take flag 0's row."""
+    sums = []
+    for k in range(24):
+        row = [0] * 31
+        for j, c in rows[k if k < len(rows) else 0].items():
+            row[j] = c
+        sums.append((row, den))
+    return RelationSystem(W0, 7, None, sums)
+
+
+def _moved(k, j):
+    sys = system()
+    sums = [(list(row), den) for row, den in sys.sum_rows]
+    sums[k][0][j] += 1
+    return RelationSystem(W0, 7, sys.residues, sums)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ResidualUnknowns as err:
+        return str(err)
+
+
+def _homogenized_verdict(sys):
+    try:
+        rel = solve_relations(sys)
+    except InconsistentSystem as err:
+        return "InconsistentSystem", str(err)
+    values = _outcome(lambda: per_flag_fiber_values(sys.w, rel))
+    value = _outcome(lambda: fiber_degree(sys.w, 7, rel))
+    return _echelon_form(rel.rows), value, values
+
+
+def _difference_verdict(sys):
+    try:
+        echelon = solve_differences(sys)
+    except InconsistentSystem as err:
+        return "InconsistentSystem", str(err)
+    values = _outcome(lambda: per_flag_values(sys, echelon))
+    if isinstance(values, str):
+        return _echelon_form(echelon), values, values
+    assert len({v for _, v in values}) == 1
+    return _echelon_form(echelon), values[0][1], values
+
+
+@pytest.mark.parametrize("case,sys,verdict", [
+    # One flag's power-7 constant moved by +1.
+    ("constant, flag 0", lambda: _moved(0, 30), "InconsistentSystem"),
+    ("constant, flag 17", lambda: _moved(17, 30), "InconsistentSystem"),
+    # One twist entry moved, at a pivot column (d1) and a free one
+    # (d26): one more unknown is pinned, and the value stays.
+    ("d1, flag 5", lambda: _moved(5, 0), (19, 21)),
+    ("d26, flag 23", lambda: _moved(23, 25), (19, 21)),
+    # Differences (1, 2 | 3) and (2, 4 + P | 6 + P): rank 2 over Q,
+    # rank 1 modulo P only.
+    ("rank drop mod P", lambda: _small_system(
+        [{}, {0: 1, 1: 2, 30: 3}, {0: 2, 1: 4 + P, 30: 6 + P}]), (2, 0)),
+    # Differences (1, 2 | 3) and (2, 4 | 6 + P): inconsistent over Q,
+    # consistent modulo P only.
+    ("inconsistency hidden mod P", lambda: _small_system(
+        [{}, {0: 1, 1: 2, 30: 3}, {0: 2, 1: 4, 30: 6 + P}]),
+     "InconsistentSystem"),
+    # Differences d1 = 0 over 1, and the common value 1/3 over 3: the
+    # relations keep their own denominator.
+    ("fractional value", lambda: _small_system(
+        [{30: 1}, {0: 3, 30: 1}], 3), (1, Fraction(1, 3))),
+    # Every flag the same row, which keeps the free unknown d5.
+    ("free unknown", lambda: _small_system([{4: 3, 30: 1}]),
+     (0, "unresolved twist unknowns: d5")),
+])
+def test_disagreement_is_refused_at_the_solve(case, sys, verdict):
+    sys = sys()
+    got = _homogenized_verdict(sys)
+    assert got == _difference_verdict(sys), case
+    if verdict == "InconsistentSystem":
+        assert got[0] == verdict, case
+    else:
+        assert (len(got[0][1]), got[1]) == verdict, case
+
+
+def test_flag_rows_that_hide_rank_mod_p_bring_in_a_second_prime(monkeypatch):
+    # P is unlucky for the homogenized rows as for their differences.
+    calls = []
+    rref_mod = relations._rref_mod
+
+    def counting(mat, p):
+        calls.append(p)
+        return rref_mod(mat, p)
+
+    monkeypatch.setattr(relations, "_rref_mod", counting)
+    rel = solve_relations(_small_system(
+        [{}, {0: 1, 1: 2, 30: 3}, {0: 2, 1: 4 + P, 30: 6 + P}]))
+    assert relation_strings(rel) == ["d1 + 1 = 0", "d2 + 1 = 0"]
+    assert calls == [P, P2]
+    calls.clear()
+    with pytest.raises(InconsistentSystem):
+        solve_relations(_small_system(
+            [{}, {0: 1, 1: 2, 30: 3}, {0: 2, 1: 4, 30: 6 + P}]))
+    assert calls == [P, P2]
+
+
+@pytest.mark.parametrize("w", [W0, W_WIDE])
+def test_reduce_row_calls_of_one_degree_op(monkeypatch, w):
+    # The certificate reduces each flag's homogenized row (32 wide) once
+    # and the component degree each flag's power-13 row (31 wide) once;
+    # the fiber value is read off the solve, and no flag-difference
+    # equation is built.
+    calls, solves = [], []
+    reduce_row, solve = relations.Echelon.reduce_row, relations.rref
+
+    def counting(self, nums, den=1):
+        calls.append(len(nums))
+        return reduce_row(self, nums, den)
+
+    def counting_rref(mat):
+        solves.append((len(mat), len(mat[0])))
+        return solve(mat)
+
+    def refuse(self):
+        raise AssertionError("a flag-difference equation was built")
+
+    monkeypatch.setattr(relations.Echelon, "reduce_row", counting)
+    monkeypatch.setattr(relations, "rref", counting_rref)
+    monkeypatch.setattr(RelationSystem, "equations", property(refuse))
+    rel = solve_relations(build_system(w))
+    assert fiber_degree(w, 7, rel) == 21
+    assert component_degree(w, 13, rel) == 168208
+    assert solves == [(24, 32)]
+    assert calls == [32] * 24 + [31] * 24
 
 
 def test_contradictory_equations_are_refused():
