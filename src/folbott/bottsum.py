@@ -50,23 +50,22 @@ of one line.
 Those groups are compiled once per process into one straight-line
 Python function, the residue kernel (``_kernel_source``), kept on the
 arrangement itself, so a new arrangement brings a new kernel and
-dropping the cached one drops both.  Each power of a form value is
-one local.  In a nu group, points with equal factors are merged by
-adding their K / c, and the group's sum is factored greedily, a
-multivariate Horner scheme (Ceberio and Kreinovich, 2004): the
-coefficients' gcd where that saves products, then the form in the
-most terms, the lowest index among ties, at its lowest power there,
-and again on both parts.  The factors the whole group carries follow
-as one product, and so do a line's, with the gcd of its slots' K / c;
-slots with equal factors share one product.  So a flag costs 551
-multiplications of form values, against 826 for a loop over the same
-groups one factor at a time (``tests/oracle.py``), and no bytecode
-per factor.  Only the arrangement's integers reach the kernel's text,
-and it is built in catalog order, so it does not depend on string
-hashing.  Building it costs about 1.8 ms on first use, 1.0 ms
-writing the text and 0.7 ms compiling it, on top of 0.7 ms for the
-groups (2-core Intel Xeon VM, Python 3.11.7); ``flag_residues``
-evaluates the 18 forms, checks them for zero, and calls it.
+dropping the cached one drops both.  It takes the four local weights
+and is the whole power-free pass of a flag: each form value is one
+local, one dot product, and so is each of its powers.  A nu group's
+sum is factored greedily, a multivariate Horner scheme (Ceberio and
+Kreinovich, 2004): the form in the most terms, the lowest index among
+ties, comes out at its lowest power there, and both parts are
+factored again.  The factors the whole group carries follow as one
+product, and a line's are one local that each of its slots
+multiplies.  So a flag costs 629 multiplications of form values,
+against 826 for a loop over the same groups one factor at a time
+(``tests/oracle.py``), and no bytecode per factor.  Only the
+arrangement's integers reach the kernel's text, and it is built in
+catalog order, so it does not depend on string hashing.  Nothing in
+it divides, so it runs over any ring, and a zero form shows as a
+zero ``den``: only then does ``flag_residues`` evaluate the forms
+again, to name the record that carries the first zero.
 
 Two orientations of the same sum are exposed.  ``contribution_sum``
 adds the raw terms; substituting the solved twist relations into it
@@ -251,8 +250,9 @@ class _Arrangement:
     reference catalog: 18 forms, exponents summing to 29, K = 12.
 
     ``source`` is the text of the residue kernel these groups compile
-    to (``_kernel_source``) and ``kernel`` the compiled function, kept
-    here so that a new arrangement never meets an old kernel.
+    to (``_kernel_source``) and ``kernel(a, b, c, d)`` the compiled
+    function of the four local weights, kept here so that a new
+    arrangement never meets an old kernel.
     """
 
     __slots__ = ("forms", "first", "powers", "scale", "points", "lines",
@@ -357,27 +357,13 @@ def _times(terms, factors):
     return negative, " * ".join((text,) + tuple(factors))
 
 
-def _coefficient_cost(terms):
-    """The multiplications by a coefficient in plain products of the
-    (coef, exps) terms."""
-    return sum(abs(coef) != 1 and bool(exps) for coef, exps in terms)
-
-
 def _horner(terms):
-    """The sum of coef * prod(v_i^k) over (coef, {i: k}) terms with
-    distinct exponents as signed source terms, factored greedily.
-
-    A gcd g > 1 of the coefficients comes out first, where that saves
-    multiplications by a coefficient.  Then the form in the most
-    terms, the lowest index among ties, comes out at its lowest power
-    in those terms, and the terms with it and those without are each
-    factored again.  Terms that share no form are plain products.
+    """The sum of coef * prod(v_i^k) over (coef, {i: k}) terms as signed
+    source terms, factored greedily: the form in the most terms, the
+    lowest index among ties, comes out at its lowest power in those
+    terms, and the terms with it and those without are each factored
+    again.  Terms that share no form are plain products.
     """
-    g = gcd(*(coef for coef, _ in terms))
-    if g > 1 and len(terms) > 1:
-        scaled = [(coef // g, exps) for coef, exps in terms]
-        if 1 + _coefficient_cost(scaled) < _coefficient_cost(terms):
-            return [_times(_horner(scaled), [str(g)])]
     count = {}
     for _, exps in terms:
         for i in exps:
@@ -401,23 +387,23 @@ def _dot(coeffs):
 
 
 def _kernel_source(plan):
-    """The text of ``kernel(a, b, c, d, v0, v1, ..)``: the local weights
-    and the form values in, ``(den, points, lines)`` of a FlagResidues
-    out, as one straight-line function.
+    """The text of ``kernel(a, b, c, d)``: a flag's local weights in,
+    ``(den, points, lines)`` of its FlagResidues out, as one
+    straight-line function.
 
-    Each power of each form value is one local, built up power by
-    power, and ``den`` is K times their top powers.  In each nu group
-    the points with equal factors are merged by adding their K / c;
-    the group's sum is factored by ``_horner`` and times the group's
-    ``common``.  Each line's common factors, times the gcd of its
-    slots' K / c, are one local, and the slots with equal factors share
-    one product of it.  Only the arrangement's integers reach the text.
+    Each form value is one local, and so is each of its powers, built
+    up power by power; ``den`` is K times their top powers.  Each nu
+    group's sum is factored by ``_horner`` and times the group's
+    ``common``; each line's ``common`` is one local, and each slot is
+    its K / c times its remaining factors and that local.  Only the
+    arrangement's integers reach the text.
     """
     def product(exps):
         return [_power(i, k) for i, k in exps]
 
-    out = ["def kernel(a, b, c, d, %s):"
-           % ", ".join(_power(i, 1) for i in range(len(plan.forms)))]
+    out = ["def kernel(a, b, c, d):"]
+    for i, form in enumerate(plan.forms):
+        out.append("    %s = %s" % (_power(i, 1), _dot(form)))
     for i, top in enumerate(plan.powers):
         for k in range(2, top + 1):
             out.append("    %s = %s * %s" % (_power(i, k), _power(i, k - 1),
@@ -426,26 +412,16 @@ def _kernel_source(plan):
         _power(i, top) for i, top in enumerate(plan.powers)])]))
     points = []
     for nu, common, members in plan.points:
-        merged = {}
-        for coef, exps in members:
-            merged[exps] = merged.get(exps, 0) + coef
-        terms = [(coef, dict(exps)) for exps, coef in merged.items() if coef]
+        terms = [(coef, dict(exps)) for coef, exps in members]
         points.append("(%s, %s)" % (_dot(nu), _sum(
             [_times(_horner(terms), product(common))])))
     lines = []
     for index, (fiber, common, members) in enumerate(plan.lines):
-        g = gcd(*(coef for _, coef, _ in members))
         name = "g%d" % index
-        out.append("    %s = %s" % (name, _sum([_term(g, product(common))])))
-        shared, entries = {}, []
-        for j, coef, exps in members:
-            if exps not in shared:
-                shared[exps] = "s%d_%d" % (index, len(shared))
-                out.append("    %s = %s" % (shared[exps], " * ".join(
-                    product(exps) + [name])))
-            entries.append("(%d, %s)"
-                           % (j, _sum([_term(coef // g, [shared[exps]])])))
-        lines.append("(%s, (%s,))" % (_dot(fiber), ", ".join(entries)))
+        out.append("    %s = %s" % (name, _sum([_term(1, product(common))])))
+        lines.append("(%s, (%s,))" % (_dot(fiber), ", ".join(
+            "(%d, %s)" % (j, _sum([_term(coef, product(exps) + [name])]))
+            for j, coef, exps in members)))
     out.append("    points = (%s,)" % ",\n        ".join(points))
     out.append("    lines = (%s,)" % ",\n        ".join(lines))
     out.append("    return den, points, lines")
@@ -507,22 +483,24 @@ def _check_power(power):
 def flag_residues(flag, w):
     """The power-free part of one flag's residue sum (FlagResidues).
 
-    Each form of the arrangement is evaluated once.  A zero value
-    raises DivByZeroWeight naming the first record, in catalog order,
-    whose denominator carries that form, and the flag.  The rest is the
-    arrangement's compiled kernel: each share of the common denominator
-    a product of powers of the form values, with no gcd and no
-    division.  See the module docstring.
+    One call of the arrangement's compiled kernel on the flag's local
+    weights: each form value evaluated once, and each share of the
+    common denominator a product of powers of them, with no gcd and no
+    division.  A zero form makes ``den`` zero; then the forms are
+    evaluated again, and DivByZeroWeight names the first record, in
+    catalog order, whose denominator carries a zero form, and the flag.
+    See the module docstring.
     """
     plan = _arrangement()
     a, b, c, d = [w[i] for i in flag]
-    vals = [t0 * a + t1 * b + t2 * c + t3 * d
-            for t0, t1, t2, t3 in plan.forms]
-    if not all(vals):
+    den, points, lines = plan.kernel(a, b, c, d)
+    if not den:
+        vals = [t0 * a + t1 * b + t2 * c + t3 * d
+                for t0, t1, t2, t3 in plan.forms]
         kind, rid = plan.first[vals.index(0)]
         raise DivByZeroWeight("zero %s weight in %s on flag %s"
                               % (kind, rid, _flag_label(flag)))
-    return FlagResidues(*plan.kernel(a, b, c, d, *vals))
+    return FlagResidues(den, points, lines)
 
 
 def contribution_sum(flag, w, power):

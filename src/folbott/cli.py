@@ -59,12 +59,9 @@ def _emit(document, output):
 
 
 def _linear_document(tl):
-    coeffs = {}
-    for slot in sorted(tl.coeffs):
-        if slot == 0:
-            continue
-        coeffs["d%d" % slot] = fraction_to_json(tl.coeffs[slot])
-    return {"coefficients": coeffs,
+    coeffs = tl.coeffs
+    return {"coefficients": {"d%d" % slot: fraction_to_json(coeffs[slot])
+                             for slot in sorted(coeffs) if slot},
             "constant": fraction_to_json(tl.constant_part())}
 
 

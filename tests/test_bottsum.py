@@ -376,7 +376,7 @@ def test_a_rebuilt_arrangement_brings_its_own_kernel(monkeypatch,
 def _kernel_multiplications(source):
     """The products of form values in a kernel's text: every
     multiplication but those of a weight a, b, c or d by its coefficient
-    in a nu or fiber value."""
+    in a form, nu or fiber value."""
     tree = ast.parse(source, feature_version=(3, 10))
     return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                and not (isinstance(node.right, ast.Name)
@@ -388,7 +388,23 @@ def test_multiplications_per_flag():
     # A change to the grouping or the factoring shows here as a count.
     plan = bottsum._arrangement()
     assert oracle.loop_multiplications(plan) == 826
-    assert _kernel_multiplications(plan.source) == 551
+    assert _kernel_multiplications(plan.source) == 629
+
+
+@pytest.mark.parametrize("w", [W0, W_WIDE])
+def test_the_kernel_runs_over_any_ring_on_the_weights_alone(w):
+    # The kernel reads only the four local weights and never divides, so
+    # it runs on Fractions too.  At power 7 each entry row[j] / den has
+    # degree 0 in w, so the weights w / k give the entries of w.
+    plan = bottsum._arrangement()
+    k = 7
+    for flag in enumerate_fixed_flags():
+        want = bottsum.flag_residues(flag, w)
+        got = bottsum.FlagResidues(
+            *plan.kernel(*(Fraction(w[i], k) for i in flag)))
+        assert got.den == Fraction(want.den, k ** sum(plan.powers))
+        assert [n / got.den for n in got.row(7)] == \
+            [Fraction(n, want.den) for n in want.row(7)], flag
 
 
 _KERNEL_DIGEST = """
