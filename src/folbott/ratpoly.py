@@ -11,14 +11,13 @@ above them all.  Graded-lex comparison is then ``<`` on ints,
 multiplying monomials is one int add and the constant monomial is 0.
 Degrees past MAX_DEGREE raise OverflowError, so the top bit of every
 field stays clear and the sum of two monomials never spills from one
-field into the next.  ``exact_divide`` divides by one variable, the
-strip of x0 from a generator form.  Monomials are
-decoded into (variable index, exponent) pairs only by ``monomials``, the
-printer and ``variables`` (once, on the OR of all monomials).
-``Polynomial.substitute`` is the one substitution; a one-form
-substitutes as one polynomial.  ``Polynomial.blowup_chart`` reads one
-chart of a blowup off a form written in the center's coordinates, the
-division by the center done by lowering a power, never by dividing.
+field into the next.  ``exact_divide`` divides by one variable: the
+strip of x0 from a generator form, and the division of a blowup stage's
+form by its marker h.  Monomials are decoded into (variable index,
+exponent) pairs only by ``monomials``, the printer and ``variables``
+(once, on the OR of all monomials).  ``Polynomial.substitute`` is the
+one substitution; a one-form substitutes as one polynomial, and every
+chart of a blowup is one substitution of a stage's divided form.
 """
 
 import math
@@ -40,6 +39,8 @@ VARIABLE_NAMES = (
     "v0", "v1", "v2", "v3", "v4",
     "z0", "z1", "z2", "z3", "z4", "z5",
     "dx0", "dx1", "dx2", "dx3",
+    # The marker of a blowup center: a stage writes each center
+    # coordinate y_j as new_j*h and divides one h out (``resolve``).
     "h",
     "y0", "y1", "y2", "y3",
 )
@@ -304,61 +305,6 @@ class Polynomial:
             factors[key] = factor
         return _sum_groups(groups, factors, self.den)
 
-    def blowup_chart(self, fibers, chart, center, context=None):
-        """One chart of a blowup, divided once by the exceptional divisor.
-
-        self is written in the center's coordinates: fibers[j] is
-        (name_j, s_j), and name_j stands for y_j = s_j*e_j, where e_j is
-        the j-th center equation and center is e_chart, so self holds no
-        variable of the center equations but through the y_j.  On the
-        chart, y_j = name_j*s_j*center for j != chart and
-        y_chart = s_chart*center, so a term t*y^alpha becomes
-        t*prod_{j != chart} name_j^alpha_j*prod_j s_j^alpha_j*center^|alpha|,
-        and the division by center lowers that power to |alpha| - 1.  The
-        terms are grouped by (|alpha| - 1, denominator of the product of
-        the s_j); the group of power 0 is added as it is and each other
-        group is multiplied once by its power of center.  A term with
-        |alpha| = 0 keeps its value on the center: when self holds no
-        variable of center, a nonconstant center then divides nothing,
-        so NotDivisible is raised with ``context``.
-        """
-        shifts = [_SHIFT[VARIABLE_INDEX[name]] for name, _ in fibers]
-        touched = 0
-        for shift in shifts:
-            touched |= _FIELD << shift
-        drop = _VARIABLE_MONO[VARIABLE_INDEX[fibers[chart][0]]]
-        # Exponents in the fiber fields -> (group key, monomial shift,
-        # numerator factor).
-        moves = {}
-        groups = {}
-        for mono, c in self.nums.items():
-            part = mono & touched
-            move = moves.get(part)
-            if move is None:
-                if not part:
-                    raise NotDivisible(
-                        "%s does not divide the form on its chart" % center,
-                        context=context)
-                power, num, den = -1, 1, 1
-                for shift, (_, scale) in zip(shifts, fibers):
-                    e = (part >> shift) & _FIELD
-                    if e:
-                        power += e
-                        num *= scale.numerator ** e
-                        den *= scale.denominator ** e
-                drops = (part >> shifts[chart]) & _FIELD
-                move = moves[part] = ((power, den), drops * drop, num)
-            key, delta, num = move
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = {}
-            mono -= delta
-            group[mono] = group.get(mono, 0) + c * num
-        powers = [({0: 1}, 1)]
-        for _ in range(max((power for power, _ in groups), default=0)):
-            powers.append(_product(powers[-1], (center.nums, center.den)))
-        return _sum_groups(groups, powers, self.den)
-
     def partial(self, name):
         """Partial derivative with respect to one variable."""
         shift = _SHIFT[VARIABLE_INDEX[name]]
@@ -395,15 +341,19 @@ class Polynomial:
         A term is divisible when its field of ``name`` is nonzero, and
         its quotient lowers that field by one; the coefficients and the
         denominator stay as they are.  The first term that is not
-        divisible raises NotDivisible with ``context``.
+        divisible raises NotDivisible with ``context``, naming ``name``
+        and that term.  The callers are the strip of x0 from a generator
+        form and the division of a blowup stage's form by its marker h.
         """
         shift = _SHIFT[VARIABLE_INDEX[name]]
         step = _VARIABLE_MONO[VARIABLE_INDEX[name]]
         quotient = {}
         for mono, c in self.nums.items():
             if not (mono >> shift) & _FIELD:
-                raise NotDivisible("%s does not divide %s" % (name, self),
-                                   context=context)
+                raise NotDivisible(
+                    "%s does not divide the term %s"
+                    % (name, format_poly(Polynomial({mono: c}, self.den))),
+                    context=context)
             quotient[mono - step] = c
         return Polynomial(quotient, self.den)
 
@@ -443,10 +393,11 @@ def _product(a, b):
 
 
 def _sum_groups(groups, factors, den):
-    """Polynomial of the sum over ``groups``, {(key, group denominator):
-    numerators}, each over den times its denominator and multiplied by
-    factors[key] = (numerators, denominator); the group of key 0 has the
-    factor 1 and is added without a product."""
+    """Polynomial of the sum over ``Polynomial.substitute``'s ``groups``,
+    {(key, group denominator): numerators}, each over den times its
+    denominator and multiplied by factors[key] = (numerators,
+    denominator); the group of key 0 has the factor 1 and is added
+    without a product."""
     common = den * math.lcm(*(factors[key][1] * gden for key, gden in groups))
     acc = {}
     for (key, gden), group in groups.items():

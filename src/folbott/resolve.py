@@ -15,17 +15,19 @@ letter plus i.  Working on chart c of the stage means EXC := e_c,
 template c is dropped (its variable survives as the chart coordinate
 and new_c is never introduced), and the pulled-back form is divided by
 e_c once.  That is not computed chart by chart: the parent form is
-written once per stage in the center's coordinates, var_i -> new_i +
-offset_i/c_i, so new_i stands for y_i = e_i/c_i, and on chart c each
-y_i is new_i*e_c/c_i (y_c is e_c/c_c).  A term of degree k in the y_i
-then carries e_c^k, and the division leaves e_c^(k-1): a term of degree
-0 means the form does not vanish on the center, and the division
-fails.  The center equations are fixtures, checked by the solving
-rule, by the rule that no fiber coordinate is already in use, by the
-invariance rule (e_c holds no variable that another template solves
-for, so chart c's substitution leaves e_c unchanged and no offset holds
-a solved variable), and by the divisibility of the form itself; no
-elimination theory runs at import time.
+written once per stage in the center's coordinates, with the center
+marked by the variable h, var_i -> new_i*h + offset_i/c_i, so new_i*h
+stands for y_i = e_i/c_i.  A term of degree k in the y_i then carries
+h^k, and one h is divided out: a term with no h is the form's value on
+the center, and the division fails.  Chart c is then one substitution,
+new_i -> new_i/c_i for i != c, new_c -> 1/c_c and h -> e_c, since on
+chart c each y_i is new_i*e_c/c_i and y_c is e_c/c_c.  The center
+equations are fixtures, checked by the solving rule, by the rule that
+no fiber coordinate and not h is already in use, by the invariance rule
+(e_c holds no variable that another template solves for, so chart c's
+substitution leaves e_c unchanged and no offset holds a solved
+variable), and by the divisibility of the form itself; no elimination
+theory runs at import time.
 
 Fixed-point rows of the exceptional tables are evaluated by a single
 recipe: every stage-new variable is set to zero (except a family
@@ -270,42 +272,46 @@ def _run_stage(chart_id, stage_index, stage, parent):
     """The states of every chart of one stage, in chart order.
 
     The stage's center equations are parsed, and their templates
-    derived, once.  Before any chart is built, no fiber coordinate may
-    already occur in the parent form or in the center equations, and
-    every center equation must be unchanged by the substitution of its
-    own chart.  Given the first rule, e_c is unchanged exactly when it
-    holds no var_j with j != c (if it holds one, the fresh new_j appears
-    in the result), so the second rule is a set test.  The parent form
-    is then written once in the center's coordinates, var_j -> new_j +
-    offset_j/c_j, so new_j stands for e_j/c_j, and
-    ``Polynomial.blowup_chart`` reads each chart off it, divided once by
-    e_c.
+    derived, once.  Before any chart is built, no fiber coordinate and
+    not the marker h may already occur in the parent form or in the
+    center equations, and every center equation must be unchanged by
+    the substitution of its own chart.  Given the first rule, e_c is
+    unchanged exactly when it holds no var_j with j != c (if it holds
+    one, the fresh new_j appears in the result), so the second rule is
+    a set test.  The parent form is then written once in the center's
+    coordinates, var_j -> new_j*h + offset_j/c_j, so new_j*h stands for
+    e_j/c_j, and one h is divided out; a failure names chart 0, since
+    it does not depend on the chart.  Each chart is then one
+    substitution, which sends h to e_c.
     """
     eqs = [parse_poly(e) for e in stage["eqs"]]
     templates = _templates(chart_id, stage_index, stage, eqs)
     held = [eq.variables() for eq in eqs]
     taken = parent.form.poly.variables().union(*held)
-    for _, _, _, new in templates:
-        if new in taken:
+    fresh = [("fiber coordinate", new) for _, _, _, new in templates]
+    for what, name in fresh + [("marker", "h")]:
+        if name in taken:
             raise StructureError(
-                "fiber coordinate %s of %s stage %d already occurs in its "
-                "parent form or center equations"
-                % (new, chart_id, stage_index))
+                "%s %s of %s stage %d already occurs in its parent form or "
+                "center equations" % (what, name, chart_id, stage_index))
     solved = [var for var, _, _, _ in templates]
     for ci, names in enumerate(held):
         if names.intersection(solved[:ci] + solved[ci + 1:]):
             raise StructureError(
                 "center equation %s not invariant on chart %d of %s stage %d"
                 % (stage["eqs"][ci], ci, chart_id, stage_index))
-    translated = parent.form.poly.substitute(
-        {var: Polynomial.variable(new) + scale * offset
-         for var, scale, offset, new in templates})
-    fibers = [(new, scale) for _, scale, _, new in templates]
+    h = Polynomial.variable("h")
+    divided = parent.form.poly.substitute(
+        {var: Polynomial.variable(new) * h + scale * offset
+         for var, scale, offset, new in templates}).exact_divide(
+        "h", context=(chart_id, stage_index, 0))
     states = []
     for ci, exc in enumerate(eqs):
-        divided = OneForm(translated.blowup_chart(
-            fibers, ci, exc, context=(chart_id, stage_index, ci)))
-        if not divided.euler_pairing().is_zero():
+        chart = {new: scale if j == ci else Polynomial.variable(new) * scale
+                 for j, (_, scale, _, new) in enumerate(templates)}
+        chart["h"] = exc
+        form = OneForm(divided.substitute(chart))
+        if not form.euler_pairing().is_zero():
             raise StructureError(
                 "radial contraction broke on chart %d of %s stage %d"
                 % (ci, chart_id, stage_index))
@@ -320,7 +326,7 @@ def _run_stage(chart_id, stage_index, stage, parent):
             {v: parent.anchors[v] for v in kept_offset.variables()
              if v in parent.anchors})
         anchors[kept_var] = kept_scale * offset_val.constant_value()
-        states.append(ChartState(divided, anchors))
+        states.append(ChartState(form, anchors))
     return states
 
 
@@ -331,7 +337,8 @@ def run_chart(chart_id):
     order along an exceptional divisor does not depend on the chart), so
     all of them are run and logged even though only specific charts feed
     later stages; a failed division raises NotDivisible with context
-    (chart, stage, chart index), the strip of x0 being stage 0, chart 0.
+    (chart, stage, chart index), the strip of x0 being stage 0, chart 0
+    and a stage's division by its marker chart 0 of that stage.
     """
     chart = CHARTS[chart_id]
     f = parse_poly(chart["f"])

@@ -149,6 +149,14 @@ def test_exact_divide_failure_carries_context():
     assert err.value.context == ("here", 3)
 
 
+def test_exact_divide_failure_names_the_variable_and_the_term():
+    # The message names the term left over, not the whole polynomial.
+    p = parse_poly("x0^2*b1 + 3/2*x1*t3 - 4*x0")
+    with pytest.raises(NotDivisible,
+                       match=r"^x0 does not divide the term 3/2\*x1\*t3$"):
+        p.exact_divide("x0")
+
+
 exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
 nonzero_fractions = st.fractions(min_value=-3, max_value=3,
                                  max_denominator=4).filter(bool)
@@ -180,7 +188,7 @@ def test_one_term_divisor_rejects_a_term_it_does_not_divide(p, c, exps,
     assert err.value.context == ("chart", 1)
 
 
-# The fiber coordinates of the blowup kernel tests.  None of them is in
+# The fiber coordinates of the blowup chart tests.  None of them is in
 # SMALL_VARIABLES, so small_polys() draws polynomials free of them.
 FIBERS = ("t0", "t1", "t2")
 fiber_scales = st.lists(nonzero_fractions, min_size=3, max_size=3)
@@ -220,31 +228,48 @@ def pullback(fibers, chart, center):
             for j, (name, scale) in enumerate(fibers)}
 
 
+def blowup_chart(form, fibers, chart, center, context=None):
+    """One chart of a blowup by the route of ``resolve._run_stage``:
+    ``form`` is written in the center's coordinates, fibers[j] = (name_j,
+    s_j) with name_j standing for y_j.  Each name_j is marked name_j*h,
+    one h is divided out, and the chart's substitution sends name_j to
+    name_j*s_j for j != chart, name_chart to s_chart and h to center."""
+    h = Polynomial.variable("h")
+    divided = form.substitute(
+        {name: Polynomial.variable(name) * h for name, _ in fibers}
+    ).exact_divide("h", context=context)
+    mapping = {name: scale if j == chart
+               else Polynomial.variable(name) * scale
+               for j, (name, scale) in enumerate(fibers)}
+    mapping["h"] = center
+    return divided.substitute(mapping)
+
+
 @settings(max_examples=60)
 @given(translated_forms(), small_polys(), centers(), fiber_scales, charts)
 def test_blowup_chart_inverts_multiplication(form, p, center, scales, chart):
     fibers = list(zip(FIBERS, scales))
-    assert (form.blowup_chart(fibers, chart, center) * center
+    assert (blowup_chart(form, fibers, chart, center) * center
             == form.substitute(pullback(fibers, chart, center)))
     # p*y_chart pulls back to p*center, since p holds no fiber.
     y = Polynomial.variable(FIBERS[chart]) * (1 / scales[chart])
-    assert (p * y).blowup_chart(fibers, chart, center) == p
+    assert blowup_chart(p * y, fibers, chart, center) == p
 
 
 @settings(max_examples=60)
 @given(translated_forms(), centers(), fiber_scales, charts)
 def test_blowup_chart_rejects_a_remainder(form, center, scales, chart):
     with pytest.raises(NotDivisible) as err:
-        (form + 1).blowup_chart(list(zip(FIBERS, scales)), chart, center,
-                                context=("stage", 2, 1))
+        blowup_chart(form + 1, list(zip(FIBERS, scales)), chart, center,
+                     context=("stage", 2, 1))
     assert err.value.context == ("stage", 2, 1)
 
 
 def test_blowup_chart_failure_carries_context():
     form = parse_poly("t0*x1 + x0")
     with pytest.raises(NotDivisible) as err:
-        form.blowup_chart([("t0", Fraction(1)), ("t1", Fraction(1, 2))], 1,
-                          parse_poly("b1 - x1"), context=("chart", 3))
+        blowup_chart(form, [("t0", Fraction(1)), ("t1", Fraction(1, 2))], 1,
+                     parse_poly("b1 - x1"), context=("chart", 3))
     assert err.value.context == ("chart", 3)
 
 
@@ -253,7 +278,7 @@ def test_blowup_chart_of_a_binomial_center():
     # the center divides out of each term.
     form = parse_poly("t0*t1 + 5*t1 + x0*t0")
     fibers = [("t0", Fraction(1, 2)), ("t1", Fraction(1, 3))]
-    assert form.blowup_chart(fibers, 1, parse_poly("b1 - 2")) == \
+    assert blowup_chart(form, fibers, 1, parse_poly("b1 - 2")) == \
         parse_poly("1/6*t0*b1 - 1/3*t0 + 5/3 + 1/2*x0*t0")
 
 

@@ -404,6 +404,19 @@ def test_a_fiber_coordinate_already_in_use_is_a_structure_error(
         resolve.run_chart("b3=a6=1")
 
 
+def test_the_center_marker_already_in_use_is_a_structure_error(
+        monkeypatch):
+    """h marks the center of every stage, so a center equation that
+    holds h is refused before any chart is built."""
+    stage = resolve.CHARTS["b0=a0=u3=1"]["stages"]["tangent"]
+    monkeypatch.setitem(stage, "eqs", ["b3 - h"] + stage["eqs"][1:])
+    with pytest.raises(resolve.StructureError,
+                       match="marker h of b0=a0=u3=1 stage 1 already "
+                             "occurs in its parent form or center "
+                             "equations"):
+        resolve.run_chart("b0=a0=u3=1")
+
+
 def _row_charts(row):
     return row["chart"] if row["kind"] == "family" else (row["chart"],)
 
@@ -455,12 +468,13 @@ def test_unknown_chart_is_an_error():
 def test_kernel_counts_of_one_cold_pipelines_run(monkeypatch):
     """The work of one cold run of the five charts, the ledger and
     ``check_tables``, counted by wrappers: one translation per stage,
-    the Euler checks and the point evaluations; the strip of x0 from
-    five chart forms and 22 base pairs, each built once; one chart
-    kernel per chart of every stage; one parse of each of the 21
-    distinct printed texts among the 83 that ``check_tables`` reads."""
-    counts = dict.fromkeys(("substitute", "exact_divide", "blowup_chart",
-                            "parse_form", "build_omega"), 0)
+    one substitution per chart of every stage, the Euler checks and the
+    point evaluations; the strip of x0 from five chart forms and 22 base
+    pairs, each built once, and one division by the marker h per stage;
+    one parse of each of the 21 distinct printed texts among the 83
+    that ``check_tables`` reads."""
+    counts = dict.fromkeys(("substitute", "exact_divide", "parse_form",
+                            "build_omega"), 0)
 
     def counter(name, fn):
         def counting(*args, **kwargs):
@@ -468,7 +482,7 @@ def test_kernel_counts_of_one_cold_pipelines_run(monkeypatch):
             return fn(*args, **kwargs)
         return counting
 
-    for name in ("substitute", "exact_divide", "blowup_chart"):
+    for name in ("substitute", "exact_divide"):
         monkeypatch.setattr(Polynomial, name,
                             counter(name, getattr(Polynomial, name)))
     for name in ("parse_form", "build_omega"):
@@ -479,6 +493,5 @@ def test_kernel_counts_of_one_cold_pipelines_run(monkeypatch):
         resolve.get_run(chart_id)
     resolve.divisibility_ledger()
     resolve.check_tables()
-    assert counts == {"substitute": 214, "exact_divide": 27,
-                      "blowup_chart": 64, "parse_form": 21,
-                      "build_omega": 27}
+    assert counts == {"substitute": 278, "exact_divide": 39,
+                      "parse_form": 21, "build_omega": 27}
