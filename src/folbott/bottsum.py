@@ -187,16 +187,14 @@ class TwistLinear:
         return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
-        out = ""
+        pairs = []
         for j, n in enumerate(self.nums):
             if n:
                 c = abs(Fraction(n, self.den))
                 piece = (str(c) if j == NUM_SLOTS else "d%d" % (j + 1)
                          if c == 1 else "%s*d%d" % (c, j + 1))
-                sign = (" - " if n < 0 else " + ") if out else \
-                    ("-" if n < 0 else "")
-                out += sign + piece
-        return out or "0"
+                pairs.append((n < 0, piece))
+        return _sum(pairs)
 
     def __repr__(self):
         return "TwistLinear(%s)" % self
@@ -207,9 +205,9 @@ def _flag_label(flag):
 
 
 def _primitive(coeffs):
-    """A weight 4-tuple as (L, s) with coeffs = s * L, L primitive and
-    its first nonzero entry positive.  The zero tuple is its own form,
-    with s = 1."""
+    """Integers, such as a weight 4-tuple, as (L, s) with coeffs = s * L,
+    L a primitive tuple with its first nonzero entry positive.  The zero
+    tuple is its own form, with s = 1."""
     s = gcd(*coeffs) or 1
     if next((c for c in coeffs if c), 0) < 0:
         s = -s
@@ -339,7 +337,8 @@ def _term(coef, factors):
 
 
 def _sum(terms):
-    """Signed source terms added up."""
+    """Signed terms, (negative, text) pairs, added up: the kernel's
+    source and ``TwistLinear``'s printed form."""
     out = ""
     for negative, text in terms:
         out += ((" - " if negative else " + ") if out

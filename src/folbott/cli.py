@@ -1,9 +1,12 @@
 """Command line front end.
 
 Every subcommand prints plain unstyled text (NO_COLOR needs no special
-casing because no styling is ever emitted) or, with --output json, a
-deterministic document: keys sorted, no timestamps, rationals encoded
-as {"num": ..., "den": ...} string pairs so consumers never overflow.
+casing because no styling is ever emitted).  Six of them, fiber-degree,
+component-degree, relations, tables, three-planes and
+normal-twist-check, take --output json for a deterministic document:
+keys sorted, no timestamps, rationals encoded as {"num": ..., "den":
+...} string pairs so consumers never overflow.  resolve and
+singular-locus print text only.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
 usage errors (including weight vectors with colliding partial sums).
@@ -102,7 +105,7 @@ def fiber_degree_cmd(weights, output, power, per_flag, symbolic_d):
                          for flag, val in rows]}
         if not _emit(doc, output):
             for flag, val in rows:
-                click.echo("flag %s: %s" % (",".join(map(str, flag)), val))
+                click.echo("flag %s: %s" % (bottsum._flag_label(flag), val))
         return
     try:
         value = bottsum.fiber_degree(weights, power, solved)
@@ -147,7 +150,7 @@ def component_degree_cmd(weights, output, jobs, power, per_flag,
                "total": fraction_to_json(total)}
         if not _emit(doc, output):
             for flag, val in rows:
-                click.echo("flag %s: %s" % (",".join(map(str, flag)), val))
+                click.echo("flag %s: %s" % (bottsum._flag_label(flag), val))
             click.echo("total: %s" % total)
         return
     value = bottsum.component_degree(weights, power, solved)

@@ -187,12 +187,7 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        scale, other_scale = den // self.den, den // other.den
-        nums = {m: c * scale for m, c in self.nums.items()}
-        for m, c in other.nums.items():
-            nums[m] = nums.get(m, 0) + c * other_scale
-        return _reduced(nums, den)
+        return variable_combination((None, None), (self, other))
 
     __radd__ = __add__
 
@@ -443,13 +438,14 @@ def _move(part, mask, zeros, fields, folds):
 
 
 def variable_combination(names, polys):
-    """The sum of name * poly over the pairs: each poly's numerators,
-    shifted by its variable's monomial, accumulate over one common
-    denominator."""
+    """The sum of name * poly over the pairs, a name of None standing
+    for 1: each poly's numerators, shifted by its variable's monomial,
+    accumulate over one common denominator.  This is the one sum of
+    whole polynomials: ``+`` and the parser add through it too."""
     den = math.lcm(*(p.den for p in polys))
     acc = {}
     for name, poly in zip(names, polys):
-        step = _VARIABLE_MONO[VARIABLE_INDEX[name]]
+        step = 0 if name is None else _VARIABLE_MONO[VARIABLE_INDEX[name]]
         scale = den // poly.den
         for m, c in poly.nums.items():
             m += step
@@ -546,7 +542,7 @@ def parse_poly(text):
 
 def _parse_sum(toks):
     """Products between top-level signs, each one Polynomial term,
-    added over one denominator."""
+    added by ``variable_combination``."""
     terms = []
     sign = 1
     if toks.peek() in ("+", "-"):
@@ -562,13 +558,7 @@ def _parse_sum(toks):
         if toks.peek() not in ("+", "-"):
             break
         sign = -1 if toks.take() == "-" else 1
-    den = math.lcm(*(p.den for p in terms))
-    acc = {}
-    for p in terms:
-        scale = den // p.den
-        for mono, c in p.nums.items():
-            acc[mono] = acc.get(mono, 0) + c * scale
-    return _reduced(acc, den)
+    return variable_combination([None] * len(terms), terms)
 
 
 def _parse_product(toks):

@@ -18,7 +18,8 @@ lowest terms: scaling a row does not change the space it spans.
 
 The elimination reduces the rows modulo a prime below 2^30, lifts them
 back to fractions by rational reconstruction and certifies them with
-integer arithmetic; a failed lift or check brings in the next prime.
+integer arithmetic; a failed lift or check brings in the next prime,
+found by trial division (``_primes``).
 Over F_p a row is one int with a field per column, wide enough for
 p + width*p^2, the most a field holds when it is reduced only as it is
 read; a row step is one big-int multiply-add (``_rref_mod``).  ``rref``
@@ -28,8 +29,8 @@ their denominators, their pivots, and the index of that matrix's free
 columns.  The rows as Fractions are built only on access
 (``Echelon.fractions``), for the single-blowup check and for comparing
 row spaces; the elimination and the degree path never build them.  The
-printed relations (``integer_rows``) are the matrix's rows, each
-divided by its gcd.
+printed relations (``integer_rows``) are the matrix's rows, each made
+primitive by the one rule in ``bottsum._primitive``.
 
 Substitution is one integer primitive, ``Echelon.reduce_row``: a raw
 row over any denominator goes to its free columns and constant, one
@@ -65,26 +66,6 @@ class ResidualUnknowns(ArithmeticError):
     """Substitution left free unknowns that the relations cannot fix."""
 
 
-def _is_prime(n):
-    """Miller-Rabin on the first twelve prime bases, which decides
-    primality exactly for every odd n from 39 to 3.3e24 (Sorenson and
-    Webster, Math. Comp. 2017); the candidates here are just below 2^30."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes():
     """2^30 - 35, the largest prime below 2^30, then the primes below it
     in descending order.
@@ -94,13 +75,15 @@ def _primes():
     there is (p + width*p^2).bit_length() bits, 65 for the 32 columns
     of the homogenized flag rows: a larger prime would cost wider rows.
     One prime lifts numerators and denominators up to 23170; the
-    relations need 2, and the common value 21.
+    relations need 2, and the common value 21, so one prime serves the
+    degree path.  Each later candidate is tested by odd trial division
+    up to its square root, about a millisecond per prime found.
     """
     p = (1 << 30) - 35
     while True:
         yield p
         p -= 2
-        while not _is_prime(p):
+        while any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
             p -= 2
 
 
@@ -444,22 +427,18 @@ def solve_relations(system):
 
 
 def _integer_row(row):
-    """Rational row rescaled to integers with gcd one and a positive
-    leading entry (already positive for an echelon row)."""
+    """Rational row rescaled to integers, made primitive by
+    ``bottsum._primitive``."""
     denom = lcm(*(c.denominator for c in row))
-    ints = [c.numerator * (denom // c.denominator) for c in row]
-    g = gcd(*ints)
-    if next((c for c in ints if c), 1) < 0:
-        g = -g
-    return ints if g in (0, 1) else [c // g for c in ints]
+    return bottsum._primitive(
+        [c.numerator * (denom // c.denominator) for c in row])[0]
 
 
 def integer_rows(solved):
-    """Echelon rows as integer rows with gcd one: the certified integer
-    form, each row divided by its gcd.  A row's first nonzero entry,
-    its pivot, stays positive."""
-    return [tuple(n // g for n in row)
-            for row in solved.rows.scaled for g in [gcd(*row)]]
+    """Echelon rows as primitive integer rows: the certified integer
+    form, each row made primitive by ``bottsum._primitive``.  A row's
+    first nonzero entry, its pivot, is already positive."""
+    return [bottsum._primitive(row)[0] for row in solved.rows.scaled]
 
 
 def relation_strings(solved):

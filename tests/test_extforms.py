@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folbott.extforms import (COORDS, DIFFERENTIALS, OneForm, build_omega,
-                              integrability_defect, is_integrable,
-                              parse_form, sample_foliation_report,
-                              vanishes_on)
+                              differential, integrability_defect,
+                              is_integrable, parse_form,
+                              sample_foliation_report, vanishes_on)
 from folbott.ratpoly import Polynomial, parse_poly
-from test_ratpoly import monomial
+from test_ratpoly import assert_matches, merged, monomial, small_polys
 
 
 def test_known_pair_gives_printed_form():
@@ -18,6 +18,15 @@ def test_known_pair_gives_printed_form():
 def test_degenerate_pair_gives_zero():
     form = build_omega(parse_poly("x0^3"), parse_poly("x0^2"))
     assert form.is_zero()
+
+
+@settings(max_examples=60)
+@given(small_polys())
+def test_differential_matches_a_termwise_reference(p):
+    # The four products dp/dx_i * dx_i, merged without a Polynomial sum.
+    assert_matches(differential(p), merged(*(
+        (1, (p.partial(x) * Polynomial.variable(dx)).terms)
+        for x, dx in zip(COORDS, DIFFERENTIALS))))
 
 
 def cubic_quadric_pairs():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -140,6 +141,58 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p * q) * r == p * (q * r)
+
+
+def merged(*parts):
+    """The {monomial: Fraction} sum of (sign, terms) pairs, added key by
+    key with zeros dropped: a reference that runs no Polynomial sum."""
+    out = {}
+    for sign, terms in parts:
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def assert_matches(poly, reference):
+    """poly has the reference's terms, over the lcm of their
+    denominators with numerators of gcd one."""
+    assert poly.terms == reference
+    assert poly.den == lcm(*(c.denominator for c in reference.values()))
+    assert gcd(poly.den, *poly.nums.values()) == 1
+
+
+@settings(max_examples=100)
+@given(small_polys(), small_polys())
+def test_sum_and_difference_match_a_termwise_reference(p, q):
+    assert_matches(p + q, merged((1, p.terms), (1, q.terms)))
+    assert_matches(p - q, merged((1, p.terms), (-1, q.terms)))
+
+
+def term_text(exps, coeff):
+    """A term as (negative, text) with a nonnegative coefficient."""
+    body = "*".join("%s^%d" % (name, e)
+                    for name, e in zip(SMALL_VARIABLES, exps) if e)
+    mag = abs(coeff)
+    return coeff < 0, "%s*%s" % (mag, body) if body else str(mag)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    min_size=1, max_size=5))
+def test_parsed_sum_matches_a_termwise_reference(terms):
+    text = ""
+    for exps, coeff in terms:
+        negative, piece = term_text(exps, coeff)
+        text += (" - " if negative else " + ") if text else \
+            ("-" if negative else "")
+        text += piece
+    # Each term is built by products alone, so the reference adds
+    # nothing through Polynomial.
+    assert_matches(parse_poly(text), merged(*(
+        (1, monomial(dict(zip(SMALL_VARIABLES, exps)), coeff).terms)
+        for exps, coeff in terms)))
 
 
 def test_exact_divide_failure_carries_context():

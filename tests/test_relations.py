@@ -597,6 +597,9 @@ def test_dense_system_mod_the_largest_prime_equals_the_list_reference():
 
 
 def test_elimination_primes_are_the_largest_below_2_30():
+    # Literal values, so the check does not rest on trial division alone.
+    assert list(islice(relations._primes(), 3)) == [
+        1073741789, 1073741783, 1073741741]
     assert P == (1 << 30) - 35
     assert P2 < P
     assert _is_prime_by_trial_division(P)
