@@ -47,11 +47,14 @@ lowest terms only when it leaves the engine.
 
 Also here: the self-contained cross-check that pins the twist values
 for a single blowup of projective space along a linear center, solved
-from scratch for given (N, m) by the same equate-the-sums trick.
+from scratch for given (N, m) by the same equate-the-sums trick.  Its
+probe rows are built as integers and made primitive by
+``bottsum._primitive``; its equations and solution are written by
+``bottsum._sum``, the one signed-sum writer.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import bottsum
 from .bottsum import NUM_SLOTS, TwistLinear
@@ -426,14 +429,6 @@ def solve_relations(system):
     return SolvedRelations(rows, system, (first[1:], echelon.denom))
 
 
-def _integer_row(row):
-    """Rational row rescaled to integers, made primitive by
-    ``bottsum._primitive``."""
-    denom = lcm(*(c.denominator for c in row))
-    return bottsum._primitive(
-        [c.numerator * (denom // c.denominator) for c in row])[0]
-
-
 def integer_rows(solved):
     """Echelon rows as primitive integer rows: the certified integer
     form, each row made primitive by ``bottsum._primitive``.  A row's
@@ -467,63 +462,56 @@ class NormalTwistReport:
         self.solution = {}
         if unique:
             for i, delta in enumerate(deltas, start=1):
-                name = "a%d" % i
-                if delta == 0:
-                    text = name
-                elif delta > 0:
-                    text = "%s - %s" % (name, delta)
-                else:
-                    text = "%s + %s" % (name, -delta)
-                self.solution["b%d" % i] = text
+                pairs = [(False, "a%d" % i)]
+                if delta:
+                    pairs.append((delta > 0, str(abs(delta))))
+                self.solution["b%d" % i] = bottsum._sum(pairs)
 
 
 def _twist_equation_row(n, m, v):
-    """One equate-the-sums equation for the probe weights at level v.
+    """One equate-the-sums equation for the probe weights at level v, as
+    a primitive integer row: the cofactors, then the constant.
 
     Weights are (1, 1, v, v+1, ..., v+n-2); the repeated weight keeps
     a fixed line while the rest isolates the blown-up locus, and each
     v probes a different linear combination of the twist differences.
+    The products are integers and each cofactor is ``total // x``; only
+    the constant is a Fraction sum, and its denominator scales the
+    cofactors before ``bottsum._primitive``.  As w0 - w1 = 0, the fixed
+    line's factor in each term's product is -delta.
     """
     w = [1, 1] + [v + j for j in range(n - 1)]
     normals = [w[0] - w[i] for i in range(2, n + 1)]
-    total = Fraction(1)
-    for x in normals:
-        total *= x
-    cof = [total / x for x in normals]
+    total = prod(normals)
+    center = prod(normals[:m])
     rhs = Fraction(0)
-    for c in range(m + 2, n + 1):
-        delta = w[0] - w[c]
-        factors = [delta]
-        for i in range(2, m + 2):
-            factors.append(w[0] - w[i])
-        others = [w[0] - w[1]]
-        for i in range(m + 2, n + 1):
-            if i != c:
-                others.append(w[0] - w[i])
-        for x in others:
-            factors.append(x - delta)
-        te = Fraction(1)
-        for x in factors:
-            te *= x
-        rhs += 1 / te
+    for k in range(m, n - 1):
+        delta = normals[k]
+        others = normals[m:k] + normals[k + 1:]
+        rhs += Fraction(1, -delta * delta * center
+                        * prod(x - delta for x in others))
     rhs = -total * total * rhs
-    return cof, rhs
+    return bottsum._primitive([total // x * rhs.denominator for x in normals]
+                              + [rhs.numerator])[0]
 
 
-def _format_twist_equation(cof, rhs):
+def _format_twist_equation(row):
+    """A probe row, cofactors then constant, as a-side = b-side, each
+    side written by ``bottsum._sum``."""
+    *cof, rhs = row
+
     def side(letter):
-        parts = []
+        pairs = []
         for i, c in enumerate(cof, start=1):
             name = "%s%d" % (letter, i)
-            parts.append(name if c == 1 else "%d*%s" % (c, name))
-        return " + ".join(parts)
+            pairs.append((c < 0, name if abs(c) == 1
+                          else "%d*%s" % (abs(c), name)))
+        return pairs
 
     right = side("b")
-    if rhs > 0:
-        right += " + %d" % rhs
-    elif rhs < 0:
-        right += " - %d" % (-rhs)
-    return "%s = %s" % (side("a"), right)
+    if rhs:
+        right.append((rhs < 0, str(abs(rhs))))
+    return "%s = %s" % (bottsum._sum(side("a")), bottsum._sum(right))
 
 
 def normal_twist_check(n, m):
@@ -536,14 +524,9 @@ def normal_twist_check(n, m):
     """
     if n < 3 or not 1 <= m <= n - 2:
         raise ValueError("need n >= 3 and 1 <= m <= n-2")
-    rows = []
-    printed = []
-    for v in range(2, n + 1):
-        cof, rhs = _twist_equation_row(n, m, v)
-        row = _integer_row(cof + [rhs])
-        printed.append(_format_twist_equation(row[:-1], row[-1]))
-        rows.append(row)
+    rows = [_twist_equation_row(n, m, v) for v in range(2, n + 1)]
     solved = rref(rows).fractions
     unique = len(solved) == n - 1
     deltas = tuple(row[-1] for row in solved) if unique else ()
-    return NormalTwistReport(n, m, printed, deltas, unique)
+    return NormalTwistReport(n, m, [_format_twist_equation(row)
+                                    for row in rows], deltas, unique)

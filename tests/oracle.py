@@ -34,12 +34,18 @@ common value off its first row.
 ``looped_residues`` walks a ``bottsum._Arrangement``'s groups factor by
 factor, the reference for the straight-line kernel compiled from the
 same groups; ``loop_multiplications`` counts its products.
+
+``twist_equation_row`` builds a single-blowup probe row from Fraction
+products and rescales it by the lcm of its denominators before
+``bottsum._primitive``, the reference for the integer rows of
+``relations._twist_equation_row``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from folbott.bottsum import FlagResidues, TwistLinear, flag_residues
+from folbott.bottsum import (FlagResidues, TwistLinear, _primitive,
+                             flag_residues)
 from folbott.torus import (DivByZeroWeight, enumerate_fixed_flags,
                            flag_tangent_product)
 from folbott.relations import SolvedRelations, rref
@@ -205,6 +211,39 @@ def per_flag_values(system, echelon):
     return [(flag, solved.collapse(*solved.reduce_row(row, den)))
             for flag, (row, den) in zip(enumerate_fixed_flags(),
                                         system.sum_rows)]
+
+
+def twist_equation_row(n, m, v):
+    """The probe row at level v, cofactors then constant, built from
+    Fraction products: each cofactor total / x, each term's product
+    factor by factor, then scaled by the lcm of the denominators and
+    made primitive."""
+    w = [1, 1] + [v + j for j in range(n - 1)]
+    normals = [w[0] - w[i] for i in range(2, n + 1)]
+    total = Fraction(1)
+    for x in normals:
+        total *= x
+    cof = [total / x for x in normals]
+    rhs = Fraction(0)
+    for c in range(m + 2, n + 1):
+        delta = w[0] - w[c]
+        factors = [delta]
+        for i in range(2, m + 2):
+            factors.append(w[0] - w[i])
+        others = [w[0] - w[1]]
+        for i in range(m + 2, n + 1):
+            if i != c:
+                others.append(w[0] - w[i])
+        for x in others:
+            factors.append(x - delta)
+        te = Fraction(1)
+        for x in factors:
+            te *= x
+        rhs += 1 / te
+    row = cof + [-total * total * rhs]
+    denom = lcm(*(c.denominator for c in row))
+    return _primitive([c.numerator * (denom // c.denominator)
+                       for c in row])[0]
 
 
 def looped_residues(plan, flag, w):

@@ -375,6 +375,20 @@ def test_singular_locus():
     assert lines[-1] == "scalar against printed expansion: -1"
 
 
+def test_singular_locus_failed_check_exits_1(monkeypatch):
+    from folbott import extforms
+    monkeypatch.setattr(extforms, "sample_foliation_report",
+                        lambda: ([("projective", True), ("integrable", False)],
+                                 -1))
+    res = run("singular-locus")
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "projective: ok",
+        "integrable: FAILED",
+        "scalar against printed expansion: -1",
+    ]
+
+
 def test_normal_twist_check_text():
     res = run("normal-twist-check", "--N", "4", "--m", "1")
     assert res.exit_code == 0
@@ -398,6 +412,18 @@ def test_normal_twist_check_json():
     assert doc["solution"]["b2"] == "a2"
     assert doc["solution"]["b3"] == "a3 - 1"
     assert doc["solution"]["b4"] == "a4 - 1"
+
+
+def test_normal_twist_check_not_unique_exits_1(monkeypatch):
+    from folbott import relations
+    report = relations.NormalTwistReport(3, 1, ["a1 + a2 = b1 + b2 + 1"],
+                                         (), False)
+    monkeypatch.setattr(relations, "normal_twist_check",
+                        lambda n, m: report)
+    res = run("normal-twist-check", "--N", "3", "--m", "1")
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["a1 + a2 = b1 + b2 + 1",
+                                       "solution is not unique"]
 
 
 def test_normal_twist_check_guard():

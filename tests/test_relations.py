@@ -17,7 +17,8 @@ from folbott.relations import (InconsistentSystem, RelationSystem,
                                row_space_equal, rref, solve_relations)
 from folbott.torus import WeightError, enumerate_fixed_flags, validate_weights
 from oracle import (FractionLinear, difference_rows, per_flag_values,
-                    rref_mod, solve_differences, substitute_rows)
+                    rref_mod, solve_differences, substitute_rows,
+                    twist_equation_row)
 
 W0 = (0, 1, 5, 25)
 W_WIDE = (67208900, -31429501, 99121929, -3756357)
@@ -691,6 +692,33 @@ def test_single_blowup_cross_checks_up_to_twelve():
         json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == ("b671df01a2b1fc7399a3c322b5744fa7"
                       "17b991ee4e96841f9afab9a89c1a4ce1")
+
+
+def test_single_blowup_rows_match_the_fraction_reference():
+    # Past the digest above: every probe row up to N = 30 equals the
+    # Fraction-built, lcm-rescaled row, and its cofactors are positive,
+    # so the equations print with plus signs only.
+    for n in range(3, 31):
+        for m in range(1, n - 1):
+            for v in range(2, n + 1):
+                row = relations._twist_equation_row(n, m, v)
+                assert row == twist_equation_row(n, m, v)
+                assert all(c > 0 for c in row[:-1])
+
+
+@pytest.mark.parametrize("row,text", [
+    ((2, 1, -3), "2*a1 + a2 = 2*b1 + b2 - 3"),
+    ((2, 1, 0), "2*a1 + a2 = 2*b1 + b2"),
+    ((2, 1, 4), "2*a1 + a2 = 2*b1 + b2 + 4"),
+])
+def test_twist_equation_constant_signs(row, text):
+    assert relations._format_twist_equation(row) == text
+
+
+def test_twist_solution_signs():
+    report = relations.NormalTwistReport(3, 1, [], (0, -1, Fraction(1, 2)),
+                                         True)
+    assert report.solution == {"b1": "a1", "b2": "a2 + 1", "b3": "a3 - 1/2"}
 
 
 def test_single_blowup_cross_check_small():
