@@ -5,8 +5,12 @@ casing because no styling is ever emitted).  Six of them, fiber-degree,
 component-degree, relations, tables, three-planes and
 normal-twist-check, take --output json for a deterministic document:
 keys sorted, no timestamps, rationals encoded as {"num": ..., "den":
-...} string pairs so consumers never overflow.  resolve and
-singular-locus print text only.
+...} string pairs so consumers never overflow.  Each of the six works
+out its result once, as one document and one list of text lines, and
+``_emit`` writes the one that --output names; json is imported only
+then.  The two degree commands share their --power, --per-flag and
+--symbolic-d options and their renderings.  resolve and singular-locus
+print text only.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on
 usage errors (including weight vectors with colliding partial sums).
@@ -35,17 +39,32 @@ def _parse_weights(ctx, param, value):
     return nums
 
 
-def _weights_option(func):
-    return click.option(
-        "--weights", default="0,1,5,25", callback=_parse_weights,
-        show_default=True,
-        help="Four torus weights, comma separated.")(func)
+_weights_option = click.option(
+    "--weights", default="0,1,5,25", callback=_parse_weights,
+    show_default=True, help="Four torus weights, comma separated.")
+
+_output_option = click.option(
+    "--output", type=click.Choice(["text", "json"]), default="text",
+    show_default=True, help="Output format.")
 
 
-def _output_option(func):
-    return click.option(
-        "--output", type=click.Choice(["text", "json"]), default="text",
-        show_default=True, help="Output format.")(func)
+def _degree_options(power, per_flag_help):
+    """--power, --per-flag and --symbolic-d, in that order, for a degree
+    command whose default power is ``power``."""
+    options = [
+        click.option("--power", type=click.IntRange(min=0), default=power,
+                     show_default=True,
+                     help="Residue power in the numerator."),
+        click.option("--per-flag", is_flag=True, help=per_flag_help),
+        click.option("--symbolic-d", "symbolic_d", is_flag=True,
+                     help="Emit the linear form before relation "
+                          "substitution.")]
+
+    def decorate(func):
+        for option in reversed(options):
+            func = option(func)
+        return func
+    return decorate
 
 
 def fraction_to_json(q):
@@ -53,24 +72,58 @@ def fraction_to_json(q):
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _emit(document, output):
+def _emit(output, document, lines):
+    """Write ``document`` as JSON when ``output`` asks for it, else the
+    text ``lines``, one per line."""
     if output == "json":
         import json
         click.echo(json.dumps(document, indent=2, sort_keys=True))
-        return True
-    return False
+    else:
+        for line in lines:
+            click.echo(line)
 
 
-def _linear_document(tl):
-    coeffs = tl.coeffs
-    return {"coefficients": {"d%d" % slot: fraction_to_json(coeffs[slot])
-                             for slot in sorted(coeffs) if slot},
-            "constant": fraction_to_json(tl.constant_part())}
+def _terms(form):
+    """A TwistLinear's nonzero d-coefficients as {"dK": fraction}."""
+    return {"d%d" % slot: fraction_to_json(c)
+            for slot, c in form.coeffs.items() if slot}
+
+
+def _emit_linear(output, form):
+    _emit(output, {"coefficients": _terms(form),
+                   "constant": fraction_to_json(form.constant_part())},
+          [str(form)])
+
+
+def _emit_flags(output, rows, total=False):
+    """Per-flag values, and with ``total`` their sum after them."""
+    from .bottsum import _flag_label
+    doc = {"flags": [{"flag": list(flag), "value": fraction_to_json(val)}
+                     for flag, val in rows]}
+    lines = ["flag %s: %s" % (_flag_label(flag), val) for flag, val in rows]
+    if total:
+        value = sum(val for _, val in rows)
+        doc["total"] = fraction_to_json(value)
+        lines.append("total: %s" % value)
+    _emit(output, doc, lines)
+
+
+def _emit_degree(output, key, value, power, weights):
+    _emit(output, {key: fraction_to_json(value), "power": power,
+                   "weights": list(weights)}, [str(value)])
 
 
 def _solved(weights):
     from . import relations
     return relations.solve_relations(relations.build_system(weights))
+
+
+def _degree_relations(weights, per_flag, symbolic_d):
+    """The solved relations a degree command substitutes, or None under
+    --symbolic-d, which substitutes none and so takes no --per-flag."""
+    if symbolic_d and per_flag:
+        raise click.UsageError("--symbolic-d takes no --per-flag")
+    return None if symbolic_d else _solved(weights)
 
 
 @click.group()
@@ -81,41 +134,24 @@ def main():
 @main.command("fiber-degree")
 @_weights_option
 @_output_option
-@click.option("--power", type=click.IntRange(min=0), default=7,
-              show_default=True, help="Residue power in the numerator.")
-@click.option("--per-flag", is_flag=True,
-              help="Emit the individual per-flag values.")
-@click.option("--symbolic-d", "symbolic_d", is_flag=True,
-              help="Emit the linear form before relation substitution.")
+@_degree_options(7, "Emit the individual per-flag values.")
 def fiber_degree_cmd(weights, output, power, per_flag, symbolic_d):
     """Residue value over a single flag (the same for all of them)."""
-    if symbolic_d and per_flag:
-        raise click.UsageError("--symbolic-d takes no --per-flag")
+    solved = _degree_relations(weights, per_flag, symbolic_d)
     from . import bottsum
     if symbolic_d:
-        form = bottsum.display_sum((0, 1, 2, 3), weights, power)
-        if not _emit(_linear_document(form), output):
-            click.echo(str(form))
-        return
-    solved = _solved(weights)
-    if per_flag:
-        rows = bottsum.per_flag_fiber_values(weights, solved, power)
-        doc = {"flags": [{"flag": list(flag),
-                          "value": fraction_to_json(val)}
-                         for flag, val in rows]}
-        if not _emit(doc, output):
-            for flag, val in rows:
-                click.echo("flag %s: %s" % (bottsum._flag_label(flag), val))
-        return
-    try:
-        value = bottsum.fiber_degree(weights, power, solved)
-    except ArithmeticError as err:
-        click.echo("verification mismatch: %s" % err)
-        sys.exit(1)
-    if not _emit({"fiber_degree": fraction_to_json(value),
-                  "power": power,
-                  "weights": list(weights)}, output):
-        click.echo(str(value))
+        _emit_linear(output, bottsum.display_sum((0, 1, 2, 3), weights,
+                                                 power))
+    elif per_flag:
+        _emit_flags(output,
+                    bottsum.per_flag_fiber_values(weights, solved, power))
+    else:
+        try:
+            value = bottsum.fiber_degree(weights, power, solved)
+        except ArithmeticError as err:
+            click.echo("verification mismatch: %s" % err)
+            sys.exit(1)
+        _emit_degree(output, "fiber_degree", value, power, weights)
 
 
 @main.command("component-degree")
@@ -123,41 +159,21 @@ def fiber_degree_cmd(weights, output, power, per_flag, symbolic_d):
 @_output_option
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted for compatibility; has no effect.")
-@click.option("--power", type=click.IntRange(min=0), default=13,
-              show_default=True, help="Residue power in the numerator.")
-@click.option("--per-flag", is_flag=True,
-              help="Emit the 24 per-flag partial sums.")
-@click.option("--symbolic-d", "symbolic_d", is_flag=True,
-              help="Emit the linear form before relation substitution.")
+@_degree_options(13, "Emit the 24 per-flag partial sums.")
 def component_degree_cmd(weights, output, jobs, power, per_flag,
                          symbolic_d):
     """Global residue sum over all 24 flags."""
-    if symbolic_d and per_flag:
-        raise click.UsageError("--symbolic-d takes no --per-flag")
+    solved = _degree_relations(weights, per_flag, symbolic_d)
     from . import bottsum
     if symbolic_d:
-        form = -bottsum.component_degree(weights, power)
-        if not _emit(_linear_document(form), output):
-            click.echo(str(form))
-        return
-    solved = _solved(weights)
-    if per_flag:
-        rows = bottsum.per_flag_degrees(weights, solved, power)
-        total = sum(val for _, val in rows)
-        doc = {"flags": [{"flag": list(flag),
-                          "value": fraction_to_json(val)}
-                         for flag, val in rows],
-               "total": fraction_to_json(total)}
-        if not _emit(doc, output):
-            for flag, val in rows:
-                click.echo("flag %s: %s" % (bottsum._flag_label(flag), val))
-            click.echo("total: %s" % total)
-        return
-    value = bottsum.component_degree(weights, power, solved)
-    if not _emit({"component_degree": fraction_to_json(value),
-                  "power": power,
-                  "weights": list(weights)}, output):
-        click.echo(str(value))
+        _emit_linear(output, -bottsum.component_degree(weights, power))
+    elif per_flag:
+        _emit_flags(output, bottsum.per_flag_degrees(weights, solved, power),
+                    total=True)
+    else:
+        _emit_degree(output, "component_degree",
+                     bottsum.component_degree(weights, power, solved),
+                     power, weights)
 
 
 @main.command("relations")
@@ -166,20 +182,13 @@ def component_degree_cmd(weights, output, jobs, power, per_flag,
 def relations_cmd(weights, output):
     """Solve the flag-difference system for the twist unknowns."""
     from . import relations
+    from .bottsum import TwistLinear
     solved = _solved(weights)
-    if output == "json":
-        rows = []
-        for row in relations.integer_rows(solved):
-            entry = {}
-            for j, c in enumerate(row[:-1]):
-                if c:
-                    entry["d%d" % (j + 1)] = fraction_to_json(c)
-            entry["constant"] = fraction_to_json(row[-1])
-            rows.append(entry)
-        _emit({"rank": solved.rank, "relations": rows}, output)
-        return
-    for line in relations.relation_strings(solved):
-        click.echo(line)
+    rows = [dict(_terms(TwistLinear.from_row(row)),
+                 constant=fraction_to_json(row[-1]))
+            for row in relations.integer_rows(solved)]
+    _emit(output, {"rank": solved.rank, "relations": rows},
+          relations.relation_strings(solved))
 
 
 @main.command("tables")
@@ -192,39 +201,37 @@ def tables_cmd(output):
     census = catalog.census()
     points, lines = census["points"], census["lines"]
     flags = len(enumerate_fixed_flags())
-    if output == "json":
-        doc = {
-            "census": {"points": points, "lines": lines,
-                       "global_points": flags * points,
-                       "global_lines": flags * lines},
-            "points": [{"id": rec.id, "table": rec.table, "row": rec.row,
-                        "nu": list(rec.nu.coeffs),
-                        "tangent": [list(t.coeffs) for t in rec.tangent]}
-                       for rec in catalog.points],
-            "lines": [{"id": rec.id, "table": rec.table, "row": rec.row,
-                       "wfiber": list(rec.wfiber.coeffs),
-                       "normals": [list(n.coeffs) for n in rec.normals],
-                       "slots": list(rec.slots)}
-                      for rec in catalog.lines],
-        }
-        _emit(doc, output)
-        return
-    click.echo("points: %d  lines: %d  (%d flags: %d points, %d lines)"
-               % (points, lines, flags, flags * points, flags * lines))
+    doc = {"census": {"points": points, "lines": lines,
+                      "global_points": flags * points,
+                      "global_lines": flags * lines},
+           "points": [], "lines": []}
+    text = ["points: %d  lines: %d  (%d flags: %d points, %d lines)"
+            % (points, lines, flags, flags * points, flags * lines)]
     current = None
     for rec in catalog.points:
         if rec.table != current:
             current = rec.table
-            click.echo("[%s]" % current)
-        click.echo("  r%02d  nu=%s  tangent=%s" % (
+            text.append("[%s]" % current)
+        doc["points"].append({"id": rec.id, "table": rec.table,
+                              "row": rec.row, "nu": list(rec.nu.coeffs),
+                              "tangent": [list(t.coeffs)
+                                          for t in rec.tangent]})
+        text.append("  r%02d  nu=%s  tangent=%s" % (
             rec.row, format_weight(rec.nu),
-            ", ".join(format_weight(t) for t in rec.tangent)))
-    click.echo("[lines]")
+            ", ".join(map(format_weight, rec.tangent))))
+    text.append("[lines]")
     for rec in catalog.lines:
-        click.echo("  %s  %s r%d  fiber=%s  slots=%s  normals=%s" % (
+        doc["lines"].append({"id": rec.id, "table": rec.table,
+                             "row": rec.row,
+                             "wfiber": list(rec.wfiber.coeffs),
+                             "normals": [list(n.coeffs)
+                                         for n in rec.normals],
+                             "slots": list(rec.slots)})
+        text.append("  %s  %s r%d  fiber=%s  slots=d%d..d%d  normals=%s" % (
             rec.id, rec.table, rec.row, format_weight(rec.wfiber),
-            "d%d..d%d" % (rec.slots[0], rec.slots[-1]),
-            ", ".join(format_weight(n) for n in rec.normals)))
+            rec.slots[0], rec.slots[-1],
+            ", ".join(map(format_weight, rec.normals))))
+    _emit(output, doc, text)
 
 
 @main.command("resolve")
@@ -290,10 +297,8 @@ def three_planes_cmd(output):
     """Toy residue sum whose total is the plain degree one."""
     from . import bottsum
     rows = bottsum.three_planes_demo()
-    doc = {label: fraction_to_json(val) for label, val in rows}
-    if not _emit(doc, output):
-        for label, val in rows:
-            click.echo("%s: %s" % (label, val))
+    _emit(output, {label: fraction_to_json(val) for label, val in rows},
+          ["%s: %s" % row for row in rows])
 
 
 @main.command("singular-locus")
@@ -301,13 +306,10 @@ def singular_locus_cmd():
     """Verify the reference pair's form and its three singular curves."""
     from . import extforms
     checks, ratio = extforms.sample_foliation_report()
-    failed = 0
     for label, ok in checks:
         click.echo("%s: %s" % (label, "ok" if ok else "FAILED"))
-        if not ok:
-            failed += 1
     click.echo("scalar against printed expansion: %s" % ratio)
-    if failed:
+    if not all(ok for _, ok in checks):
         sys.exit(1)
 
 
@@ -324,19 +326,14 @@ def normal_twist_cmd(output, n, m):
         report = relations.normal_twist_check(n, m)
     except ValueError as err:
         raise click.UsageError(str(err))
-    doc = {"N": n, "m": m,
-           "equations": report.equations,
-           "unique": report.unique,
-           "solution": report.solution}
-    if not _emit(doc, output):
-        for eq in report.equations:
-            click.echo(eq)
-        if report.unique:
-            click.echo("unique solution:")
-            for name in sorted(report.solution):
-                click.echo("  %s = %s" % (name, report.solution[name]))
-        else:
-            click.echo("solution is not unique")
+    if report.unique:
+        tail = ["unique solution:"] + [
+            "  %s = %s" % item for item in sorted(report.solution.items())]
+    else:
+        tail = ["solution is not unique"]
+    _emit(output, {"N": n, "m": m, "equations": report.equations,
+                   "unique": report.unique, "solution": report.solution},
+          list(report.equations) + tail)
     if not report.unique:
         sys.exit(1)
 

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import folbott
 from folbott import bottsum
+from folbott.bottsum import TwistLinear
 from folbott.cli import fraction_to_json, main
 
 W0 = (0, 1, 5, 25)
@@ -457,14 +458,20 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("folbott."))))
 """
 
 
-def _loaded_modules(*args):
+def _fresh(script, *args):
+    """The stdout of ``script`` run with ``args`` in a fresh interpreter
+    that imports this checkout's folbott."""
     src = str(Path(folbott.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run([sys.executable, "-c", _LOADED_MODULES] + list(args),
-                         env=env, capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    return subprocess.run([sys.executable, "-c", script] + list(args),
+                          env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _loaded_modules(*args):
+    return set(_fresh(_LOADED_MODULES, *args).split())
 
 
 def test_commands_load_only_their_modules():
@@ -477,3 +484,191 @@ def test_commands_load_only_their_modules():
     assert "folbott.resolve" in pipelines
     assert not pipelines & {"folbott.bottsum", "folbott.relations",
                             "folbott.fixlocus", "folbott.torus"}
+
+
+_JSON_LOADED = """
+import sys
+from click.testing import CliRunner
+from folbott.cli import main
+result = CliRunner().invoke(main, sys.argv[1:])
+assert result.exit_code == 0, result.output
+print("json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("cmd", ["fiber-degree", "relations"])
+def test_json_is_imported_only_to_write_json(cmd):
+    assert _fresh(_JSON_LOADED, cmd) == "False\n"
+    assert _fresh(_JSON_LOADED, cmd, "--output", "json") == "True\n"
+
+
+# Every command's options, in order, as the command line declares them:
+# (opts, name, default, shown default, help).  A required option has no
+# default (click 8.3 marks that by a sentinel, earlier versions by None),
+# and click 8.0 reads an unset show_default as False, later ones as None.
+_WEIGHTS = (["--weights"], "weights", "0,1,5,25", True,
+            "Four torus weights, comma separated.")
+_OUTPUT = (["--output"], "output", "text", True, "Output format.")
+_SYMBOLIC_D = (["--symbolic-d"], "symbolic_d", False, False,
+               "Emit the linear form before relation substitution.")
+COMMAND_OPTIONS = {
+    "fiber-degree": [
+        _WEIGHTS, _OUTPUT,
+        (["--power"], "power", 7, True, "Residue power in the numerator."),
+        (["--per-flag"], "per_flag", False, False,
+         "Emit the individual per-flag values."),
+        _SYMBOLIC_D],
+    "component-degree": [
+        _WEIGHTS, _OUTPUT,
+        (["--jobs"], "jobs", 1, True,
+         "Accepted for compatibility; has no effect."),
+        (["--power"], "power", 13, True, "Residue power in the numerator."),
+        (["--per-flag"], "per_flag", False, False,
+         "Emit the 24 per-flag partial sums."),
+        _SYMBOLIC_D],
+    "relations": [_WEIGHTS, _OUTPUT],
+    "tables": [_OUTPUT],
+    "resolve": [
+        (["--chart"], "chart_id", None, False,
+         "Restrict to one parameter chart pipeline."),
+        (["--stage"], "stage", None, False,
+         "Print the transformed forms of one stage of --chart."),
+        (["--check-tables"], "check_tables", False, False,
+         "Cross-check every published cell against all the pipelines; "
+         "takes neither --chart nor --stage.")],
+    "three-planes": [_OUTPUT],
+    "singular-locus": [],
+    "normal-twist-check": [
+        _OUTPUT,
+        (["--N"], "n", None, False, "Ambient projective dimension."),
+        (["--m"], "m", None, False,
+         "Dimension of the linear blowup center.")],
+}
+
+
+def test_command_names_are_pinned():
+    assert list(main.commands) == list(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+def test_command_options_are_pinned(name):
+    assert [(p.opts, p.name, None if p.required else p.default,
+             bool(p.show_default), p.help)
+            for p in main.commands[name].params] == COMMAND_OPTIONS[name]
+
+
+def _text_and_json(*args):
+    """A command's text lines and its JSON document, both exiting 0."""
+    text, doc = run(*args), run(*args, "--output", "json")
+    assert text.exit_code == doc.exit_code == 0
+    return text.output.splitlines(), json.loads(doc.output)
+
+
+@pytest.mark.parametrize("weights", ["0,1,5,25", W_WIDE])
+@pytest.mark.parametrize("cmd", ["fiber-degree", "component-degree"])
+def test_degree_text_renders_its_json(cmd, weights):
+    lines, doc = _text_and_json(cmd, "--weights", weights)
+    assert lines == [str(fraction_from_json(doc[cmd.replace("-", "_")]))]
+    assert doc["weights"] == [int(w) for w in weights.split(",")]
+    assert doc["power"] == (7 if cmd == "fiber-degree" else 13)
+
+    lines, doc = _text_and_json(cmd, "--per-flag", "--weights", weights)
+    rendered = ["flag %s: %s" % (",".join(map(str, entry["flag"])),
+                                 fraction_from_json(entry["value"]))
+                for entry in doc["flags"]]
+    if cmd == "component-degree":
+        rendered.append("total: %s" % fraction_from_json(doc["total"]))
+    else:
+        assert "total" not in doc
+    assert len(doc["flags"]) == 24
+    assert lines == rendered
+
+    lines, doc = _text_and_json(cmd, "--symbolic-d", "--weights", weights)
+    assert set(doc) == {"coefficients", "constant"}
+    coeffs = {int(key[1:]): fraction_from_json(val)
+              for key, val in doc["coefficients"].items()}
+    coeffs[0] = fraction_from_json(doc["constant"])
+    assert lines == [str(TwistLinear(coeffs))]
+
+
+@pytest.mark.parametrize("weights", ["0,1,5,25", W_WIDE])
+def test_relations_text_renders_its_json(weights):
+    lines, doc = _text_and_json("relations", "--weights", weights)
+    assert len(lines) == len(doc["relations"]) == doc["rank"]
+    for line, row in zip(lines, doc["relations"]):
+        assert all(val["den"] == "1" for val in row.values())
+        nums = [0] * 31
+        for key, val in row.items():
+            nums[30 if key == "constant" else int(key[1:]) - 1] \
+                = int(val["num"])
+        assert line == "%s = 0" % TwistLinear.from_row(nums)
+
+
+def test_tables_text_renders_its_json():
+    from folbott.torus import EigenWeight, format_weight
+
+    def weight(coeffs):
+        return format_weight(EigenWeight(coeffs))
+
+    lines, doc = _text_and_json("tables")
+    census = doc["census"]
+    assert lines[0] == ("points: %d  lines: %d  (24 flags: %d points, "
+                        "%d lines)" % (census["points"], census["lines"],
+                                       census["global_points"],
+                                       census["global_lines"]))
+    assert (census["points"], census["lines"]) \
+        == (len(doc["points"]), len(doc["lines"]))
+    rendered, table = [], None
+    for rec in doc["points"]:
+        if rec["table"] != table:
+            table = rec["table"]
+            rendered.append("[%s]" % table)
+        rendered.append("  r%02d  nu=%s  tangent=%s" % (
+            rec["row"], weight(rec["nu"]),
+            ", ".join(map(weight, rec["tangent"]))))
+    rendered.append("[lines]")
+    for rec in doc["lines"]:
+        rendered.append(
+            "  %s  %s r%d  fiber=%s  slots=d%d..d%d  normals=%s" % (
+                rec["id"], rec["table"], rec["row"], weight(rec["wfiber"]),
+                rec["slots"][0], rec["slots"][-1],
+                ", ".join(map(weight, rec["normals"]))))
+    assert lines[1:] == rendered
+
+
+def test_three_planes_text_renders_its_json():
+    lines, doc = _text_and_json("three-planes")
+    assert len(lines) == len(doc)
+    assert dict(line.split(": ") for line in lines) \
+        == {label: str(fraction_from_json(val)) for label, val in doc.items()}
+
+
+def _twist_text(doc):
+    if not doc["unique"]:
+        return doc["equations"] + ["solution is not unique"]
+    return doc["equations"] + ["unique solution:"] + [
+        "  %s = %s" % item for item in sorted(doc["solution"].items())]
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (6, 2), (12, 5)])
+def test_normal_twist_check_text_renders_its_json(n, m):
+    lines, doc = _text_and_json("normal-twist-check", "--N", str(n),
+                                "--m", str(m))
+    assert (doc["N"], doc["m"], doc["unique"]) == (n, m, True)
+    assert len(doc["solution"]) == n - 1
+    assert lines == _twist_text(doc)
+
+
+def test_normal_twist_check_not_unique_text_renders_its_json(monkeypatch):
+    from folbott import relations
+    report = relations.NormalTwistReport(3, 1, ["a1 + a2 = b1 + b2 + 1"],
+                                         (), False)
+    monkeypatch.setattr(relations, "normal_twist_check",
+                        lambda n, m: report)
+    text = run("normal-twist-check", "--N", "3", "--m", "1")
+    doc = run("normal-twist-check", "--N", "3", "--m", "1",
+              "--output", "json")
+    assert text.exit_code == doc.exit_code == 1
+    doc = json.loads(doc.output)
+    assert doc["solution"] == {} and doc["unique"] is False
+    assert text.output.splitlines() == _twist_text(doc)
