@@ -14,11 +14,14 @@ catalog has three layers:
   * the five fixed lines with their six-eigenweight normal decomposition
     and the twist-unknown slots attached to each normal direction.
 
-The rows themselves live in ``tables``.  The child tangent frame after
-blowing up is produced by one split rule throughout, so the printed
-decompositions act as assertions over those rows rather than as inputs;
-``build_catalog`` checks that each event's rows tile its normal frame
-as it reads them.
+The rows themselves live in ``tables``.  ``build_catalog`` reads them
+in one forward pass, the base rows first and then the events in
+``tables.EVENT_ORDER``, keeping each row's child frame for the events
+over it; it checks that every event comes after its parent.  The child
+tangent frame after blowing up is produced by one split rule
+throughout, so the printed decompositions act as assertions over those
+rows rather than as inputs; ``build_catalog`` checks that each event's
+rows tile its normal frame as it reads them.
 """
 
 from collections import Counter
@@ -58,58 +61,6 @@ def tangent_split_blowup(center, tangent, direction, times=1):
                 "direction %s is not %s normal direction"
                 % (direction, "a" if times == 1 else "a doubled"))
     return list(center) + [direction] + [n - direction for n in residual]
-
-
-# ---------------------------------------------------------------------------
-# Base layer
-# ---------------------------------------------------------------------------
-
-def base_frame(row):
-    """(tangent eigenweights, fiber eigenweight) of base row ``row``.
-
-    The row pairs quadric q with cubic i of partner k (tables.base_pair).
-    The quadric's directions lead, the partner's first when the quadric
-    is the degenerate x0^2; the cubic's four directions follow.
-    """
-    q, k, i = base_pair(row)
-    bw = [parse_weight(m) for m in B_MONOS]
-    fw = [parse_weight(m) for m in base_cubics(k)]
-    tb = [bw[k] - bw[0]] if q != k else []
-    tb += [bw[j] - bw[k] for j in range(4) if j not in (q, k)]
-    ta = [fw[j] - fw[i] for j in range(5) if j != i]
-    return tb + ta, bw[q] + fw[i] - parse_weight("x0")
-
-
-# ---------------------------------------------------------------------------
-# Events
-# ---------------------------------------------------------------------------
-
-def _event_frame(key, memo):
-    """(center, tangent, nu) of an event, from the row its parent names.
-
-    A not-defined base cell gives the base frame; an "nd" row gives
-    the split frame over its direction; a "family" row gives the fixed
-    line's normals plus the zero weight along the line.
-    """
-    if key in memo:
-        return memo[key]
-    ev = EXCEPTIONAL[key]
-    ptable, prow = ev["parent"]
-    if ptable == "base":
-        tangent, nu = base_frame(prow)
-    else:
-        pcenter, ptangent, pnu = _event_frame(ptable, memo)
-        row = EXCEPTIONAL[ptable]["rows"][prow]
-        d = parse_weight(row["eig"])
-        family = row["kind"] == "family"
-        tangent = tangent_split_blowup(pcenter, ptangent, d,
-                                       times=2 if family else 1)
-        if family:
-            tangent.append(EigenWeight((0, 0, 0, 0)))
-        nu = pnu + d
-    frame = ([parse_weight(c) for c in ev["center"]], tangent, nu)
-    memo[key] = frame
-    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -161,50 +112,76 @@ class Catalog:
 def build_catalog(flag):
     """All fixed points and lines of the four-stage space on one flag.
 
+    One forward pass: the base rows, then the events in
+    ``tables.EVENT_ORDER``.  Each row's child frame (tangent, nu) is kept
+    by (table, row), and an event reads its frame from the row its
+    parent names, plus the zero weight along the line when that row is
+    a family.  An event listed before its parent raises AssertionError
+    naming both.
+
     Before an event's rows become records, they must tile its frame:
     the center plus the row directions (markers contributing a zero
     weight, family directions doubled) give the tangent frame as a
     multiset.  Raises AssertionError naming the event otherwise.
     """
     flag = tuple(flag)
-    memo = {}
+    bw = [parse_weight(m) for m in B_MONOS]
+    x0 = parse_weight("x0")
+    cubics = {k: [parse_weight(m) for m in base_cubics(k)] for k in (1, 2, 3)}
+    frames = {}
     points = []
     for row, cell in enumerate(BASE_CELLS):
-        if cell is None:
-            continue  # an event anchor, replaced by its event's rows
-        tangent, nu = base_frame(row)
-        points.append(FixedPointRecord(
-            "base/r%02d" % row, "base", row, nu, tangent, flag))
+        # Quadric q with cubic i of partner k: the quadric's directions
+        # lead, the partner's first when the quadric is the degenerate
+        # x0^2; the cubic's four directions follow.
+        q, k, i = base_pair(row)
+        fw = cubics[k]
+        tangent = [bw[k] - bw[0]] if q != k else []
+        tangent += [bw[j] - bw[k] for j in range(4) if j not in (q, k)]
+        tangent += [fw[j] - fw[i] for j in range(5) if j != i]
+        nu = bw[q] + fw[i] - x0
+        frames["base", row] = tangent, nu
+        if cell is not None:  # else an event anchor, replaced by its rows
+            points.append(FixedPointRecord(
+                "base/r%02d" % row, "base", row, nu, tangent, flag))
     markers = []
     lines = []
     for key in EVENT_ORDER:
-        center, tangent, nu = _event_frame(key, memo)
-        ptable, prow = EXCEPTIONAL[key]["parent"]
+        ev = EXCEPTIONAL[key]
+        ptable, prow = ev["parent"]
+        if (ptable, prow) not in frames:
+            raise AssertionError("event %s listed before its parent %s"
+                                 % (key, ptable))
+        tangent, nu = frames[ptable, prow]
         line_end = None if ptable == "base" \
             else EXCEPTIONAL[ptable]["rows"][prow].get("line")
-        rows = EXCEPTIONAL[key]["rows"]
-        directions = [parse_weight(row["eig"]) for row in rows]
+        if line_end is not None:
+            tangent = tangent + [EigenWeight((0, 0, 0, 0))]
+        center = [parse_weight(c) for c in ev["center"]]
+        rows = [(row, parse_weight(row["eig"])) for row in ev["rows"]]
         claimed = Counter(center)
-        for row, dw in zip(rows, directions):
+        for row, dw in rows:
             claimed[dw] += 2 if row["kind"] == "family" else 1
         if claimed != Counter(tangent):
             raise AssertionError(
                 "event %s rows do not tile the normal frame" % key)
-        for ri, (row, dw) in enumerate(zip(rows, directions)):
+        for ri, (row, dw) in enumerate(rows):
             kind = row["kind"]
-            if kind == "iso":
-                points.append(FixedPointRecord(
-                    "%s/r%d" % (key, ri), key, ri, nu + dw,
-                    tangent_split_blowup(center, tangent, dw), flag))
-            elif kind == "family":
-                lines.append(FixedLineRecord(
-                    row["line"], key, ri, nu + dw,
-                    tangent_split_blowup(center, tangent, dw, times=2),
-                    LINE_SLOTS[row["line"]], flag))
-            elif kind == "marker":
+            if kind == "marker":
                 if line_end is None:
                     raise AssertionError(
                         "marker outside a line-end event in %s" % key)
                 markers.append((key, ri, line_end))
+                continue
+            child = tangent_split_blowup(
+                center, tangent, dw, times=2 if kind == "family" else 1)
+            frames[key, ri] = child, nu + dw
+            if kind == "iso":
+                points.append(FixedPointRecord(
+                    "%s/r%d" % (key, ri), key, ri, nu + dw, child, flag))
+            elif kind == "family":
+                lines.append(FixedLineRecord(
+                    row["line"], key, ri, nu + dw, child,
+                    LINE_SLOTS[row["line"]], flag))
     lines.sort(key=lambda rec: rec.id)
     return Catalog(flag, points, lines, markers)

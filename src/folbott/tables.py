@@ -312,7 +312,8 @@ DOCUMENTED_MISMATCHES = {
     ("cube-res", 4): "x1*x2^2*dx0 - 2*x0*x2^2*dx1 + x0*x1*x2*dx2",
 }
 
-# Catalog build order: every event after its parent.
+# Catalog build order: every event after its parent.  fixlocus.build_catalog
+# reads the events in this order and raises if one precedes its parent.
 EVENT_ORDER = ("cube", "axis1", "axis2", "tangent",
                "cube-res", "axis1-res",
                "cube-end", "axis1-end", "axis1-res-end", "axis2-end",

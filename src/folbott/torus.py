@@ -84,14 +84,20 @@ class EigenWeight:
 
     Stored as a coefficient 4-tuple in the local frame of a flag; on a
     flag its value is the dot product with ``[w[i] for i in flag]``.
+    The constructor raises TypeError on a coefficient that is not an
+    int, as ``validate_weights`` does on a weight.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != 4:
             raise ValueError("expected four coefficients")
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, int):
+                raise TypeError("coefficient %d must be an int, got %r"
+                                % (i, c))
         self.coeffs = coeffs
 
     @classmethod

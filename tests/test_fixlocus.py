@@ -1,12 +1,19 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
-from folbott import resolve
+import folbott
+from folbott import fixlocus, resolve
 from folbott.fixlocus import (DirectionNotInNormal, build_catalog,
                               tangent_split_blowup)
-from folbott.tables import EXCEPTIONAL, LINE_SLOTS
+from folbott.tables import (B_MONOS, EVENT_ORDER, EXCEPTIONAL, LINE_SLOTS,
+                            base_cubics)
 from folbott.torus import enumerate_fixed_flags, flag_tangent_product, \
     parse_weight
 from oracle import (normal_values, nu_value, point_contribution,
@@ -66,6 +73,87 @@ def test_a_duplicated_event_row_does_not_tile(monkeypatch, key, row):
                        match="event %s rows do not tile the normal frame"
                              % key):
         build_catalog(REF_FLAG)
+
+
+def test_event_order_lists_every_event_once():
+    assert sorted(EVENT_ORDER) == sorted(EXCEPTIONAL)
+
+
+def test_an_event_before_its_parent_is_refused(monkeypatch):
+    order = [key for key in EVENT_ORDER if key != "cube-res"]
+    order.insert(order.index("cube"), "cube-res")
+    monkeypatch.setattr(fixlocus, "EVENT_ORDER", tuple(order))
+    with pytest.raises(AssertionError,
+                       match="event cube-res listed before its parent cube"):
+        build_catalog(REF_FLAG)
+
+
+def test_a_build_parses_each_fixture_literal_once(monkeypatch):
+    """One parse per monomial of the base pairs and per center direction
+    and row direction of the events, however often a frame is read."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_weight(text)
+
+    monkeypatch.setattr(fixlocus, "parse_weight", counting)
+    build_catalog(REF_FLAG)
+    literals = len(B_MONOS) + 1 + sum(len(base_cubics(k)) for k in (1, 2, 3))
+    literals += sum(len(ev["center"]) + len(ev["rows"])
+                    for ev in EXCEPTIONAL.values())
+    assert len(calls) == literals == 99
+
+
+# SHA-256 of every record of the reference flag's catalog, in catalog
+# order, and of the outputs built from it.  A reordered tangent frame,
+# record or marker changes these but no census, degree or relation.
+CATALOG_RECORDS_SHA256 = \
+    "0f3f3f131b108181292f0337d0d8cd031f41ebcec6a681690f80e179c86d1154"
+TABLES_TEXT_SHA256 = \
+    "77f4464cecade646b8448a4f3f9fff7f50114bce15136a7a1593fc8993e4676f"
+TABLES_JSON_SHA256 = \
+    "5c7d8ea46b30b86852957abba1801e425d32b1b4f50c67f2b1f748e6b591e908"
+KERNEL_SOURCE_SHA256 = \
+    "97754e2a5c9a4e6b0fb6a1d9d58a1acbe5cc38d85fcd7457bb447de530c5a371"
+
+_OUTPUT_DIGESTS = """
+import hashlib
+from click.testing import CliRunner
+from folbott import bottsum
+from folbott.cli import main
+for args in (["tables"], ["tables", "--output", "json"]):
+    out = CliRunner().invoke(main, args).output
+    print(hashlib.sha256(out.encode()).hexdigest())
+print(hashlib.sha256(bottsum._arrangement().source.encode()).hexdigest())
+"""
+
+
+def test_catalog_records_are_pinned():
+    cat = build_catalog(REF_FLAG)
+    out = []
+    for rec in cat.points:
+        out.append(repr((rec.id, rec.table, rec.row, rec.nu.coeffs,
+                         tuple(t.coeffs for t in rec.tangent))))
+    for rec in cat.lines:
+        out.append(repr((rec.id, rec.table, rec.row, rec.wfiber.coeffs,
+                         tuple(n.coeffs for n in rec.normals), rec.slots)))
+    out.extend(map(repr, cat.markers))
+    assert len(out) == 72 + 5 + 5
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == CATALOG_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_tables_and_kernel_text_are_pinned(seed):
+    src = str(Path(folbott.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", _OUTPUT_DIGESTS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [TABLES_TEXT_SHA256, TABLES_JSON_SHA256,
+                                  KERNEL_SOURCE_SHA256]
 
 
 def test_split_rejects_foreign_directions():

@@ -152,6 +152,16 @@ def test_eigenweight_needs_four_coefficients():
         EigenWeight((1, 2, 3, 4, 5))
 
 
+@pytest.mark.parametrize("coeffs,index", [
+    ((1.7, 0, 0, 0), 0), ((Fraction(7, 2), 0, 0, 0), 0),
+    (("3", 0, 0, 0), 0), ((1, 2, 3.0, 4), 2)],
+    ids=["float", "fraction", "str", "third"])
+def test_eigenweight_needs_integer_coefficients(coeffs, index):
+    with pytest.raises(TypeError,
+                       match="coefficient %d must be an int" % index):
+        EigenWeight(coeffs)
+
+
 @settings(max_examples=60)
 @given(coeff_tuples(), coeff_tuples())
 def test_eigenweight_arithmetic_equals_the_constructor(a, b):
